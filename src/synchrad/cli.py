@@ -191,7 +191,10 @@ def _param(params, name, default=None, kind=float):
     if kind is float:
         return _parse_float(value, name, lineno)
     if kind is int:
-        return int(_parse_float(value, name, lineno))
+        number = _parse_float(value, name, lineno)
+        if not math.isfinite(number):
+            raise ConfigError(f"line {lineno}: key {name!r} needs a finite number")
+        return int(number)
     return value
 
 
@@ -270,6 +273,16 @@ def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
     r_min = _param(params, "r_min", default=1e-3)
     r_max = _param(params, "r_max", default=1e7)
     r_points = _param(params, "r_points", default=128, kind=int)
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"decohere.t_au must be positive and finite, got {t!r}")
+    if not (math.isfinite(r_min) and r_min > 0):
+        raise ConfigError(f"decohere.r_min must be positive and finite, got {r_min!r}")
+    if not (math.isfinite(r_max) and r_max > r_min):
+        raise ConfigError(
+            f"decohere.r_max must be finite and above r_min = {r_min!r}, got {r_max!r}"
+        )
+    if r_points < 1:
+        raise ConfigError(f"decohere.r_points must be at least 1, got {r_points}")
     r = np.concatenate(
         [[0.0], np.exp(np.linspace(math.log(r_min), math.log(r_max), r_points))]
     )
@@ -365,7 +378,8 @@ def main(argv=None) -> int:
                 }
             )
         )
-        return 3
+        # a config the parser accepts can still be rejected by its command
+        return 2 if isinstance(exc, ConfigError) else 3
     print(json.dumps({"status": "ok", "artifacts": sorted(artifacts)}))
     return 0
 

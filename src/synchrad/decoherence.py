@@ -3,8 +3,18 @@ the density matrix off-diagonal in position, the coherence kernel
 G = exp(-S), and the localization widths extracted from its Fourier square
 root.
 
-S is linear in t by construction, so the per-unit-time profile s1(r) is
-cached per beam and axis and rescaled for any elapsed time.
+S is linear in t by construction, S(r, t) = t s1(r), so the per-unit-time
+profile s1 is computed once and rescaled for every elapsed time.  Two bounded
+caches hold it, both keyed by value, never by the identity of a mode table:
+
+- `s_averaged` keeps s1 on each separation grid it is asked for, keyed by
+  beam, resolution, theta0 and the grid itself: the 16 most recent grids of
+  at most 65,536 points (larger grids are evaluated and not kept).
+- `localization_width` keeps s1 at the nodes r_j = exp(j ln(10) / 100) of one
+  fixed log lattice, per beam and axis at the width resolution: the 8 most
+  recent (beam, axis) pairs.  Nodes are computed on first use, in aligned
+  blocks of 8, so a node's value never depends on which call needed it
+  first; the widths reach at most the nodes between 1e-15 and 2e16 bohr.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.optimize
 import scipy.special
 
 from .errors import DomainError, NegativityError, RangeError
@@ -175,6 +186,17 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     return out
 
 
+_FIELD_CACHE_POINTS = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _field_profile(beam: BeamParams, resolution: tuple, theta0: float, grid: bytes):
+    """s1 on the separation grid packed in `grid`, read-only."""
+    s1 = _profile(_mode_table(beam, *resolution), np.frombuffer(grid), theta0)
+    s1.setflags(write=False)
+    return s1
+
+
 def s_averaged(
     r,
     theta0: float,
@@ -191,11 +213,18 @@ def s_averaged(
     cos(theta)), times t.  The odd part of the phase factor cancels between
     mirror hemispheres, so the result is real with zero imaginary residual.
     Vanishes at r = 0 and approaches t * total_photon_rate as r grows.
+    The t-independent part is cached per beam, resolution, theta0 and grid
+    (see the module docstring) and scaled by t.
     """
     if t <= 0:
         raise DomainError("elapsed time must be positive")
-    table = _mode_table(beam, n_exact, per_decade, n_theta)
-    vals = t * _profile(table, r, theta0)
+    grid = np.atleast_1d(np.asarray(r, dtype=float))
+    resolution = (n_exact, per_decade, n_theta)
+    if grid.size <= _FIELD_CACHE_POINTS:
+        s1 = _field_profile(beam, resolution, float(theta0), grid.tobytes())
+    else:
+        s1 = _profile(_mode_table(beam, *resolution), grid, theta0)
+    vals = t * s1.reshape(grid.shape)
     return float(vals[0]) if np.isscalar(r) else vals
 
 
@@ -355,48 +384,80 @@ def _width_from_kernel(kernel: CoherenceKernel, axis: str) -> float:
 _WIDTH_RES = dict(n_exact=128, per_decade=16, n_theta=24)
 _WINDOW_BOHR = 1e7  # analysis span: separations beyond it count as decohered
 _MAX_FFT_LOG2 = 21
+_LOG_STEP = math.log(10.0) / 100  # lattice spacing in log r: 100 nodes per decade
+_BLOCK = 8  # lattice nodes computed together
+_ROOT_RANGE = (-1200, 1400)  # lattice indices searched for radii: 1e-12..1e14 bohr
 
 
-def _scale_radius(table, t: float, theta0: float, target: float) -> float | None:
-    """Smallest r (log bisection) with t * s1(r) = target, or None if s1
-    saturates below target/t."""
-    lo, hi = 1e-12, 1e14
+class _Lattice:
+    """s1 at the nodes r_j = exp(j * _LOG_STEP) for one beam and polar angle
+    at the width resolution, computed on first use in aligned blocks."""
 
-    def f(r):
-        return t * float(_profile(table, np.array([r]), theta0)[0])
+    def __init__(self, beam: BeamParams, theta0: float):
+        self.beam = beam
+        self.theta0 = theta0
+        self.rate = float(np.sum(_mode_table(beam, **_WIDTH_RES)[3]))  # s1 at r -> inf
+        self._blocks: dict[int, np.ndarray] = {}
 
-    if f(hi) < target:
+    def span(self, j_lo: int, j_hi: int) -> np.ndarray:
+        """s1 at the nodes j_lo..j_hi, inclusive."""
+        b_lo, b_hi = j_lo // _BLOCK, j_hi // _BLOCK
+        for b in range(b_lo, b_hi + 1):
+            if b not in self._blocks:
+                r = np.exp(np.arange(b * _BLOCK, (b + 1) * _BLOCK) * _LOG_STEP)
+                table = _mode_table(self.beam, **_WIDTH_RES)
+                self._blocks[b] = _profile(table, r, self.theta0)
+        s1 = np.concatenate([self._blocks[b] for b in range(b_lo, b_hi + 1)])
+        return s1[j_lo - b_lo * _BLOCK : j_hi - b_lo * _BLOCK + 1]
+
+
+@lru_cache(maxsize=8)
+def _width_lattice(beam: BeamParams, theta0: float) -> _Lattice:
+    return _Lattice(beam, theta0)
+
+
+def _scale_radius(lattice: _Lattice, t: float, target: float) -> float | None:
+    """A separation r with t * s1(r) = target (the only one where s1 rises
+    monotonically), or None if s1 saturates below target/t.  Bisects over
+    lattice indices for a bracketing pair of nodes, then solves the monotone
+    cubic through them and their neighbours."""
+    import scipy.interpolate
+
+    y = target / t
+    lo, hi = _ROOT_RANGE
+    if lattice.span(hi, hi)[0] < y:
         return None
-    if f(lo) > target:
-        return lo
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if f(mid) < target:
+    if lattice.span(lo, lo)[0] > y:
+        return math.exp(lo * _LOG_STEP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lattice.span(mid, mid)[0] < y:
             lo = mid
         else:
             hi = mid
-    return hi
+    x = np.arange(lo - 1, hi + 2) * _LOG_STEP
+    piece = scipy.interpolate.PchipInterpolator(x, lattice.span(lo - 1, hi + 1))
+    return math.exp(scipy.optimize.brentq(lambda v: piece(v) - y, x[1], x[2]))
 
 
-def _log_profile_interpolant(table, t, theta0, r_lo, r_hi, n_log=512):
-    """Monotone interpolant of t * s1 in log r, with the quadratic
-    small-separation law below the sampled range."""
+def _log_profile_interpolant(lattice: _Lattice, t: float, r_lo: float, r_hi: float):
+    """Monotone interpolant of t * s1 in log r through the lattice nodes that
+    cover [r_lo, r_hi], with the quadratic small-separation law below them."""
     import scipy.interpolate
 
-    r_log = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_log))
-    s_log = t * _profile(table, r_log, theta0)
-    pch = scipy.interpolate.PchipInterpolator(np.log(r_log), s_log, extrapolate=False)
-    s_lo = s_log[0]
+    j_lo = math.floor(math.log(r_lo) / _LOG_STEP)
+    j_hi = math.ceil(math.log(r_hi) / _LOG_STEP)
+    x = np.arange(j_lo, j_hi + 1) * _LOG_STEP
+    s = t * lattice.span(j_lo, j_hi)
+    pch = scipy.interpolate.PchipInterpolator(x, s, extrapolate=False)
+    r0 = math.exp(x[0])
 
     def s_of_r(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        small = r < r_lo
-        out[small] = s_lo * (r[small] / r_lo) ** 2
-        big = r > r_hi
-        out[big] = s_log[-1]
-        mid = ~(small | big)
-        out[mid] = pch(np.log(r[mid]))
+        out = s[0] * (r / r0) ** 2
+        inside = r >= r0
+        # the clip keeps log r on the nodes where exp/log rounding would put a
+        # separation at the ends of their range one step outside it
+        out[inside] = pch(np.clip(np.log(r[inside]), x[0], x[-1]))
         return out
 
     return s_of_r
@@ -406,31 +467,35 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> float:
     """Rms width (bohr) of the localized packet amplitude along the chosen
     axis at elapsed time t.
 
-    The kernel is sampled on a logarithmic separation grid, interpolated to
-    a uniform grid, and transformed; separations beyond the analysis window
-    (1e7 bohr, or larger when the decoherence scale demands) are treated as
-    fully decohered.  Returns math.inf when the total emission is too small
-    to localize (max S < ln 2)."""
+    The kernel exp(-t s1) comes from s1 at the nodes of a fixed log lattice
+    (100 per decade), cached per beam and axis (8 pairs kept) and filled on
+    first use, so widths at many times share one set of profile evaluations.
+    The scale radii and the monotone interpolant are built on those nodes,
+    the interpolant is sampled on a uniform grid of 2^k + 1 points and
+    transformed with FFTs of length 2^(k+1); separations beyond the analysis
+    window (1e7 bohr, or larger when the decoherence scale demands) are
+    treated as fully decohered.  Returns math.inf when the total emission is
+    too small to localize (max S < ln 2)."""
     if axis not in _AXIS_ANGLE:
         raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
     if t <= 0:
         raise DomainError("elapsed time must be positive")
     theta0 = _AXIS_ANGLE[axis]
-    table = _mode_table(beam, **_WIDTH_RES)
-    s_inf = t * float(np.sum(table[3]))
+    lattice = _width_lattice(beam, theta0)
+    s_inf = t * lattice.rate
     if s_inf < math.log(2.0):
         return math.inf
-    r_w = _scale_radius(table, t, theta0, 1.0)
+    r_w = _scale_radius(lattice, t, 1.0)
     if r_w is None:
         return math.inf
     # truncate where the kernel has decayed, or at the analysis window when
     # the approach to full decoherence is too slow to resolve
-    r_deep = _scale_radius(table, t, theta0, min(37.0, 0.98 * s_inf))
+    r_deep = _scale_radius(lattice, t, min(37.0, 0.98 * s_inf))
     if r_deep is not None:
         r_max = min(max(4.0 * r_deep, 40.0 * r_w), max(_WINDOW_BOHR, 200.0 * r_w))
     else:
         r_max = max(_WINDOW_BOHR, 200.0 * r_w)
-    s_of_r = _log_profile_interpolant(table, t, theta0, 1e-3 * r_w, r_max)
+    s_of_r = _log_profile_interpolant(lattice, t, 1e-3 * r_w, r_max)
     # marginal decoherence: the kernel must have decayed at the window edge,
     # otherwise the packet is not localized within the analysis span
     s_edge = float(s_of_r(np.array([r_max]))[0])
@@ -442,8 +507,7 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> float:
     prev = None
     log2_n = min(_MAX_FFT_LOG2, max(12, math.ceil(math.log2(8.0 * r_max / r_w))))
     for _ in range(3):
-        n = 2**log2_n
-        r = np.linspace(0.0, r_max, n)
+        r = np.linspace(0.0, r_max, 2**log2_n + 1)
         kernel = CoherenceKernel(
             beam=beam,
             t=t,

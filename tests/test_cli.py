@@ -199,3 +199,38 @@ def test_main_deterministic_flag(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out2), "--deterministic"]) == 0
     capsys.readouterr()
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "decohere.r_min = 0",
+        "decohere.r_min = -1e-3",
+        "decohere.r_min = nan",
+        "decohere.r_min = inf",
+        "decohere.r_max = 1e-3",
+        "decohere.r_max = 1e-4",
+        "decohere.r_max = inf",
+        "decohere.r_points = 0",
+        "decohere.r_points = nan",
+        "decohere.t_au = 0",
+        "decohere.t_au = -5",
+        "decohere.t_au = nan",
+        "decohere.t_au = inf",
+    ],
+)
+def test_decohere_rejects_bad_input_as_config_error(tmp_path, capsys, line):
+    lines = {"decohere.t_au": "1e6"}
+    key, value = (p.strip() for p in line.split("="))
+    lines[key] = value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        "command = decohere\nbeam.gamma = 10.0\nbeam.radius_bohr = 1000.0\n"
+        + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError"
+    assert key.split(".")[1] in diag["message"]
+    with pytest.raises(ConfigError):
+        run(parse_config(cfg.read_text()), str(tmp_path / "out"))

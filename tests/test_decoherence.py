@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synchrad import decoherence
 from synchrad.decoherence import (
     CoherenceKernel,
     chi_spectrum,
@@ -18,7 +21,7 @@ from synchrad.decoherence import (
 )
 from synchrad.errors import DomainError, NegativityError, RangeError
 from synchrad.semiclassical import total_photon_rate
-from synchrad.units import C_AU, BeamParams
+from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
 
 
 BEAM2 = BeamParams.from_gamma_radius(2.0, 1000.0)
@@ -210,3 +213,93 @@ def test_localization_time_fixed_point():
         localization_time(beam, 1e30, "transverse")
     with pytest.raises(DomainError):
         localization_time(beam, -1.0, "transverse")
+
+
+def test_s_averaged_cold_and_warm_calls_agree():
+    beam = BeamParams.from_gamma_radius(3.0, 700.0)  # used nowhere else: cold
+    r = np.logspace(-1, 5, 33)
+    cold = s_averaged(r, 0.4, 7.0, beam)
+    warm = s_averaged(r, 0.4, 7.0, beam)
+    assert np.array_equal(cold, warm)
+    cold[:] = -1.0  # the caller's array is its own, not the cached samples
+    assert np.array_equal(s_averaged(r, 0.4, 7.0, beam), warm)
+
+
+def test_s_averaged_does_not_keep_grids_above_the_cache_bound():
+    res = dict(n_exact=4, per_decade=8, n_theta=4)  # a small mode table
+    r = np.logspace(-1, 6, decoherence._FIELD_CACHE_POINTS + 1)
+    before = decoherence._field_profile.cache_info().currsize
+    big = s_averaged(r, 0.5, 3.0, BEAM2, **res)
+    assert decoherence._field_profile.cache_info().currsize == before
+    head = s_averaged(r[:64], 0.5, 3.0, BEAM2, **res)
+    np.testing.assert_allclose(big[:64], head, rtol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(min_value=1e-6, max_value=1e16))
+def test_s_averaged_scales_cached_profile_by_t(t):
+    r = np.logspace(-1, 6, 17)
+    np.testing.assert_array_max_ulp(
+        s_averaged(r, 1.2, t, BEAM2), t * s_averaged(r, 1.2, 1.0, BEAM2), maxulp=4
+    )
+
+
+def test_alternating_beams_keep_their_own_cache_entries():
+    beams = (
+        BeamParams.from_gamma_radius(10.0, 1000.0),
+        BeamParams.from_gamma_radius(14.0, 1900.0),
+    )
+    r = np.logspace(0, 4, 9)
+    times = (1e5, 1e6, 1e7)
+    decoherence._width_lattice.cache_clear()
+    alone = {}
+    for beam in beams:
+        alone[beam] = [localization_width(beam, t, "transverse") for t in times]
+        decoherence._width_lattice.cache_clear()
+    for t in times:
+        for beam in beams:
+            assert localization_width(beam, t, "transverse") == alone[beam][times.index(t)]
+            table = decoherence._mode_table(beam, 512, 48, 48)
+            direct = t * decoherence._profile(table, r, 0.3)
+            assert np.array_equal(s_averaged(r, 0.3, t, beam), direct)
+    # every cached lattice node is the profile of its own beam's mode table
+    for beam in beams:
+        table = decoherence._mode_table(beam, **decoherence._WIDTH_RES)
+        lattice = decoherence._width_lattice(beam, math.pi / 2)
+        assert lattice._blocks
+        for b, cached in lattice._blocks.items():
+            nodes = np.arange(b * decoherence._BLOCK, (b + 1) * decoherence._BLOCK)
+            r_nodes = np.exp(nodes * decoherence._LOG_STEP)
+            assert np.array_equal(cached, decoherence._profile(table, r_nodes, math.pi / 2))
+    # entries are keyed by the beam's value, not by the object
+    twin = BeamParams.from_gamma_radius(10.0, 1000.0)
+    assert twin is not beams[0]
+    assert decoherence._width_lattice(twin, 0.0) is decoherence._width_lattice(beams[0], 0.0)
+
+
+# widths of the uncached solver (60-step radius bisection, 512-node
+# interpolant per call, 2^k-point kernel samples), FIAN_60
+_FIAN_WIDTHS = {
+    1e9: (1.6903938483283039, 3229.5758438553744),
+    1e10: (0.5255757643234427, 1017.0246795458017),
+    1e12: (0.052544194904616114, 101.69707819349878),
+    1e14: (0.005254419342601698, 10.16970775938106),
+}
+
+
+@pytest.mark.parametrize("t", sorted(_FIAN_WIDTHS))
+def test_fian60_widths_match_uncached_solver(t):
+    beam = beam_from_lab(FIAN_60)
+    for axis, want in zip(("transverse", "longitudinal"), _FIAN_WIDTHS[t]):
+        assert localization_width(beam, t, axis) == pytest.approx(want, rel=1e-4)
+
+
+def test_width_at_interpolant_range_edge_is_finite():
+    # the interpolant is evaluated at exactly r_max; at this time the exp/log
+    # round trip once put that point one rounding step outside its range
+    beam = beam_from_lab(FIAN_60)
+    w = localization_width(beam, 22248365056205.754, "longitudinal")
+    w_early = localization_width(beam, 10.0**13.3, "longitudinal")
+    w_late = localization_width(beam, 10.0**13.4, "longitudinal")
+    assert math.isfinite(w)
+    assert w_late < w < w_early
