@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decoherence, ir_model, packets, semiclassical
-from .errors import SynchradError
+from .errors import DomainError, SynchradError
 from .units import C_AU, BeamParams, LabInput, beam_from_lab
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -170,9 +170,9 @@ def _parse_beam(pairs: dict) -> BeamParams:
             else:
                 gamma = _parse_float(g_raw, "beam.gamma", g_line)
             return BeamParams.from_gamma_radius(gamma=gamma, R=R, Z=Z)
-    except SynchradError:
+    except ConfigError:
         raise
-    except ValueError as exc:
+    except ValueError as exc:  # DomainError of the beam record included
         raise ConfigError(f"invalid beam parameters: {exc}")
     raise ConfigError("missing beam block: set beam.energy_gev or beam.gamma/beam.beta")
 
@@ -199,9 +199,12 @@ def _param(params, name, default=None, kind=float):
 
 
 def _write_json(path, payload) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError(f"{os.path.basename(path)}: non-finite result in {payload!r}")
     with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
@@ -209,11 +212,17 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
     if "harmonics" in params:
         value, lineno = params["harmonics"]
         harmonics = _parse_int_list(value, "spectrum.harmonics", lineno)
+        if min(harmonics) < 1:
+            raise ConfigError(
+                f"line {lineno}: spectrum.harmonics must be at least 1, got {min(harmonics)}"
+            )
     else:
         harmonics = list(range(1, 11))
     if "thetas" in params:
         value, lineno = params["thetas"]
         thetas = [_parse_float(p, "spectrum.thetas", lineno) for p in value.split(",")]
+        if not all(math.isfinite(theta) for theta in thetas):
+            raise ConfigError(f"line {lineno}: spectrum.thetas must be finite, got {value!r}")
     else:
         thetas = list(np.linspace(0.0, math.pi, 19))
     table = semiclassical.build_spectral_table(config.beam, harmonics, thetas)
@@ -243,24 +252,33 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     omega_min = _param(params, "omega_min", default=1e-8)
     omega_max = _param(params, "omega_max", default=1e-2)
     points = _param(params, "points", default=64, kind=int)
+    if not (math.isfinite(omega_min) and omega_min > 0):
+        raise ConfigError(f"ir.omega_min must be positive and finite, got {omega_min!r}")
+    if not (math.isfinite(omega_max) and omega_max > omega_min):
+        raise ConfigError(
+            f"ir.omega_max must be finite and above omega_min = {omega_min!r}, got {omega_max!r}"
+        )
+    if points < 1:
+        raise ConfigError(f"ir.points must be at least 1, got {points}")
     use_delta = _param(params, "use_delta", default="true", kind=str).lower() != "false"
-    override = None if use_delta else 0.0
+    delta = ir_model.delta_shift(jump)
+    shift = delta if use_delta else 0.0
     grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), points))
     csv_path = os.path.join(out_dir, "ir.csv")
     with open(csv_path, "w", newline="\n") as f:
         f.write("omega_au,dN_domega\n")
         for w in grid:
-            dens = ir_model.soft_spectral_density(jump, float(w), delta_override=override)
+            dens = ir_model.soft_spectral_density(jump, float(w), delta_override=shift)
             f.write(f"{w:.16e},{dens:.16e}\n")
     json_path = os.path.join(out_dir, "ir.json")
     _write_json(
         json_path,
         {
-            "delta_au": ir_model.delta_shift(jump),
+            "delta_au": delta,
             "delta_closed_form_au": ir_model.delta_shift_closed_form(jump),
             "lambda_smallness": jump.smallness,
             "total_count": ir_model.total_soft_count(
-                jump, omega_min, omega_max, delta_override=override
+                jump, omega_min, omega_max, delta_override=shift
             ),
         },
     )

@@ -30,6 +30,7 @@ import scipy.special
 
 from .errors import DomainError, NegativityError, RangeError
 from .numerics import gauss_nodes
+from .semiclassical import _default_cap, _emission_blocks, _harmonic_grid
 from .units import AU_TIME_SECONDS, C_AU, BeamParams
 
 __all__ = [
@@ -107,38 +108,15 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
     are Gauss points confined to the beaming window of each harmonic, with
     the lower-hemisphere mirror folded into the weight.
     """
-    n_cap = max(64, int(50 * beam.gamma**3))
-    n_exact = min(n_exact, n_cap)
-    n_vals = [float(k) for k in range(1, n_exact + 1)]
-    n_wts = [1.0] * n_exact
-    if n_cap > n_exact:
-        lo, hi = n_exact + 0.5, n_cap + 0.5
-        m = max(8, int(per_decade * math.log10(hi / lo)))
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), m))
-        h = math.log(hi / lo) / (m - 1)
-        tw = np.full(m, h)
-        tw[0] = tw[-1] = h / 2.0
-        n_vals.extend(grid.tolist())
-        n_wts.extend((tw * grid).tolist())
-
-    ks, ss, us, ws = [], [], [], []
+    n, wn, _ = _harmonic_grid(_default_cap(beam), n_exact, per_decade)
     pref = beam.Z**2 * beam.omega0 / C_AU
-    for n, wn in zip(n_vals, n_wts):
-        width = math.sqrt(1.0 / beam.gamma**2 + (2.0 / n) ** (2.0 / 3.0))
-        umax = min(1.0, 8.0 * width)
-        u, wt = gauss_nodes(0.0, umax, n_theta)
-        s2 = 1.0 - u**2
-        s = np.sqrt(s2)
-        x = n * beam.beta * s
-        jn = scipy.special.jv(n, x)
-        jnp = scipy.special.jvp(n, x, 1)
-        bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
-        ks.append(np.full(n_theta, n * beam.omega0 / C_AU))
-        ss.append(s)
-        us.append(u)
+    k = np.repeat(n * beam.omega0 / C_AU, n_theta)
+    s, u, W = (np.empty((len(n), n_theta)) for _ in range(3))
+    for rows, u_rows, wt, s_rows, bracket in _emission_blocks(n, beam, n_theta):
+        u[rows], s[rows] = u_rows, s_rows
         # factor 2 folds in the mirror hemisphere (integrand even in cos theta)
-        ws.append(2.0 * pref * n * wn * wt * bracket)
-    out = tuple(np.concatenate(a) for a in (ks, ss, us, ws))
+        W[rows] = 2.0 * pref * n[rows, None] * wn[rows, None] * wt * bracket
+    out = (k, s.ravel(), u.ravel(), W.ravel())
     for arr in out:
         arr.setflags(write=False)
     return out

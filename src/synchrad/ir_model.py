@@ -123,8 +123,6 @@ def soft_photon_number(
     """
     delta = delta_shift(jump) if delta_override is None else delta_override
     omega = mode.omega
-    if delta == 0.0 and omega > 0:
-        pass  # classical form; poles possible at omega = q.v
     mdv = float(np.linalg.norm(jump.delta_v))
     if mdv > 0 and omega > mdv * C_AU:
         warnings.warn(
@@ -218,7 +216,6 @@ def total_soft_count(
         raise DomainError("need 0 < omega_min < omega_max")
     m = max(16, int(points_per_decade * math.log10(omega_max / omega_min)))
     grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), m))
-    vals = np.array(
-        [soft_spectral_density(jump, w, delta_override=delta_override) for w in grid]
-    )
+    delta = delta_shift(jump) if delta_override is None else delta_override
+    vals = np.array([soft_spectral_density(jump, w, delta_override=delta) for w in grid])
     return float(np.trapezoid(vals * grid, np.log(grid)))

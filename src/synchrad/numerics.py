@@ -41,18 +41,6 @@ class Tolerance:
             raise ValueError("rel and abs tolerance cannot both be zero")
 
 
-@dataclass(frozen=True)
-class RealFn1D:
-    """A real-valued function together with its declared domain interval."""
-
-    fn: Callable[[float], float]
-    a: float
-    b: float
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x), integer order n >= 0."""
     if n < 0 or n != int(n):
@@ -116,10 +104,9 @@ def adaptive_integral(
     """
     if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"need finite a < b, got [{a}, {b}]")
-    fn = f.fn if isinstance(f, RealFn1D) else f
     with np.errstate(all="ignore"):
         value, err = scipy.integrate.quad(
-            fn, a, b, epsabs=tol.abs, epsrel=max(tol.rel, 1e-14), limit=400
+            f, a, b, epsabs=tol.abs, epsrel=max(tol.rel, 1e-14), limit=400
         )
     bound = tol.abs + tol.rel * abs(value)
     if not math.isfinite(value) or err > max(bound * 50, 1e-300):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "coupling_amplitude",
     "mean_photon_number",
     "rate_integrand",
-    "rate_general",
     "schott_angular_rate",
     "schott_harmonic_rate",
     "spectral_sum",
@@ -219,44 +219,6 @@ def rate_integrand(
     return (Z**2 / C_AU**2) * g2 * bracket * complex(math.cos(phase), math.sin(phase))
 
 
-def _tapered_rate(traj, q, t, Z, window, n_samples):
-    tau = np.linspace(-window, window, n_samples)
-    vals = np.array([rate_integrand(traj, q, t, Z, tk) for tk in tau])
-    # cosine taper on the outer quarter of each side suppresses the
-    # truncation oscillation of non-decaying integrands
-    at = np.abs(tau)
-    w = np.ones_like(at)
-    edge = at > 0.75 * window
-    w[edge] = 0.5 * (1.0 + np.cos(np.pi * (at[edge] / window - 0.75) / 0.25))
-    return float(np.real(np.trapezoid(vals * w, tau)))
-
-
-def rate_general(
-    traj: Trajectory,
-    q: np.ndarray,
-    t: float,
-    Z: float = 1.0,
-    window: float = 100.0,
-    tol: Tolerance = Tolerance(1e-3, 1e-12),
-) -> float:
-    """d/dt of the polarization-summed photon number via the correlation
-    integral, truncated (with a smooth taper) at +/- window."""
-    omega = C_AU * float(np.linalg.norm(q))
-    n = int(max(4097, min(2**20 + 1, 16 * omega * window / math.pi)))
-    if n % 2 == 0:
-        n += 1
-    full = _tapered_rate(traj, q, t, Z, window, n)
-    half = _tapered_rate(traj, q, t, Z, window / 2.0, n // 2 + 1)
-    err = abs(full - half)
-    if err > tol.abs + tol.rel * max(abs(full), 1e-300):
-        raise ConvergenceError(
-            "rate correlation integral: truncation error estimate above tolerance",
-            best_estimate=full,
-            error_estimate=err,
-        )
-    return full
-
-
 # ---------------------------------------------------------------------------
 # Schott per-harmonic distribution and totals
 # ---------------------------------------------------------------------------
@@ -285,23 +247,64 @@ def schott_angular_rate(n: int, theta: float, beam: BeamParams) -> float:
     return pref * bracket
 
 
-def _bracket_integral(n: float, beam: BeamParams, sin_weight: bool = False) -> float:
-    """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta, evaluated in
-    u = cos(theta) with node placement adapted to the 1/gamma beaming width.
-    With sin_weight, an extra sin(theta) factor is included (momentum moment).
-    Accepts continuous n for the smooth spectral envelope."""
-    w = math.sqrt(1.0 / beam.gamma**2 + (2.0 / n) ** (2.0 / 3.0))
-    umax = min(1.0, 8.0 * w)
-    u, wt = gauss_nodes(0.0, umax, 64)
-    s2 = 1.0 - u**2
-    s = np.sqrt(s2)
-    x = n * beam.beta * s
-    jn = scipy.special.jv(n, x)
-    jnp = scipy.special.jvp(n, x, 1)
-    bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
-    if sin_weight:
-        bracket = bracket * s
-    return 2.0 * float(np.sum(wt * bracket))  # symmetric in u -> 2x half-range
+_BLOCK = 16  # harmonics per Bessel evaluation: keeps the node arrays small
+
+
+def _harmonic_grid(n_cap: int, n_exact: int, per_decade: int):
+    """(n, weights, n_exact) for sums over harmonics 1..n_cap: the harmonics
+    up to n_exact with unit weight, then the smooth tail on a log grid from
+    n_exact + 1/2 to n_cap + 1/2 with trapezoid weights in log n, which keeps
+    ultrarelativistic sums over ~gamma^3 harmonics tractable."""
+    n_exact = min(n_exact, n_cap)
+    exact = np.arange(1.0, n_exact + 1.0)
+    if n_cap <= n_exact:
+        return exact, np.ones(n_exact), n_exact
+    lo, hi = n_exact + 0.5, n_cap + 0.5
+    m = max(8, int(per_decade * math.log10(hi / lo)))
+    tail = np.exp(np.linspace(math.log(lo), math.log(hi), m))
+    h = math.log(hi / lo) / (m - 1)
+    tw = np.full(m, h)
+    tw[0] = tw[-1] = h / 2.0
+    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), tw * tail]), n_exact
+
+
+def _emission_blocks(n: np.ndarray, beam: BeamParams, n_theta: int):
+    """Yields (rows, u, wt, s, bracket) per block of up to _BLOCK harmonics
+    n[rows]: the Schott bracket cot^2 J_n^2 + beta^2 J_n'^2 at n_theta Gauss
+    nodes u = cos(theta) (weights wt, s = sin(theta)) over the beaming window
+    [0, umax(n)] of each harmonic, one row per harmonic.  n may be continuous
+    (the smooth spectral envelope)."""
+    for i in range(0, len(n), _BLOCK):
+        nb = n[i : i + _BLOCK, None]
+        # scalar math: numpy's ** can differ from it in the last place
+        umax = [
+            min(1.0, 8.0 * math.sqrt(1.0 / beam.gamma**2 + (2.0 / k) ** (2.0 / 3.0)))
+            for k in nb[:, 0].tolist()
+        ]
+        u, wt = gauss_nodes(0.0, np.array(umax)[:, None], n_theta)
+        s2 = 1.0 - u**2
+        s = np.sqrt(s2)
+        x = nb * beam.beta * s
+        jn = scipy.special.jv(nb, x)
+        jnp = scipy.special.jvp(nb, x, 1)
+        bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
+        yield slice(i, i + len(nb)), u, wt, s, bracket
+
+
+@lru_cache(maxsize=8)
+def _angular_integrals(beam: BeamParams, harmonics: bytes):
+    """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta, and the same
+    with one more sin(theta) (the momentum moment), at each float64 harmonic
+    packed in `harmonics`: two read-only arrays.  Keyed by value, so the
+    totals of one beam share one Bessel pass."""
+    n = np.frombuffer(harmonics)
+    out = np.empty((2, len(n)))
+    for rows, _, wt, s, bracket in _emission_blocks(n, beam, 64):
+        # symmetric in u -> 2x half-range
+        out[0, rows] = 2.0 * np.sum(wt * bracket, axis=1)
+        out[1, rows] = 2.0 * np.sum(wt * (bracket * s), axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def schott_harmonic_rate(n: int, beam: BeamParams) -> float:
@@ -309,29 +312,29 @@ def schott_harmonic_rate(n: int, beam: BeamParams) -> float:
     angle: 2 pi int_0^pi sin(theta) dN_n/(dt dOmega) dtheta."""
     if beam.beta == 0.0:
         return 0.0
-    return beam.Z**2 * n * beam.omega0 / C_AU * _bracket_integral(n, beam)
+    plain = _angular_integrals(beam, np.array([n], dtype=float).tobytes())[0]
+    return beam.Z**2 * n * beam.omega0 / C_AU * float(plain[0])
 
 
 def spectral_sum(
-    per_n: Callable[[float], float],
+    per_n: Callable[[np.ndarray], np.ndarray],
     n_cap: int,
     n_exact: int = 512,
     per_decade: int = 48,
 ) -> float:
-    """Sum per_n(n) over harmonics n = 1..n_cap.
+    """Sum per_n over harmonics n = 1..n_cap; per_n maps an array of
+    harmonic numbers to the array of their terms and is called once.
 
     Harmonics up to n_exact are summed exactly; the smooth tail is converted
-    to an integral on a log grid (midpoint-matched at n_exact + 1/2), which
-    keeps ultrarelativistic sums over ~gamma^3 harmonics tractable.
+    to an integral on a log grid (midpoint-matched at n_exact + 1/2), see
+    _harmonic_grid.
     """
-    n_exact = min(n_exact, n_cap)
-    total = math.fsum(per_n(float(k)) for k in range(1, n_exact + 1))
-    if n_cap > n_exact:
-        lo, hi = n_exact + 0.5, n_cap + 0.5
-        m = max(8, int(per_decade * math.log10(hi / lo)))
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), m))
-        vals = np.array([per_n(float(g)) for g in grid]) * grid
-        total += float(np.trapezoid(vals, np.log(grid)))
+    n, _, n_exact = _harmonic_grid(n_cap, n_exact, per_decade)
+    terms = per_n(n)
+    total = math.fsum(terms[:n_exact])
+    if len(n) > n_exact:
+        tail = n[n_exact:]
+        total += float(np.trapezoid(terms[n_exact:] * tail, np.log(tail)))
     return total
 
 
@@ -344,29 +347,27 @@ def classical_power(beam: BeamParams) -> float:
     return (2.0 / 3.0) * beam.Z**2 * C_AU * beam.beta**4 * beam.gamma**4 / beam.R**2
 
 
-def total_power(beam: BeamParams, tol: Tolerance = Tolerance(1e-4, 0.0)) -> float:
+def total_power(beam: BeamParams) -> float:
     """Radiated power: sum over harmonics of n omega0 times the harmonic rate."""
     if beam.beta == 0.0:
         return 0.0
     pref = beam.Z**2 * beam.omega0**2 / C_AU
     return spectral_sum(
-        lambda n: pref * n * n * _bracket_integral(n, beam), _default_cap(beam)
+        lambda n: pref * n * n * _angular_integrals(beam, n.tobytes())[0], _default_cap(beam)
     )
 
 
-def total_photon_rate(beam: BeamParams, tol: Tolerance = Tolerance(1e-4, 0.0)) -> float:
+def total_photon_rate(beam: BeamParams) -> float:
     """Total photons per atomic time, summed over harmonics."""
     if beam.beta == 0.0:
         return 0.0
     pref = beam.Z**2 * beam.omega0 / C_AU
     return spectral_sum(
-        lambda n: pref * n * _bracket_integral(n, beam), _default_cap(beam)
+        lambda n: pref * n * _angular_integrals(beam, n.tobytes())[0], _default_cap(beam)
     )
 
 
-def momentum_loss_rate(
-    beam: BeamParams, tol: Tolerance = Tolerance(1e-4, 0.0)
-) -> np.ndarray:
+def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
     """Period-averaged momentum radiated per atomic time, in the co-rotating
     basis (longitudinal along the instantaneous velocity, radial, field axis).
 
@@ -378,7 +379,7 @@ def momentum_loss_rate(
         return np.zeros(3)
     pref = beam.Z**2 * beam.omega0**2 / C_AU**2
     longitudinal = spectral_sum(
-        lambda n: pref * n * n * _bracket_integral(n, beam, sin_weight=True),
+        lambda n: pref * n * n * _angular_integrals(beam, n.tobytes())[1],
         _default_cap(beam),
     )
     return np.array([-longitudinal, 0.0, 0.0])

@@ -28,12 +28,14 @@ class LabInput:
     Z: float = 1.0
 
     def __post_init__(self):
-        if self.energy_GeV < ELECTRON_REST_GEV:
+        if not (math.isfinite(self.energy_GeV) and self.energy_GeV >= ELECTRON_REST_GEV):
             raise DomainError(
-                f"total energy {self.energy_GeV} GeV below electron rest energy"
+                f"total energy {self.energy_GeV} GeV not finite or below electron rest energy"
             )
-        if self.radius_m <= 0:
-            raise DomainError("orbit radius must be positive")
+        if not (math.isfinite(self.radius_m) and self.radius_m > 0):
+            raise DomainError(f"orbit radius must be positive and finite, got {self.radius_m}")
+        if not math.isfinite(self.Z):
+            raise DomainError(f"charge number must be finite, got {self.Z}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,12 @@ class BeamParams:
 
     @classmethod
     def from_gamma_radius(cls, gamma: float, R: float, Z: float = 1.0) -> "BeamParams":
-        if gamma < 1.0:
-            raise DomainError(f"gamma must be >= 1, got {gamma}")
-        if R <= 0:
-            raise DomainError("orbit radius must be positive")
+        if not (math.isfinite(gamma) and gamma >= 1.0):
+            raise DomainError(f"gamma must be finite and >= 1, got {gamma}")
+        if not (math.isfinite(R) and R > 0):
+            raise DomainError(f"orbit radius must be positive and finite, got {R}")
+        if not math.isfinite(Z):
+            raise DomainError(f"charge number must be finite, got {Z}")
         beta = math.sqrt(max(0.0, 1.0 - 1.0 / gamma**2))
         v0 = beta * C_AU
         omega0 = v0 / R

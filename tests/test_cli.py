@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from synchrad import ir_model
 from synchrad.cli import ConfigError, main, parse_config, run
 from synchrad.semiclassical import classical_power, schott_angular_rate
 from synchrad.units import C_AU
@@ -234,3 +235,88 @@ def test_decohere_rejects_bad_input_as_config_error(tmp_path, capsys, line):
     assert key.split(".")[1] in diag["message"]
     with pytest.raises(ConfigError):
         run(parse_config(cfg.read_text()), str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("spectrum", "spectrum.harmonics = 0:2"),
+        ("spectrum", "spectrum.harmonics = 3, -1"),
+        ("spectrum", "spectrum.thetas = 0.5, nan"),
+        ("spectrum", "spectrum.thetas = inf"),
+        ("ir", "ir.omega_min = 0"),
+        ("ir", "ir.omega_min = -1e-8"),
+        ("ir", "ir.omega_min = nan"),
+        ("ir", "ir.omega_min = inf"),
+        ("ir", "ir.omega_max = 1e-8"),
+        ("ir", "ir.omega_max = 1e-9"),
+        ("ir", "ir.omega_max = inf"),
+        ("ir", "ir.omega_max = nan"),
+        ("ir", "ir.points = 0"),
+        ("ir", "ir.points = -3"),
+    ],
+)
+def test_spectrum_and_ir_reject_bad_input_as_config_error(tmp_path, capsys, command, line):
+    lines = {"ir": {"ir.v1": "13.7, 0, 0", "ir.v2": "16.4, 0, 0", "ir.points": "4"}}.get(command, {})
+    key, value = (p.strip() for p in line.split("="))
+    lines[key] = value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"command = {command}\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+        + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError"
+    assert key.split(".")[1] in diag["message"]
+    with pytest.raises(ConfigError):
+        run(parse_config(cfg.read_text()), str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize(
+    "beam",
+    [
+        "beam.gamma = nan\nbeam.radius_bohr = 1000.0",
+        "beam.gamma = inf\nbeam.radius_bohr = 1000.0",
+        "beam.gamma = 2.0\nbeam.radius_bohr = nan",
+        "beam.gamma = 2.0\nbeam.radius_bohr = inf",
+        "beam.gamma = 2.0\nbeam.radius_bohr = 1000.0\nbeam.z = nan",
+        "beam.energy_gev = nan\nbeam.radius_m = 2.0",
+        "beam.energy_gev = inf\nbeam.radius_m = 2.0",
+        "beam.energy_gev = 0.68\nbeam.radius_m = nan",
+        "beam.energy_gev = 0.68\nbeam.radius_m = 2.0\nbeam.z = inf",
+    ],
+)
+def test_non_finite_beam_is_config_error(tmp_path, capsys, beam):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"command = spectrum\n{beam}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("synchrad.semiclassical.total_power", lambda beam: math.nan)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "command = spectrum\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+        "spectrum.harmonics = 1\nspectrum.thetas = 0.5\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    diag = json.loads(out)
+    assert diag["command"] == "spectrum" and "total_power_au" in diag["message"]
+    assert not (tmp_path / "out" / "spectrum.json").exists()
+
+
+def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):
+    calls = []
+    shift = ir_model.delta_shift
+    monkeypatch.setattr(ir_model, "delta_shift", lambda jump: calls.append(1) or shift(jump))
+    config = parse_config(
+        "command = ir\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+        "ir.v1 = 13.7, 0, 0\nir.v2 = 16.4, 0, 0\nir.points = 8\n"
+    )
+    run(config, str(tmp_path))
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from synchrad.decoherence import (
     s_ultrarel,
 )
 from synchrad.errors import DomainError, NegativityError, RangeError
+from synchrad.numerics import gauss_nodes
 from synchrad.semiclassical import total_photon_rate
 from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
 
@@ -303,3 +305,50 @@ def test_width_at_interpolant_range_edge_is_finite():
     w_late = localization_width(beam, 10.0**13.4, "longitudinal")
     assert math.isfinite(w)
     assert w_late < w < w_early
+
+
+def _mode_table_loop(beam, n_exact, per_decade, n_theta):
+    """The mode table built one harmonic at a time: the reference the blocked
+    array evaluation must reproduce bit for bit."""
+    n_cap = max(64, int(50 * beam.gamma**3))
+    n_exact = min(n_exact, n_cap)
+    n_vals = [float(k) for k in range(1, n_exact + 1)]
+    n_wts = [1.0] * n_exact
+    if n_cap > n_exact:
+        lo, hi = n_exact + 0.5, n_cap + 0.5
+        m = max(8, int(per_decade * math.log10(hi / lo)))
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), m))
+        h = math.log(hi / lo) / (m - 1)
+        tw = np.full(m, h)
+        tw[0] = tw[-1] = h / 2.0
+        n_vals.extend(grid.tolist())
+        n_wts.extend((tw * grid).tolist())
+    ks, ss, us, ws = [], [], [], []
+    pref = beam.Z**2 * beam.omega0 / C_AU
+    for n, wn in zip(n_vals, n_wts):
+        width = math.sqrt(1.0 / beam.gamma**2 + (2.0 / n) ** (2.0 / 3.0))
+        umax = min(1.0, 8.0 * width)
+        u, wt = gauss_nodes(0.0, umax, n_theta)
+        s2 = 1.0 - u**2
+        s = np.sqrt(s2)
+        x = n * beam.beta * s
+        jn = scipy.special.jv(n, x)
+        jnp = scipy.special.jvp(n, x, 1)
+        bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
+        ks.append(np.full(n_theta, n * beam.omega0 / C_AU))
+        ss.append(s)
+        us.append(u)
+        ws.append(2.0 * pref * n * wn * wt * bracket)
+    return tuple(np.concatenate(a) for a in (ks, ss, us, ws))
+
+
+@pytest.mark.parametrize(
+    "resolution",
+    [(512, 48, 48), tuple(decoherence._WIDTH_RES[k] for k in ("n_exact", "per_decade", "n_theta"))],
+)
+def test_mode_table_equals_per_harmonic_loop(resolution):
+    beam = beam_from_lab(FIAN_60)
+    got = decoherence._mode_table(beam, *resolution)
+    want = _mode_table_loop(beam, *resolution)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from synchrad import ir_model
 from synchrad.errors import DomainError
 from synchrad.ir_model import (
     VelocityJump,
@@ -161,3 +162,12 @@ def test_full_number_reductions():
         full = shifted_pole_photon_number(jump, soft_mode(w))
         soft = soft_photon_number(jump, soft_mode(w))
         assert full == pytest.approx(soft, rel=5 * abs(jump.smallness))
+
+
+def test_total_soft_count_computes_the_level_shift_once(monkeypatch):
+    jump = make_jump()
+    want = total_soft_count(jump, 1e-6)
+    calls = []
+    monkeypatch.setattr(ir_model, "delta_shift", lambda j: calls.append(1) or delta_shift(j))
+    assert total_soft_count(jump, 1e-6) == want
+    assert len(calls) == 1

@@ -6,6 +6,10 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synchrad import semiclassical
 
 from synchrad.errors import DomainError
 from synchrad.semiclassical import (
@@ -26,7 +30,7 @@ from synchrad.semiclassical import (
     total_power,
     transverse_polarization_basis,
 )
-from synchrad.units import C_AU, BeamParams
+from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
 
 
 def uniform_trajectory(v):
@@ -144,7 +148,7 @@ def test_harmonic_rate_against_independent_quadrature():
 
 
 def test_spectral_sum_matches_brute_force():
-    per_n = lambda n: n * math.exp(-n / 50.0)
+    per_n = lambda n: n * np.exp(-n / 50.0)
     brute = math.fsum(per_n(k) for k in range(1, 2001))
     assert spectral_sum(per_n, 2000, n_exact=64) == pytest.approx(brute, rel=2e-3)
     # exact path when the cap is below the exact-summation threshold
@@ -157,6 +161,55 @@ def test_total_power_matches_classical_oracle():
     for gamma in (1.01, 2.0):
         beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
         assert total_power(beam) == pytest.approx(classical_power(beam), rel=1e-6)
+
+
+# (total_power, total_photon_rate, -momentum_loss_rate[0]) of the scalar
+# per-harmonic quadrature the array evaluation replaced; R = 1000 bohr, Z = 1
+_TOTALS = {
+    1.01: (3.690927597066022e-08, 1.8734606053753193e-06, 1.995898339562882e-10),
+    2.0: (0.0008222159939999991, 0.0012080433219814602, 5.5649588453462355e-06),
+    10.0: (0.8953606338881304, 0.01285146923262354, 0.006513489179895443),
+    1e4: (913585530005.2351, 14.432260537695027, 6666755697.897359),
+    "FIAN_60": (2.0055839117948202e-07, 5.0780288440276444e-08, 1.463545033789834e-09),
+}
+
+
+@pytest.mark.parametrize("gamma", list(_TOTALS))
+def test_totals_equal_scalar_quadrature(gamma):
+    if gamma == "FIAN_60":
+        beam = beam_from_lab(FIAN_60)
+    else:
+        beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
+    got = (total_power(beam), total_photon_rate(beam), -momentum_loss_rate(beam)[0])
+    assert got == _TOTALS[gamma]
+
+
+def test_totals_share_one_bessel_pass(monkeypatch):
+    beam = BeamParams.from_gamma_radius(gamma=7.25, R=321.0, Z=2.0)
+    semiclassical._angular_integrals.cache_clear()
+    calls = {"jv": 0, "jvp": 0}
+
+    def counted(name, fn):
+        def wrapper(v, z, *args):
+            calls[name] += np.size(z)
+            return fn(v, z, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scipy.special, name, counted(name, getattr(scipy.special, name)))
+    total_power(beam)
+    total_photon_rate(beam)
+    momentum_loss_rate(beam)
+    n, _, _ = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 512, 48)
+    assert calls == {"jv": len(n) * 64, "jvp": len(n) * 64}
+
+
+@settings(max_examples=8, deadline=None)
+@given(log_gamma=st.floats(math.log(2.0), math.log(1e4)))
+def test_total_power_matches_lienard(log_gamma):
+    beam = BeamParams.from_gamma_radius(gamma=math.exp(log_gamma), R=1e5)
+    assert total_power(beam) == pytest.approx(classical_power(beam), rel=1e-4)
 
 
 def test_total_rate_positive_and_at_rest_zero():

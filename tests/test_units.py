@@ -60,3 +60,19 @@ def test_validation_errors():
         BeamParams.from_gamma_radius(gamma=0.5, R=1.0)
     with pytest.raises(DomainError):
         BeamParams.from_gamma_radius(gamma=2.0, R=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(DomainError):
+        LabInput(energy_GeV=bad, radius_m=1.0)
+    with pytest.raises(DomainError):
+        LabInput(energy_GeV=1.0, radius_m=bad)
+    with pytest.raises(DomainError):
+        LabInput(energy_GeV=1.0, radius_m=1.0, Z=bad)
+    with pytest.raises(DomainError):
+        BeamParams.from_gamma_radius(gamma=bad, R=1.0)
+    with pytest.raises(DomainError):
+        BeamParams.from_gamma_radius(gamma=2.0, R=bad)
+    with pytest.raises(DomainError):
+        BeamParams.from_gamma_radius(gamma=2.0, R=1.0, Z=bad)
