@@ -248,6 +248,13 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     v1 = _parse_vector(params["v1"][0], "ir.v1", params["v1"][1])
     v2 = _parse_vector(params["v2"][0], "ir.v2", params["v2"][1])
     q_c = _param(params, "q_c", default=C_AU)
+    for name, v in (("v1", v1), ("v2", v2)):
+        if not (np.all(np.isfinite(v)) and np.linalg.norm(v) < C_AU):
+            raise ConfigError(
+                f"ir.{name} must be finite with speed below c = {C_AU}, got {params[name][0]!r}"
+            )
+    if not (math.isfinite(q_c) and q_c > 0):
+        raise ConfigError(f"ir.q_c must be positive and finite, got {q_c!r}")
     jump = ir_model.VelocityJump(v1=v1, v2=v2, q_c=q_c, Z=config.beam.Z)
     omega_min = _param(params, "omega_min", default=1e-8)
     omega_max = _param(params, "omega_max", default=1e-2)
@@ -265,10 +272,10 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     shift = delta if use_delta else 0.0
     grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), points))
     csv_path = os.path.join(out_dir, "ir.csv")
+    density = ir_model.soft_spectral_density(jump, grid, delta_override=shift)
     with open(csv_path, "w", newline="\n") as f:
         f.write("omega_au,dN_domega\n")
-        for w in grid:
-            dens = ir_model.soft_spectral_density(jump, float(w), delta_override=shift)
+        for w, dens in zip(grid, density):
             f.write(f"{w:.16e},{dens:.16e}\n")
     json_path = os.path.join(out_dir, "ir.json")
     _write_json(

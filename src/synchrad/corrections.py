@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.special
 
-from .errors import ConvergenceError, DomainError
-from .numerics import EULER_GAMMA, Tolerance, gauss_nodes
-from .semiclassical import PhotonMode, transverse_polarization_basis
+from .errors import DomainError
+from .numerics import EULER_GAMMA, gauss_nodes, sphere_rule
+from .semiclassical import PhotonMode, transverse_polarization_pairs
 from .units import C_AU
 
 __all__ = [
@@ -82,13 +83,8 @@ class ModeSum:
         ).reshape(-1, 3)
         weights = (WQ * Q**2 * WCU * wphi / (2.0 * math.pi) ** 3).reshape(-1)
 
-        # deterministic transverse basis, vectorized; tie-break q || z
         n = q_vecs / np.linalg.norm(q_vecs, axis=1, keepdims=True)
-        e1 = np.cross(np.array([0.0, 0.0, 1.0]), n)
-        norms = np.linalg.norm(e1, axis=1, keepdims=True)
-        polar = norms[:, 0] < 1e-14
-        e1 = np.where(polar[:, None], np.array([1.0, 0.0, 0.0]), e1 / np.where(norms == 0, 1.0, norms))
-        e2 = np.cross(n, e1)
+        e1, e2 = transverse_polarization_pairs(n)
         return q_vecs, weights, e1, e2
 
 
@@ -180,6 +176,30 @@ def p_general(
     )
 
 
+@lru_cache(maxsize=8)
+def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma, n_polar, n_azimuth):
+    """The dt-independent part of p_const_velocity over the direction grid:
+    (weights, [n' x v0]^2 / (1 - n'.v0/c)^2, w2, w2 + w1, w2 |w2 + w1|),
+    or None for v0 = 0.  Keyed by the bytes of v0 and q, so the key tells
+    -0.0 from 0.0 exactly as the arithmetic does."""
+    v0 = np.frombuffer(v0_bytes)
+    q = np.frombuffer(q_bytes)
+    if np.linalg.norm(v0) >= C_AU:
+        raise DomainError("speed must be below c")
+    if np.allclose(v0, 0.0):
+        return None
+    nvec, weights = sphere_rule(n_polar, n_azimuth)
+    ndotv = nvec @ v0
+    cross2 = np.maximum(np.dot(v0, v0) - ndotv**2, 0.0)  # [n' x v0]^2
+    w1 = q_c * (nvec @ q) / gamma
+    w2 = (C_AU - ndotv) * q_c
+    w12 = w2 + w1
+    out = (weights, cross2 / (1.0 - ndotv / C_AU) ** 2, w2, w12, w2 * np.abs(w12))
+    for arr in out[1:]:
+        arr.setflags(write=False)
+    return out
+
+
 def p_const_velocity(
     v0: np.ndarray,
     q: np.ndarray,
@@ -200,42 +220,34 @@ def p_const_velocity(
                 - Ci(|w2+w1| |dt|) + ln(w2 |w2+w1| dt^2) )
 
     with w1 = q_c (n'.q)/(m gamma), w2 = (c - n'.v0) q_c, dt = t1 - t2.
+    The direction-grid geometry is cached per (v0, q, q_c, gamma, grid), so a
+    table over many lags evaluates it once.
     """
     v0 = np.asarray(v0, dtype=float)
     q = np.asarray(q, dtype=float)
-    if np.linalg.norm(v0) >= C_AU:
-        raise DomainError("speed must be below c")
+    geometry = _const_velocity_geometry(
+        v0.tobytes(), q.tobytes(), float(q_c), float(gamma), n_polar, n_azimuth
+    )
     dt = t1 - t2
-    if dt == 0.0 or np.allclose(v0, 0.0):
+    if dt == 0.0 or geometry is None:
         return PExponent(0.0 + 0.0j, t1, t2, context="const-velocity")
+    weights, factor, w2, w12, w2w12 = geometry
 
-    cu, wu = gauss_nodes(-1.0, 1.0, n_polar)
-    phi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
-    wphi = 2.0 * math.pi / n_azimuth
-    CU, PH = np.meshgrid(cu, phi, indexing="ij")
-    S = np.sqrt(1.0 - CU**2)
-    nvec = np.stack([S * np.cos(PH), S * np.sin(PH), CU], axis=-1)
-
-    ndotv = nvec @ v0
-    cross2 = np.maximum(np.dot(v0, v0) - ndotv**2, 0.0)  # [n' x v0]^2
-    w1 = q_c * (nvec @ q) / gamma
-    w2 = (C_AU - ndotv) * q_c
-
-    si2 = scipy.special.sici(w2 * dt)[0]
-    si12 = scipy.special.sici((w2 + w1) * dt)[0]
-    # Ci enters with |.| arguments; Si is odd and keeps the sign of dt
-    ci2a = scipy.special.sici(np.abs(w2 * dt))[1]
-    ci12a = scipy.special.sici(np.abs((w2 + w1) * dt))[1]
+    # one Si/Ci pass per argument: Ci takes |x|, and Si is odd, so
+    # Si(x) = copysign(Si(|x|), x)
+    x2 = w2 * dt
+    x12 = w12 * dt
+    si2a, ci2a = scipy.special.sici(np.abs(x2))
+    si12a, ci12a = scipy.special.sici(np.abs(x12))
     bracket = (
-        1j * si2
-        + 1j * si12
+        1j * np.copysign(si2a, x2)
+        + 1j * np.copysign(si12a, x12)
         + 2.0 * EULER_GAMMA
         - ci2a
         - ci12a
-        + np.log(w2 * np.abs(w2 + w1) * dt**2)
+        + np.log(w2w12 * dt**2)
     )
-    integrand = cross2 / (1.0 - ndotv / C_AU) ** 2 * bracket
-    do_integral = np.sum(wu[:, None] * wphi * integrand)
+    do_integral = np.sum(weights * (factor * bracket))
     value = Z**2 / (4.0 * math.pi**2 * C_AU**3) * do_integral
     return PExponent(complex(value), t1, t2, context="const-velocity")
 
@@ -273,13 +285,16 @@ class PiecewiseConstantVelocity:
         object.__setattr__(self, "v1", np.asarray(self.v1, dtype=float))
         object.__setattr__(self, "v2", np.asarray(self.v2, dtype=float))
 
-    def velocity(self, t: float) -> np.ndarray:
-        return self.v1 if t < self.t_jump else self.v2
+    def velocity(self, t) -> np.ndarray:
+        """Velocity at a time or an array of times, shape (..., 3)."""
+        return np.where(np.asarray(t)[..., None] < self.t_jump, self.v1, self.v2)
 
-    def position(self, t: float) -> np.ndarray:
-        if t < self.t_jump:
-            return self.v1 * t
-        return self.v1 * self.t_jump + self.v2 * (t - self.t_jump)
+    def position(self, t) -> np.ndarray:
+        """Position at a time or an array of times, shape (..., 3)."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.where(
+            t < self.t_jump, self.v1 * t, self.v1 * self.t_jump + self.v2 * (t - self.t_jump)
+        )
 
     def breakpoints(self, t_end: float):
         if 0.0 < self.t_jump < t_end:
@@ -296,11 +311,11 @@ class ConstantVelocity:
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
-    def velocity(self, t: float) -> np.ndarray:
-        return self.v
+    def velocity(self, t) -> np.ndarray:
+        return np.broadcast_to(self.v, np.shape(t) + (3,))
 
-    def position(self, t: float) -> np.ndarray:
-        return self.v * t
+    def position(self, t) -> np.ndarray:
+        return self.v * np.asarray(t, dtype=float)[..., None]
 
     def breakpoints(self, t_end: float):
         return [0.0, t_end]
@@ -336,16 +351,11 @@ class GaussianPacket:
 
 
 def _qdot(velocity_law, mode: PhotonMode, Z: float, times: np.ndarray) -> np.ndarray:
-    omega = mode.omega
-    e = mode.e_vec
-    g = math.sqrt(mode.g_squared)
-    vals = np.empty(len(times), dtype=complex)
-    for i, tp in enumerate(times):
-        v = velocity_law.velocity(tp)
-        r = velocity_law.position(tp)
-        phase = omega * tp - float(mode.q @ r)
-        vals[i] = 1j * (Z / C_AU) * g * float(e @ v) * np.exp(1j * phase)
-    return vals
+    """Qdot(t') = i (Z/c) g (e . v) exp(i (omega t' - q . r)) at every time;
+    vecdot takes each 3-vector dot product as the scalar q @ r does."""
+    phase = mode.omega * times - np.vecdot(velocity_law.position(times), mode.q)
+    ev = np.vecdot(velocity_law.velocity(times), mode.e_vec)
+    return 1j * (Z / C_AU) * math.sqrt(mode.g_squared) * ev * np.exp(1j * phase)
 
 
 def corrected_photon_number(
@@ -399,13 +409,19 @@ def corrected_photon_number(
         amp = np.sum(weights * qdot)
         return float(abs(amp) ** 2)
 
-    P = np.empty((len(times), len(times)), dtype=complex)
-    for i, t1 in enumerate(times):
-        for j, t2 in enumerate(times):
-            if j < i:
-                P[i, j] = np.conj(P[j, i])
-            else:
-                P[i, j] = p_provider(float(t1), float(t2))
+    # upper triangle from the provider, lower by Hermiticity P(t2, t1) = P*(t1, t2)
+    ts = times.tolist()
+    upper = np.triu_indices(len(ts))
+    P = np.empty((len(ts), len(ts)), dtype=complex)
+    P[upper] = [p_provider(t1, t2) for i, t1 in enumerate(ts) for t2 in ts[i:]]
+    bad = np.flatnonzero(~np.isfinite(P[upper]))
+    if bad.size:
+        i, j = upper[0][bad[0]], upper[1][bad[0]]
+        raise DomainError(
+            f"p_provider returned a non-finite exponent {P[i, j]} at (t1, t2) = ({ts[i]!r}, {ts[j]!r})"
+        )
+    lower = np.tril_indices(len(ts), -1)
+    P[lower] = np.conj(P.T[lower])
     kern = np.conj(qdot)[:, None] * qdot[None, :] * np.exp(-P)
     val = complex(weights @ kern @ weights)
     if abs(val.imag) > imag_tol * max(abs(val.real), 1e-300):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import gauss_nodes
-from .semiclassical import PhotonMode
+from .numerics import sphere_rule
+from .semiclassical import PhotonMode, transverse_polarization_pairs
 from .units import C_AU
 
 __all__ = [
@@ -44,12 +44,18 @@ class VelocityJump:
     def __post_init__(self):
         object.__setattr__(self, "v1", np.asarray(self.v1, dtype=float))
         object.__setattr__(self, "v2", np.asarray(self.v2, dtype=float))
+        if not (np.all(np.isfinite(self.v1)) and np.all(np.isfinite(self.v2))):
+            raise DomainError(f"velocities must be finite, got v1 = {self.v1}, v2 = {self.v2}")
         if np.linalg.norm(self.v1) >= C_AU or np.linalg.norm(self.v2) >= C_AU:
             raise DomainError("speeds must be below c")
-        if self.t_jump <= 0:
-            raise DomainError("jump time must be positive")
-        if self.q_c <= 0:
-            raise DomainError("cutoff momentum must be positive")
+        if not (math.isfinite(self.t_jump) and self.t_jump > 0):
+            raise DomainError(f"jump time must be positive and finite, got {self.t_jump}")
+        if not math.isfinite(self.tau_in):
+            raise DomainError(f"switch-on time must be finite, got {self.tau_in}")
+        if not (math.isfinite(self.q_c) and self.q_c > 0):
+            raise DomainError(f"cutoff momentum must be positive and finite, got {self.q_c}")
+        if not math.isfinite(self.Z):
+            raise DomainError(f"charge number must be finite, got {self.Z}")
         v1n = np.linalg.norm(self.v1)
         dv = np.linalg.norm(self.v2 - self.v1)
         if v1n > 0 and dv > 0.3 * v1n:
@@ -79,15 +85,10 @@ class VelocityJump:
 
 def _angular_shift_integral(va, vb, v_denom, n_polar=64, n_azimuth=48) -> float:
     """int dOmega [n' x va].[n' x vb] / (c - n'.v_denom)."""
-    cu, wu = gauss_nodes(-1.0, 1.0, n_polar)
-    phi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
-    wphi = 2.0 * math.pi / n_azimuth
-    CU, PH = np.meshgrid(cu, phi, indexing="ij")
-    S = np.sqrt(1.0 - CU**2)
-    nvec = np.stack([S * np.cos(PH), S * np.sin(PH), CU], axis=-1)
+    nvec, weights = sphere_rule(n_polar, n_azimuth)
     cross = float(np.dot(va, vb)) - (nvec @ va) * (nvec @ vb)
     denom = C_AU - nvec @ v_denom
-    return float(np.sum(wu[:, None] * wphi * cross / denom))
+    return float(np.sum(weights * cross / denom))
 
 
 def _delta(jump: VelocityJump, va, vb) -> float:
@@ -159,46 +160,43 @@ def shifted_pole_photon_number(
 
 def soft_spectral_density(
     jump: VelocityJump,
-    omega: float,
+    omega: float | np.ndarray,
     delta_override: float | None = None,
     n_polar: int = 48,
     n_azimuth: int = 32,
-) -> float:
+) -> float | np.ndarray:
     """Photon count per unit frequency, integrated over directions and
     summed over polarizations:
 
         dN/domega = int dOmega sum_alpha q^2/((2 pi)^3 c) n_{alpha q}
+
+    omega is a scalar (returns a float) or a 1-D array (returns an array of
+    the same length); the sphere rule and the polarization pair are built
+    once for all frequencies.
     """
-    if omega <= 0:
+    omegas = np.asarray(omega, dtype=float)
+    if omegas.ndim > 1:
+        raise DomainError("soft_spectral_density takes a scalar or a 1-D array of omega")
+    if not np.all(omegas > 0):
         raise DomainError("soft_spectral_density requires omega > 0")
     delta = delta_shift(jump) if delta_override is None else delta_override
-    qmag = omega / C_AU
+    nvec, weights = sphere_rule(n_polar, n_azimuth)
+    pairs = [(e @ jump.v2, e @ jump.v1) for e in transverse_polarization_pairs(nvec)]
 
-    cu, wu = gauss_nodes(-1.0, 1.0, n_polar)
-    phi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
-    wphi = 2.0 * math.pi / n_azimuth
-    CU, PH = np.meshgrid(cu, phi, indexing="ij")
-    S = np.sqrt(1.0 - CU**2)
-    nvec = np.stack([S * np.cos(PH), S * np.sin(PH), CU], axis=-1)
-    qv = qmag * nvec
-
-    # explicit transverse polarization pair per direction
-    e1 = np.cross(np.array([0.0, 0.0, 1.0]), nvec)
-    norms = np.linalg.norm(e1, axis=-1, keepdims=True)
-    polar = norms[..., 0] < 1e-14
-    e1 = np.where(polar[..., None], np.array([1.0, 0.0, 0.0]), e1 / np.where(norms == 0, 1.0, norms))
-    e2 = np.cross(nvec, e1)
-
-    g2 = 2.0 * math.pi * C_AU**2 / omega
-    d2 = omega - qv @ jump.v2 + delta
-    d1 = omega - qv @ jump.v1 + delta
-    total = np.zeros_like(CU)
-    for e in (e1, e2):
-        amp = (e @ jump.v2) / d2 - (e @ jump.v1) / d1
-        total += np.abs(amp) ** 2
-    n_ang = jump.Z**2 * g2 / C_AU**2 * total
-    dens = qmag**2 / ((2.0 * math.pi) ** 3 * C_AU)
-    return float(np.sum(wu[:, None] * wphi * dens * n_ang))
+    out = []
+    for w in np.atleast_1d(omegas).tolist():
+        qmag = w / C_AU
+        qv = qmag * nvec
+        g2 = 2.0 * math.pi * C_AU**2 / w
+        d2 = w - qv @ jump.v2 + delta
+        d1 = w - qv @ jump.v1 + delta
+        total = np.zeros(weights.shape)
+        for ev2, ev1 in pairs:
+            total += np.abs(ev2 / d2 - ev1 / d1) ** 2
+        n_ang = jump.Z**2 * g2 / C_AU**2 * total
+        dens = qmag**2 / ((2.0 * math.pi) ** 3 * C_AU)
+        out.append(float(np.sum(weights * dens * n_ang)))
+    return out[0] if omegas.ndim == 0 else np.array(out)
 
 
 def total_soft_count(
@@ -217,5 +215,5 @@ def total_soft_count(
     m = max(16, int(points_per_decade * math.log10(omega_max / omega_min)))
     grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), m))
     delta = delta_shift(jump) if delta_override is None else delta_override
-    vals = np.array([soft_spectral_density(jump, w, delta_override=delta) for w in grid])
+    vals = soft_spectral_density(jump, grid, delta_override=delta)
     return float(np.trapezoid(vals * grid, np.log(grid)))

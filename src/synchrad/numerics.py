@@ -172,3 +172,19 @@ def gauss_nodes(a: float, b: float, n: int):
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+@lru_cache(maxsize=8)
+def sphere_rule(n_polar: int, n_azimuth: int):
+    """Unit-sphere rule: Gauss-Legendre in cos(theta) times the midpoint rule
+    in phi.  Returns read-only (nvec[n_polar, n_azimuth, 3],
+    weights[n_polar, n_azimuth]) with the weights summing to 4 pi."""
+    cu, wu = gauss_nodes(-1.0, 1.0, n_polar)
+    phi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
+    CU, PH = np.meshgrid(cu, phi, indexing="ij")
+    S = np.sqrt(1.0 - CU**2)
+    nvec = np.stack([S * np.cos(PH), S * np.sin(PH), CU], axis=-1)
+    weights = np.repeat(wu[:, None] * (2.0 * math.pi / n_azimuth), n_azimuth, axis=1)
+    for arr in (nvec, weights):
+        arr.setflags(write=False)
+    return nvec, weights

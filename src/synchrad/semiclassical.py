@@ -28,6 +28,7 @@ __all__ = [
     "SpectralTable",
     "circular_trajectory",
     "transverse_polarization_basis",
+    "transverse_polarization_pairs",
     "coupling_amplitude",
     "mean_photon_number",
     "rate_integrand",
@@ -84,6 +85,16 @@ def transverse_polarization_basis(q: np.ndarray) -> tuple[np.ndarray, np.ndarray
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     return e1, e2
+
+
+def transverse_polarization_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized transverse basis for unit directions n[..., 3]:
+    e1 = z x n / |z x n| (x_hat where n lies along z) and e2 = n x e1."""
+    e1 = np.cross(np.array([0.0, 0.0, 1.0]), n)
+    norms = np.linalg.norm(e1, axis=-1, keepdims=True)
+    polar = norms[..., 0] < 1e-14
+    e1 = np.where(polar[..., None], np.array([1.0, 0.0, 0.0]), e1 / np.where(norms == 0, 1.0, norms))
+    return e1, np.cross(n, e1)
 
 
 @dataclass(frozen=True)

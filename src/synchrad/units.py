@@ -17,6 +17,9 @@ C_AU = 137.035999
 BOHR_PER_METER = 1.8897261e10
 ELECTRON_REST_GEV = 0.00051099895
 AU_TIME_SECONDS = 2.4188843265857e-17
+# Largest accepted Lorentz factor: far above any storage ring (LEP reached
+# about 2e5) and far below where gamma**4 overflows a float (about 1e77).
+GAMMA_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,10 @@ class LabInput:
     Z: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.energy_GeV) and self.energy_GeV >= ELECTRON_REST_GEV):
+        if not (ELECTRON_REST_GEV <= self.energy_GeV <= GAMMA_MAX * ELECTRON_REST_GEV):
             raise DomainError(
-                f"total energy {self.energy_GeV} GeV not finite or below electron rest energy"
+                f"total energy {self.energy_GeV} GeV outside [{ELECTRON_REST_GEV}, "
+                f"{GAMMA_MAX * ELECTRON_REST_GEV}] (rest energy to gamma = {GAMMA_MAX:g})"
             )
         if not (math.isfinite(self.radius_m) and self.radius_m > 0):
             raise DomainError(f"orbit radius must be positive and finite, got {self.radius_m}")
@@ -57,8 +61,8 @@ class BeamParams:
 
     @classmethod
     def from_gamma_radius(cls, gamma: float, R: float, Z: float = 1.0) -> "BeamParams":
-        if not (math.isfinite(gamma) and gamma >= 1.0):
-            raise DomainError(f"gamma must be finite and >= 1, got {gamma}")
+        if not (1.0 <= gamma <= GAMMA_MAX):
+            raise DomainError(f"gamma must satisfy 1 <= gamma <= {GAMMA_MAX:g}, got {gamma}")
         if not (math.isfinite(R) and R > 0):
             raise DomainError(f"orbit radius must be positive and finite, got {R}")
         if not math.isfinite(Z):

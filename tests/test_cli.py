@@ -310,6 +310,55 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys, monkey
     assert not (tmp_path / "out" / "spectrum.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "ir.v1 = nan, 0, 1",
+        "ir.v2 = 16.4, inf, 0",
+        "ir.v1 = 137.1, 0, 0",
+        "ir.v2 = 0, 100, 100",
+        "ir.q_c = nan",
+        "ir.q_c = inf",
+        "ir.q_c = 0",
+        "ir.q_c = -1",
+    ],
+)
+def test_ir_rejects_bad_jump_before_writing(tmp_path, capsys, line):
+    lines = {"ir.v1": "13.7, 0, 0", "ir.v2": "16.4, 0, 0", "ir.points": "4"}
+    key, value = (p.strip() for p in line.split("="))
+    lines[key] = value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        "command = ir\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+        + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError"
+    assert key in diag["message"]
+    assert not (out / "ir.csv").exists() and not (out / "ir.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "packet"])
+@pytest.mark.parametrize(
+    "beam",
+    [
+        "beam.gamma = 1e80\nbeam.radius_bohr = 1000.0",
+        "beam.gamma = 1e160\nbeam.radius_bohr = 1000.0",
+        "beam.gamma = 1.000001e12\nbeam.radius_bohr = 1000.0",
+        "beam.energy_gev = 1e80\nbeam.radius_m = 2.0",
+    ],
+)
+def test_huge_gamma_is_config_error(tmp_path, capsys, command, beam):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"command = {command}\n{beam}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError" and "gamma" in diag["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):
     calls = []
     shift = ir_model.delta_shift

@@ -183,3 +183,136 @@ def test_packet_averaging_reduces_to_plain_at_zero_width():
     assert averaged == pytest.approx(plain, rel=1e-6)
     with pytest.raises(DomainError):
         corrected_photon_number(ConstantVelocity(v), mode, 2.0, packet=packet)
+
+
+# A criterion-06-like jump off the axes, with the values the per-call sphere
+# build and the per-entry Hermitian fill gave before the caching, as literals:
+# the cached geometry, the single Si/Ci pass and the triangle fill must
+# reproduce them bit for bit.
+JUMP_DIR = np.array([0.48, -0.6, 0.64])
+JUMP_V1, JUMP_V2 = 0.126 * C_AU * JUMP_DIR, 0.148 * C_AU * JUMP_DIR
+JUMP_Q = 6.0 / C_AU * np.array([0.0, 0.6, -0.8])
+LAGS = np.linspace(-1.0, 1.0, 257)
+P_EVERY_16TH_LAG = [
+    0.0005167702411712686 - 7.797934301954255e-05j,
+    0.0005101412562730608 - 7.797932409085023e-05j,
+    0.0005024887681838614 - 7.797935096926039e-05j,
+    0.0004934377498366474 - 7.797933063085594e-05j,
+    0.0004823602286366853 - 7.797929829055687e-05j,
+    0.0004680791664755539 - 7.797923515235346e-05j,
+    0.00044794993208253496 - 7.797931195905637e-05j,
+    0.0004135392446640696 - 7.79783357627206e-05j,
+    0j,
+    0.0004135392446640696 + 7.79783357627206e-05j,
+    0.00044794993208253496 + 7.797931195905637e-05j,
+    0.0004680791664755539 + 7.797923515235346e-05j,
+    0.0004823602286366853 + 7.797929829055687e-05j,
+    0.0004934377498366474 + 7.797933063085594e-05j,
+    0.0005024887681838614 + 7.797935096926039e-05j,
+    0.0005101412562730608 + 7.797932409085023e-05j,
+    0.0005167702411712686 + 7.797934301954255e-05j,
+]
+
+
+def jump_p_table():
+    return np.array(
+        [p_const_velocity(JUMP_V1, JUMP_Q, t1=d, t2=0.0).value if d != 0 else 0.0 for d in LAGS]
+    )
+
+
+def test_p_table_equals_the_per_call_values():
+    table = jump_p_table()
+    assert table[::16].tolist() == P_EVERY_16TH_LAG
+    assert math.fsum(table.real * (1 + LAGS)) == 0.11991670777439113
+    assert math.fsum(table.imag * (1 + LAGS)) == 0.01005933396051814
+
+
+def test_corrected_numbers_equal_the_per_entry_fill():
+    table = jump_p_table()
+
+    def provider(t1, t2):
+        d = t1 - t2
+        return complex(np.interp(d, LAGS, table.real), np.interp(d, LAGS, table.imag))
+
+    law = PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5)
+    want = {1: (0.4932751500102361, 0.4936536489129677), 2: (0.019731006000409442, 0.019746145956518725)}
+    for alpha, (plain, damped) in want.items():
+        mode = PhotonMode(alpha=alpha, q=JUMP_Q)
+        assert corrected_photon_number(law, mode, 1.0, nodes_per_piece=48) == plain
+        assert corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=48) == damped
+
+
+def test_p_table_makes_one_si_ci_pass_per_argument_and_one_sphere_build(monkeypatch):
+    import scipy.special
+
+    from synchrad import corrections, numerics
+
+    sici, gauss = scipy.special.sici, numerics.gauss_nodes
+    elems, builds = [], []
+    monkeypatch.setattr(scipy.special, "sici", lambda x: elems.append(np.size(x)) or sici(x))
+    monkeypatch.setattr(numerics, "gauss_nodes", lambda *a: builds.append(a) or gauss(*a))
+    numerics.sphere_rule.cache_clear()
+    corrections._const_velocity_geometry.cache_clear()
+    v0, q = np.array([0.0, 0.15 * C_AU, 0.0]), np.array([0.01, 0.0, 0.02])
+    p_const_velocity(v0, q, t1=0.25, t2=0.0)
+    assert elems == [48 * 32, 48 * 32]
+    for d in np.linspace(-1.0, 1.0, 256):
+        p_const_velocity(v0, q, t1=d, t2=0.0)
+    assert len(elems) == 2 * 257
+    assert builds == [(-1.0, 1.0, 48)]
+    assert corrections._const_velocity_geometry.cache_info().misses == 1
+
+
+def test_hermitian_fill_calls_the_provider_on_the_upper_triangle_in_order():
+    calls = []
+
+    def provider(t1, t2):
+        calls.append((t1, t2))
+        return 1e-3 * (t1 - t2) * (1.0 + 2.0j)
+
+    law = ConstantVelocity(np.array([0.05 * C_AU, 0.0, 0.0]))
+    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
+    corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=6)
+    times = [t2 for _, t2 in calls[:6]]
+    assert calls == [(a, b) for i, a in enumerate(times) for b in times[i:]]
+    assert all(isinstance(t, float) for pair in calls for t in pair)
+
+
+def test_non_finite_exponent_raises_with_the_first_bad_pair():
+    law = ConstantVelocity(np.array([0.05 * C_AU, 0.0, 0.0]))
+    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
+    seen = []
+
+    def provider(t1, t2):
+        seen.append((t1, t2))
+        return complex(math.nan, 0.0) if t2 - t1 > 0.5 else 0j
+
+    with pytest.raises(DomainError, match="non-finite") as info:
+        corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
+    t1, t2 = next(pair for pair in seen if pair[1] - pair[0] > 0.5)
+    assert f"({t1!r}, {t2!r})" in str(info.value)
+    with pytest.raises(DomainError, match="non-finite"):
+        corrected_photon_number(law, mode, 1.0, p_provider=lambda a, b: math.inf, nodes_per_piece=4)
+
+
+def test_qdot_equals_the_per_time_loop():
+    from synchrad.corrections import _qdot
+
+    def loop(law, mode, Z, times):
+        # the scalar reference: one velocity and position lookup per time
+        g = math.sqrt(mode.g_squared)
+        out = []
+        for tp in times:
+            v, r = law.velocity(float(tp)), law.position(float(tp))
+            phase = mode.omega * tp - float(mode.q @ r)
+            out.append(1j * (Z / C_AU) * g * float(mode.e_vec @ v) * np.exp(1j * phase))
+        return np.array(out)
+
+    times = np.linspace(0.0, 1.0, 97)
+    for law in (
+        PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5),
+        ConstantVelocity(JUMP_V2),
+    ):
+        for alpha in (1, 2):
+            mode = PhotonMode(alpha=alpha, q=JUMP_Q)
+            assert _qdot(law, mode, 1.3, times).tolist() == loop(law, mode, 1.3, times).tolist()

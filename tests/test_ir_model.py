@@ -171,3 +171,61 @@ def test_total_soft_count_computes_the_level_shift_once(monkeypatch):
     monkeypatch.setattr(ir_model, "delta_shift", lambda j: calls.append(1) or delta_shift(j))
     assert total_soft_count(jump, 1e-6) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"v1": np.array([math.nan, 0.0, 1.0])},
+        {"v2": np.array([0.0, math.inf, 0.0])},
+        {"t_jump": math.nan},
+        {"t_jump": math.inf},
+        {"tau_in": math.nan},
+        {"q_c": math.nan},
+        {"q_c": math.inf},
+        {"q_c": -1.0},
+        {"Z": math.nan},
+        {"Z": -math.inf},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_jump_rejects_non_finite_and_out_of_range_values(kw):
+    args = {"v1": np.array([0.1 * C_AU, 0.0, 0.0]), "v2": np.array([0.12 * C_AU, 0.0, 0.0])}
+    args.update(kw)
+    with pytest.raises(DomainError):
+        VelocityJump(**args)
+
+
+def test_spectral_density_array_equals_scalar_calls():
+    jump = VelocityJump(v1=np.array([8.0, -5.0, 3.0]), v2=np.array([9.0, -4.0, 3.5]))
+    omegas = np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 17))
+    for shift in (None, 0.0):
+        dens = soft_spectral_density(jump, omegas, delta_override=shift)
+        assert isinstance(dens, np.ndarray) and dens.shape == omegas.shape
+        scalar = [soft_spectral_density(jump, float(w), delta_override=shift) for w in omegas]
+        assert all(isinstance(x, float) for x in scalar)
+        assert dens.tolist() == scalar
+    assert isinstance(soft_spectral_density(jump, np.float64(1e-4)), float)
+    with pytest.raises(DomainError):
+        soft_spectral_density(jump, np.array([1e-4, 0.0]))
+    with pytest.raises(DomainError):
+        soft_spectral_density(jump, np.ones((2, 2)))
+
+
+def test_total_soft_count_equals_the_per_frequency_values():
+    # the parent's values (one density call per frequency) as literals
+    u = np.array([0.48, -0.6, 0.64])
+    jump = VelocityJump(v1=0.126 * C_AU * u, v2=0.148 * C_AU * u)
+    assert total_soft_count(jump, 1e-8, 1e-2) == 4.318596684935966e-11
+    assert total_soft_count(jump, 1e-8, 1e-2, delta_override=0.0) == 1.075518437990257e-05
+
+
+def test_total_soft_count_evaluates_the_density_once(monkeypatch):
+    jump = make_jump()
+    calls = []
+    density = ir_model.soft_spectral_density
+    monkeypatch.setattr(
+        ir_model, "soft_spectral_density", lambda *a, **k: calls.append(1) or density(*a, **k)
+    )
+    total_soft_count(jump, 1e-6)
+    assert len(calls) == 1

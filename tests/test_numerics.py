@@ -202,3 +202,16 @@ def test_euler_gamma_against_independent_limit():
     h = math.fsum(1.0 / k for k in range(1, n + 1))
     approx = h - math.log(n) - 1.0 / (2.0 * n) + 1.0 / (12.0 * n**2)
     assert EULER_GAMMA == pytest.approx(approx, abs=1e-12)
+
+
+def test_sphere_rule_is_cached_and_read_only():
+    from synchrad.numerics import sphere_rule
+
+    nvec, weights = sphere_rule(12, 8)
+    assert sphere_rule(12, 8)[0] is nvec
+    assert nvec.shape == (12, 8, 3) and weights.shape == (12, 8)
+    assert math.fsum(weights.ravel()) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert np.allclose(np.linalg.norm(nvec, axis=-1), 1.0, rtol=0, atol=1e-15)
+    for arr in (nvec, weights):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0

@@ -9,6 +9,7 @@ from synchrad.units import (
     C_AU,
     ELECTRON_REST_GEV,
     FIAN_60,
+    GAMMA_MAX,
     BeamParams,
     LabInput,
     beam_from_lab,
@@ -76,3 +77,13 @@ def test_non_finite_inputs_rejected(bad):
         BeamParams.from_gamma_radius(gamma=2.0, R=bad)
     with pytest.raises(DomainError):
         BeamParams.from_gamma_radius(gamma=2.0, R=1.0, Z=bad)
+
+
+def test_gamma_is_bounded():
+    assert BeamParams.from_gamma_radius(gamma=GAMMA_MAX, R=1.0).gamma == GAMMA_MAX
+    for gamma in (1.000001 * GAMMA_MAX, 1e80, 1e160):
+        with pytest.raises(DomainError, match="gamma"):
+            BeamParams.from_gamma_radius(gamma=gamma, R=1.0)
+    LabInput(energy_GeV=0.5 * GAMMA_MAX * ELECTRON_REST_GEV, radius_m=1.0)
+    with pytest.raises(DomainError, match="gamma"):
+        LabInput(energy_GeV=2.0 * GAMMA_MAX * ELECTRON_REST_GEV, radius_m=1.0)
