@@ -12,6 +12,7 @@ from .errors import (
     NegativityError,
     RangeError,
     SynchradError,
+    UncertifiedWidthWarning,
 )
 from .units import (
     AU_TIME_SECONDS,
@@ -34,6 +35,7 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "NegativityError",
+    "UncertifiedWidthWarning",
     "BeamParams",
     "LabInput",
     "beam_from_lab",

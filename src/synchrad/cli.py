@@ -13,12 +13,13 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import decoherence, ir_model, packets, semiclassical
-from .errors import DomainError, SynchradError
+from .errors import DomainError, SynchradError, UncertifiedWidthWarning
 from .units import C_AU, BeamParams, LabInput, beam_from_lab
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -318,19 +319,17 @@ def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
             fld = decoherence.decoherence_field(config.beam, t, r, theta0)
             for rr, th, s in zip(fld.r, fld.theta0, fld.values):
                 f.write(f"{rr:.16e},{th:.16e},{s:.16e}\n")
+    payload = {"t_au": t}
+    # an uncertified width is reported in the JSON rather than on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UncertifiedWidthWarning)
+        for axis in ("transverse", "longitudinal"):
+            width = decoherence.localization_width(config.beam, t, axis)
+            payload[f"width_{axis}_bohr"] = width
+            payload[f"width_{axis}_certified"] = width.certified
+            payload[f"width_{axis}_rel_error"] = width.rel_error
     json_path = os.path.join(out_dir, "decohere.json")
-    _write_json(
-        json_path,
-        {
-            "t_au": t,
-            "width_transverse_bohr": decoherence.localization_width(
-                config.beam, t, "transverse"
-            ),
-            "width_longitudinal_bohr": decoherence.localization_width(
-                config.beam, t, "longitudinal"
-            ),
-        },
-    )
+    _write_json(json_path, payload)
     return [csv_path, json_path]
 
 
@@ -360,26 +359,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to key=value config file")
     parser.add_argument("--out", default=".", help="output directory for artifacts")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap")
     parser.add_argument(
         "--deterministic",
         action="store_true",
-        help="force single-threaded reductions for byte-identical output",
+        help="accepted for compatibility; has no effect",
     )
-    args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("SYNCHRAD_THREADS")
-        threads = int(env) if env else None
-    if args.deterministic:
-        threads = 1
-    if threads is not None and threads < 1:
-        print(json.dumps({"error": "ConfigError", "message": "threads must be >= 1"}))
-        return 2
-    # evaluation is single-threaded numpy; the cap only bounds BLAS workers
-    if threads is not None:
-        os.environ["OMP_NUM_THREADS"] = str(threads)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
 
     try:
         with open(args.config) as f:

@@ -15,6 +15,18 @@ caches hold it, both keyed by value, never by the identity of a mode table:
   recent (beam, axis) pairs.  Nodes are computed on first use, in aligned
   blocks of 8, so a node's value never depends on which call needed it
   first; the widths reach at most the nodes between 1e-15 and 2e16 bohr.
+
+A width is the rms of |chi(x)|^2, where chi^ = sqrt(G^) and G^ is the cosine
+transform of the plateau-free, tapered kernel.  G^ is computed directly on
+log-spaced separations, 400 per decade interpolated from the lattice, by
+Filon's rule for the piecewise-linear kernel (Filon 1928), at log-spaced
+wavenumbers; <x^2> then follows from Parseval's relation,
+<x^2> = int (d chi^/dq)^2 dq / int chi^2 dq.  No uniform grid is built, so a
+kernel spread over many decades of r costs no more than a compact one.
+Every width is checked against the same transform on half the nodes, on
+half the wavenumbers and with the kernel cut at half its truncation radius;
+a width they move by more than 1e-3 is returned with an
+UncertifiedWidthWarning.
 """
 
 from __future__ import annotations
@@ -27,8 +39,15 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NegativityError, RangeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    NegativityError,
+    RangeError,
+    UncertifiedWidthWarning,
+)
 from .numerics import gauss_nodes
 from .semiclassical import _default_cap, _emission_blocks, _harmonic_grid
 from .units import AU_TIME_SECONDS, C_AU, BeamParams
@@ -41,6 +60,7 @@ __all__ = [
     "decoherence_field",
     "coherence_kernel",
     "chi_spectrum",
+    "Width",
     "localization_width",
     "localization_time",
 ]
@@ -143,14 +163,15 @@ def _dephasing_factor(a_arg, b_arg) -> np.ndarray:
 
 def _profile(table, r, theta0: float) -> np.ndarray:
     """Per-unit-time exponent s1(r) = sum_modes W (1 - J0(r k sin(theta0) s)
-    cos(r k cos(theta0) u)), evaluated in blocks to bound memory."""
+    cos(r k cos(theta0) u)), evaluated in blocks of about 500,000 (r, mode)
+    pairs, so each temporary stays near 4 MB."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
     a = k * s * sin0 if abs(sin0) > 1e-12 else None
     b = k * u * cos0 if abs(cos0) > 1e-12 else None
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty(r.shape)
-    block = max(1, int(4_000_000 / max(1, len(k))))
+    block = max(1, int(500_000 / max(1, len(k))))
     for i in range(0, len(r), block):
         rc = r[i : i + block, None]
         if a is None and b is None:
@@ -344,27 +365,63 @@ def chi_spectrum(kernel: CoherenceKernel, axis: str, tol: float = 5e-3):
     return k, np.sqrt(spec)
 
 
-def _width_from_kernel(kernel: CoherenceKernel, axis: str) -> float:
-    """Rms width of |chi(x)|^2 reconstructed from the kernel slice."""
-    n = len(kernel.r)
-    dr = kernel.r[1] - kernel.r[0]
-    _, chi_q = chi_spectrum(kernel, axis)
-    chi_x = np.fft.irfft(chi_q, 2 * (n - 1))
-    j = np.arange(2 * (n - 1))
-    x = np.where(j <= n - 1, j, j - 2 * (n - 1)) * dr
-    w2 = chi_x**2
-    norm = float(np.sum(w2))
-    if norm <= 0:
-        raise NegativityError("reconstructed packet has zero norm")
-    return math.sqrt(float(np.sum(x**2 * w2)) / norm)
+class Width(float):
+    """A localization width in bohr: a float that also carries the estimated
+    relative error of the transform it came from (0 for an unlocalized
+    packet's math.inf)."""
+
+    __slots__ = ("rel_error",)
+
+    def __new__(cls, value: float, rel_error: float = 0.0):
+        self = super().__new__(cls, value)
+        self.rel_error = float(rel_error)
+        return self
+
+    @property
+    def certified(self) -> bool:
+        return self.rel_error <= _WIDTH_RTOL
 
 
 _WIDTH_RES = dict(n_exact=128, per_decade=16, n_theta=24)
 _WINDOW_BOHR = 1e7  # analysis span: separations beyond it count as decohered
-_MAX_FFT_LOG2 = 21
 _LOG_STEP = math.log(10.0) / 100  # lattice spacing in log r: 100 nodes per decade
 _BLOCK = 8  # lattice nodes computed together
 _ROOT_RANGE = (-1200, 1400)  # lattice indices searched for radii: 1e-12..1e14 bohr
+_SUB = 4  # transform nodes per lattice step: 400 per decade, 200 for the check
+_Q_STRIDE = 8  # wavenumbers every 8 transform-node steps: 50 per decade
+_Q_LO = 0.5  # lowest sampled wavenumber, in units of 1 / r_max
+_Q_HI = 40.0  # highest, in units of 1 / (radius where g falls to g(0)/e)
+_WIDTH_RTOL = 1e-3  # certification tolerance of a width
+_ONSET_RTOL = 1e-3  # relative tolerance in t of the localization onset
+
+
+def _pchip_slopes(y: np.ndarray, h: float) -> np.ndarray:
+    """Node derivatives of the monotone piecewise cubic (PCHIP, Fritsch and
+    Carlson 1980, with SciPy's end conditions) through y on a grid of step h."""
+    m = np.diff(y) / h
+    d = np.zeros(len(y))
+    inner = m[:-1] * m[1:] > 0  # secants share a sign: their harmonic mean
+    d[1:-1][inner] = 2.0 / (1.0 / m[:-1][inner] + 1.0 / m[1:][inner])
+    for end, m0, m1 in ((0, m[0], m[1]), (-1, m[-1], m[-2])):
+        de = (3.0 * m0 - m1) / 2.0
+        if de * m0 <= 0:
+            de = 0.0
+        elif m0 * m1 <= 0 and abs(de) > 3.0 * abs(m0):
+            de = 3.0 * m0
+        d[end] = de
+    return d
+
+
+def _hermite(y0, y1, d0, d1, h, s):
+    """Cubic Hermite interpolant on one step of length h at fraction s."""
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        y0 * (2.0 * s3 - 3.0 * s2 + 1.0)
+        + h * d0 * (s3 - 2.0 * s2 + s)
+        + y1 * (3.0 * s2 - 2.0 * s3)
+        + h * d1 * (s3 - s2)
+    )
 
 
 class _Lattice:
@@ -399,8 +456,6 @@ def _scale_radius(lattice: _Lattice, t: float, target: float) -> float | None:
     monotonically), or None if s1 saturates below target/t.  Bisects over
     lattice indices for a bracketing pair of nodes, then solves the monotone
     cubic through them and their neighbours."""
-    import scipy.interpolate
-
     y = target / t
     lo, hi = _ROOT_RANGE
     if lattice.span(hi, hi)[0] < y:
@@ -413,47 +468,174 @@ def _scale_radius(lattice: _Lattice, t: float, target: float) -> float | None:
             lo = mid
         else:
             hi = mid
-    x = np.arange(lo - 1, hi + 2) * _LOG_STEP
-    piece = scipy.interpolate.PchipInterpolator(x, lattice.span(lo - 1, hi + 1))
-    return math.exp(scipy.optimize.brentq(lambda v: piece(v) - y, x[1], x[2]))
+    s = lattice.span(lo - 1, hi + 1)
+    d = _pchip_slopes(s, _LOG_STEP)
+    a, b, da, db = float(s[1]), float(s[2]), float(d[1]), float(d[2])
+    frac = scipy.optimize.brentq(lambda f: _hermite(a, b, da, db, _LOG_STEP, f) - y, 0.0, 1.0)
+    return math.exp((lo + frac) * _LOG_STEP)
 
 
 def _log_profile_interpolant(lattice: _Lattice, t: float, r_lo: float, r_hi: float):
-    """Monotone interpolant of t * s1 in log r through the lattice nodes that
-    cover [r_lo, r_hi], with the quadratic small-separation law below them."""
-    import scipy.interpolate
-
+    """Monotone cubic interpolant of t * s1 in log r through the lattice
+    nodes that cover [r_lo, r_hi], with the quadratic small-separation law
+    below them."""
     j_lo = math.floor(math.log(r_lo) / _LOG_STEP)
     j_hi = math.ceil(math.log(r_hi) / _LOG_STEP)
-    x = np.arange(j_lo, j_hi + 1) * _LOG_STEP
     s = t * lattice.span(j_lo, j_hi)
-    pch = scipy.interpolate.PchipInterpolator(x, s, extrapolate=False)
-    r0 = math.exp(x[0])
+    d = _pchip_slopes(s, _LOG_STEP)
+    r0 = math.exp(j_lo * _LOG_STEP)
 
     def s_of_r(r):
         out = s[0] * (r / r0) ** 2
         inside = r >= r0
-        # the clip keeps log r on the nodes where exp/log rounding would put a
-        # separation at the ends of their range one step outside it
-        out[inside] = pch(np.clip(np.log(r[inside]), x[0], x[-1]))
+        # separations a rounding step outside the covered range take the end
+        # step's cubic, so exp/log round trips never leave the interpolant
+        u = np.log(r[inside]) / _LOG_STEP - j_lo
+        k = np.clip(np.floor(u).astype(int), 0, len(s) - 2)
+        out[inside] = _hermite(s[k], s[k + 1], d[k], d[k + 1], _LOG_STEP, u - k)
         return out
 
     return s_of_r
 
 
-def localization_width(beam: BeamParams, t: float, axis: str) -> float:
-    """Rms width (bohr) of the localized packet amplitude along the chosen
-    axis at elapsed time t.
+def _plateau_free(r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """G - G(R) on the nodes r, with R = r[-1], tapered by a half cosine over
+    the outer 10% of [0, R] against truncation ringing."""
+    g = values - values[-1]
+    ramp = r > 0.9 * r[-1]
+    g[ramp] *= 0.5 * (1.0 + np.cos(math.pi * (r[ramp] / r[-1] - 0.9) / 0.1))
+    return g
 
-    The kernel exp(-t s1) comes from s1 at the nodes of a fixed log lattice
-    (100 per decade), cached per beam and axis (8 pairs kept) and filled on
-    first use, so widths at many times share one set of profile evaluations.
-    The scale radii and the monotone interpolant are built on those nodes,
-    the interpolant is sampled on a uniform grid of 2^k + 1 points and
-    transformed with FFTs of length 2^(k+1); separations beyond the analysis
-    window (1e7 bohr, or larger when the decoherence scale demands) are
-    treated as fully decohered.  Returns math.inf when the total emission is
-    too small to localize (max S < ln 2)."""
+
+def _cosine_transform(r: np.ndarray, g: np.ndarray, log_q: np.ndarray):
+    """G^(q) = 2 int_0^R g(r) cos(q r) dr of the piecewise-linear g through
+    the nodes r (Filon's rule): returns G^(0) and G^ at q = exp(log_q).
+
+    The nodes are r = 0, then r_k = r_1 exp(k h), then R = r[-1], with g(R)
+    = 0; log_q is uniform with a step that is a whole multiple of h.  Summed
+    by parts, the transform is -(4 / q^2) sum_j d_j sin^2(q r_j / 2), with
+    d_j the drop in slope at node j (the slope itself at R), free of the
+    cancellation of the plain cosine sum at small q.  Every q r_k is
+    q_0 r_1 exp(i h) for an integer i, so one vector of sin^2 values serves
+    all pairs, read through a sliding window.
+    """
+    slope = np.diff(g) / np.diff(r)
+    h = math.log(r[2] / r[1])
+    stride = round((log_q[1] - log_q[0]) / h)
+    n = len(r) - 2
+    i = np.arange(stride * (len(log_q) - 1) + n)
+    table = np.sin(0.5 * np.exp(log_q[0] + math.log(r[1]) + i * h)) ** 2
+    window = sliding_window_view(table, n)[::stride]
+    q = np.exp(log_q)
+    total = window @ (slope[:-1] - slope[1:]) + slope[-1] * np.sin(0.5 * q * r[-1]) ** 2
+    return float(np.sum((g[1:] + g[:-1]) * np.diff(r))), -4.0 * total / q**2
+
+
+def _parseval_width(log_q: np.ndarray, g_hat_0: float, g_hat: np.ndarray) -> float:
+    """Rms width of the packet chi(x) with chi^ = sqrt(G^), from Parseval:
+    <x^2> = int (d chi^/dq)^2 dq / int chi^2 dq over q >= 0; NaN when G^(0)
+    is not positive.
+
+    chi^ is known at q = 0 and on the log-uniform grid log_q.  Below the
+    grid it is taken as quadratic in q (it is even); on the grid its
+    derivative in u = log q is the fourth-order central difference and both
+    integrals are trapezoid sums in u."""
+    if not g_hat_0 > 0:
+        return math.nan
+    h = log_q[1] - log_q[0]
+    q = np.exp(log_q)
+    chi = np.sqrt(np.clip(g_hat, 0.0, None))
+    chi0 = math.sqrt(g_hat_0)
+    rise = chi[0] - chi0  # chi^ = chi0 + rise (q / q[0])^2 below the grid
+    dchi = np.gradient(chi, h)
+    dchi[2:-2] = (chi[:-4] - 8.0 * chi[1:-3] + 8.0 * chi[3:-1] - chi[4:]) / (12.0 * h)
+    weight = np.full(len(q), h)
+    weight[[0, -1]] = h / 2.0
+    norm = q[0] * (chi0**2 + 2.0 * chi0 * rise / 3.0 + rise**2 / 5.0)
+    norm += float(weight @ (chi**2 * q))
+    spread = (4.0 / 3.0) * rise**2 / q[0] + float(weight @ (dchi**2 / q))
+    return math.sqrt(spread / norm)
+
+
+def _width_from_kernel(kernel: CoherenceKernel, axis: str) -> tuple[float, float]:
+    """Rms width of |chi(x)|^2, and its estimated relative error, from a
+    kernel slice sampled at r = 0, at log-uniform nodes and at the truncation
+    radius R = r[-1].
+
+    G^ is the cosine transform of the plateau-free, tapered kernel
+    (`_plateau_free`), at wavenumbers 50 per decade from 0.5 / R up to 40
+    over the radius where the kernel has fallen to 1/e of its depth.
+    Transform values below zero carrying more than 5e-3 of the positive mass
+    raise NegativityError (an under-resolved or unphysical kernel).  The
+    width is recomputed from every other node, from every other wavenumber
+    and from the kernel cut at R/2; the largest relative change is the error
+    estimate.  A check that cannot be computed raises ConvergenceError."""
+    if axis not in _AXIS_ANGLE:
+        raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
+    r, values = kernel.r, kernel.values
+    if len(r) < 8 or r[0] != 0.0 or not r[-1] > r[-2]:
+        raise DomainError("kernel slice must start at r = 0 with >= 8 increasing samples")
+    log_r = np.log(r[1:-1])
+    h = (log_r[-1] - log_r[0]) / (len(log_r) - 1)
+    if np.max(np.abs(np.diff(log_r) - h)) > 1e-9:
+        raise DomainError("kernel nodes between 0 and r[-1] must be log-uniform")
+    g = _plateau_free(r, values)
+    if not g[0] > 0.0:
+        raise NegativityError("kernel has no decay to transform")
+    r_e = r[np.argmax(g <= g[0] / math.e)]
+    q_step = _Q_STRIDE * h
+    log_q = np.arange(math.log(_Q_LO / r[-1]), math.log(_Q_HI / r_e) + q_step, q_step)
+    g_hat_0, g_hat = _cosine_transform(r, g, log_q)
+    q = np.exp(log_q)
+    pos_mass = float(q @ np.clip(g_hat, 0.0, None))
+    neg_mass = -float(q @ np.clip(g_hat, None, 0.0))
+    if g_hat_0 <= 0 or pos_mass <= 0:
+        raise NegativityError(f"kernel transform has no positive mass (G^(0) = {g_hat_0:.3e})")
+    if neg_mass > 5e-3 * pos_mass:
+        raise NegativityError(
+            f"kernel transform carries negative mass {neg_mass:.3e} "
+            f"(above 5e-3 of its positive mass); refine the grid"
+        )
+    width = _parseval_width(log_q, g_hat_0, g_hat)
+    coarse = np.r_[0, np.arange(1, len(r) - 1, 2), len(r) - 1]
+    half = slice(0, np.searchsorted(r, 0.5 * r[-1], side="right"))
+    g_half = _plateau_free(r[half], values[half])
+    checks = (
+        _parseval_width(log_q, *_cosine_transform(r[coarse], g[coarse], log_q)),
+        _parseval_width(log_q[::2], g_hat_0, g_hat[::2]),
+        _parseval_width(log_q, *_cosine_transform(r[half], g_half, log_q)),
+    )
+    rel_error = max(abs(w / width - 1.0) for w in checks)
+    if not (math.isfinite(width) and math.isfinite(rel_error)):
+        raise ConvergenceError(
+            f"width transform checks are not finite: {width!r} vs {checks}",
+            best_estimate=width,
+            error_estimate=rel_error,
+        )
+    return width, rel_error
+
+
+def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
+    """Rms width (bohr) of the localized packet amplitude along the chosen
+    axis at elapsed time t, as a `Width`: a float that carries its estimated
+    relative error in `rel_error`.
+
+    The kernel G = exp(-t s1) comes from s1 at the nodes of a fixed log
+    lattice (100 per decade), cached per beam and axis (8 pairs kept) and
+    filled on first use, so widths at many times share one set of profile
+    evaluations.  The scale radii and a monotone cubic interpolant in log r
+    are built on those nodes; the interpolant gives G at 400 nodes per decade
+    from 1e-3 of the radius where t s1 = 1 up to the truncation radius, and
+    the width follows from the cosine transform of G on those nodes
+    (`_width_from_kernel`).  Separations beyond the analysis window (1e7
+    bohr, or larger when the decoherence scale demands) are treated as fully
+    decohered.
+
+    A width that moves by more than 1e-3 when the transform is repeated on
+    half the nodes, on half the wavenumbers or on half the truncation radius
+    is returned as the best estimate with an UncertifiedWidthWarning.  Returns
+    math.inf when the total emission is too small to localize (max S < ln 2)
+    or the kernel has not decayed at the window edge."""
     if axis not in _AXIS_ANGLE:
         raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
     if t <= 0:
@@ -462,10 +644,10 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> float:
     lattice = _width_lattice(beam, theta0)
     s_inf = t * lattice.rate
     if s_inf < math.log(2.0):
-        return math.inf
+        return Width(math.inf)
     r_w = _scale_radius(lattice, t, 1.0)
     if r_w is None:
-        return math.inf
+        return Width(math.inf)
     # truncate where the kernel has decayed, or at the analysis window when
     # the approach to full decoherence is too slow to resolve
     r_deep = _scale_radius(lattice, t, min(37.0, 0.98 * s_inf))
@@ -480,27 +662,32 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> float:
     g_edge = math.exp(-s_edge) - math.exp(-s_inf)
     g_max = 1.0 - math.exp(-s_inf)
     if g_edge > 0.02 * g_max:
-        return math.inf
+        return Width(math.inf)
 
-    prev = None
-    log2_n = min(_MAX_FFT_LOG2, max(12, math.ceil(math.log2(8.0 * r_max / r_w))))
-    for _ in range(3):
-        r = np.linspace(0.0, r_max, 2**log2_n + 1)
-        kernel = CoherenceKernel(
-            beam=beam,
-            t=t,
-            r=r,
-            theta0=np.full(r.shape, theta0),
-            values=np.clip(np.exp(-s_of_r(r)), 1e-300, 1.0),
+    h = _LOG_STEP / _SUB
+    i_lo = _SUB * math.floor(math.log(1e-3 * r_w) / _LOG_STEP)
+    i_hi = math.ceil(math.log(r_max) / h) - 1
+    nodes = np.exp(np.arange(i_lo, i_hi + 1) * h)
+    r = np.concatenate([[0.0], nodes[nodes < r_max * (1.0 - 1e-9)], [r_max]])
+    kernel = CoherenceKernel(
+        beam=beam,
+        t=t,
+        r=r,
+        theta0=np.full(r.shape, theta0),
+        values=np.clip(np.exp(-s_of_r(r)), 1e-300, 1.0),
+    )
+    width, rel_error = _width_from_kernel(kernel, axis)
+    if rel_error > _WIDTH_RTOL:
+        warnings.warn(
+            UncertifiedWidthWarning(
+                f"{axis} width {width:.6g} bohr at t = {t:.6g} is not certified: "
+                f"its transform checks move it by {rel_error:.2e} (tolerance "
+                f"{_WIDTH_RTOL:g})",
+                rel_error,
+            ),
+            stacklevel=2,
         )
-        width = _width_from_kernel(kernel, axis)
-        if prev is not None and abs(width - prev) <= 0.01 * max(width, prev):
-            return width
-        prev = width
-        if log2_n >= _MAX_FFT_LOG2:
-            break
-        log2_n += 1
-    return prev
+    return Width(width, rel_error)
 
 
 def localization_time(
@@ -516,36 +703,52 @@ def localization_time(
 
     Uses the near power-law scaling width ~ t**-1/2 for fast iteration with a
     bisection bracket as safeguard; RangeError if the target is unreachable
-    within [t_lo, t_hi].
+    within [t_lo, t_hi], ConvergenceError (with the time whose width came
+    closest as best_estimate) if 40 iterations do not reach rel_tol.
     """
     if target_width <= 0:
         raise DomainError("target width must be positive")
-    w_lo = localization_width(beam, t_lo, axis)
+
+    def width_or_inf(t):
+        # at the onset a kernel whose transform is not the spectrum of a
+        # packet (NegativityError) counts as not localized yet
+        try:
+            return localization_width(beam, t, axis)
+        except NegativityError:
+            return math.inf
+
+    w_lo = width_or_inf(t_lo)
     w_hi = localization_width(beam, t_hi, axis)
     if w_lo == math.inf and w_hi < math.inf:
-        # find the earliest time with a finite width; widths jump from
-        # unlocalized (inf) to a finite value bounded by the analysis window
+        # the earliest time with a finite width, to _ONSET_RTOL in t: widths
+        # jump from unlocalized (inf) to a finite value bounded by the
+        # analysis window; only their finiteness is used here
         a, b = t_lo, t_hi
-        for _ in range(60):
-            mid = math.sqrt(a * b)
-            if localization_width(beam, mid, axis) == math.inf:
-                a = mid
-            else:
-                b = mid
-        t_lo, w_lo = b, localization_width(beam, b, axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UncertifiedWidthWarning)
+            while b > a * (1.0 + _ONSET_RTOL):
+                mid = math.sqrt(a * b)
+                if width_or_inf(mid) == math.inf:
+                    a = mid
+                else:
+                    b = mid
+            t_lo, w_lo = b, localization_width(beam, b, axis)
     if not (w_hi <= target_width <= w_lo):
         raise RangeError(
             f"target width {target_width} outside reachable range "
             f"[{w_hi:.3e}, {w_lo:.3e}] for t in [{t_lo:g}, {t_hi:g}]"
         )
     t = math.sqrt(t_lo * t_hi)
+    best = (math.inf, t)
     for _ in range(40):
         w = localization_width(beam, t, axis)
         if w == math.inf:
             t_lo = t
             t = math.sqrt(t_lo * t_hi)
             continue
-        if abs(w - target_width) <= rel_tol * target_width:
+        miss = abs(w - target_width) / target_width
+        best = min(best, (miss, t))
+        if miss <= rel_tol:
             return t, t * AU_TIME_SECONDS
         if w > target_width:
             t_lo = max(t_lo, t)
@@ -553,4 +756,9 @@ def localization_time(
             t_hi = min(t_hi, t)
         t_scaled = t * (w / target_width) ** 2
         t = t_scaled if t_lo < t_scaled < t_hi else math.sqrt(t_lo * t_hi)
-    return t, t * AU_TIME_SECONDS
+    raise ConvergenceError(
+        f"localization time not found to {rel_tol:g} in 40 iterations "
+        f"(closest width off by {best[0]:.2e})",
+        best_estimate=best[1],
+        error_estimate=best[0],
+    )

@@ -31,3 +31,13 @@ class NegativityError(SynchradError, RuntimeError):
 
     Signals an unphysical coherence kernel or an under-resolved grid.
     """
+
+
+class UncertifiedWidthWarning(UserWarning):
+    """A localization width that its transform checks move by more than the
+    certification tolerance: the width is a best estimate, with its
+    estimated relative error in ``rel_error``."""
+
+    def __init__(self, message, rel_error):
+        super().__init__(message)
+        self.rel_error = rel_error

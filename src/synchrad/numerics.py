@@ -100,7 +100,8 @@ def adaptive_integral(
 
     Returns the estimate, or (estimate, achieved_error) when ``full`` is set.
     Raises ConvergenceError (carrying the best estimate) if the requested
-    tolerance cannot be certified.
+    tolerance cannot be certified, or if the value or its error estimate is
+    not finite.
     """
     if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"need finite a < b, got [{a}, {b}]")
@@ -108,14 +109,19 @@ def adaptive_integral(
         value, err = scipy.integrate.quad(
             f, a, b, epsabs=tol.abs, epsrel=max(tol.rel, 1e-14), limit=400
         )
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ConvergenceError(
+            f"quadrature gave a non-finite value {value!r} or error estimate {err!r}",
+            best_estimate=value,
+            error_estimate=err,
+        )
     bound = tol.abs + tol.rel * abs(value)
-    if not math.isfinite(value) or err > max(bound * 50, 1e-300):
-        if err > max(bound, 1e-300):
-            raise ConvergenceError(
-                f"quadrature error estimate {err:.3g} exceeds tolerance",
-                best_estimate=value,
-                error_estimate=err,
-            )
+    if err > max(bound * 50, 1e-300):
+        raise ConvergenceError(
+            f"quadrature error estimate {err:.3g} exceeds tolerance",
+            best_estimate=value,
+            error_estimate=err,
+        )
     return (value, err) if full else value
 
 

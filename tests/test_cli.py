@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,40 @@ def test_decohere_run_artifacts(tmp_path):
     assert 0.0 < payload["width_transverse_bohr"] < payload["width_longitudinal_bohr"]
 
 
+def test_decohere_json_reports_width_certification(tmp_path):
+    # FIAN_60 at t = 1e8 a.u.: both widths are limited by the analysis window
+    for t, certified in (("1e8", False), ("1e10", True)):
+        out = tmp_path / t
+        text = (
+            "command = decohere\nbeam.energy_gev = 0.68\nbeam.radius_m = 2.0\n"
+            f"decohere.t_au = {t}\n"
+        )
+        run(parse_config(text), str(out))
+        payload = json.loads((out / "decohere.json").read_text())
+        for axis in ("transverse", "longitudinal"):
+            rel_error = payload[f"width_{axis}_rel_error"]
+            assert isinstance(rel_error, float) and math.isfinite(rel_error)
+            assert payload[f"width_{axis}_certified"] is certified
+            assert (rel_error <= 1e-3) is certified
+
+
+def test_thread_environment_is_ignored(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("command = packet\nbeam.gamma = 2.0\nbeam.radius_bohr = 100.0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, SYNCHRAD_THREADS="abc", PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "synchrad.cli", "--config", str(cfg), "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
 def test_run_is_deterministic(tmp_path):
     text = (
         "command = spectrum\nbeam.gamma = 3.0\nbeam.radius_bohr = 500.0\n"
@@ -185,7 +223,9 @@ def test_main_exit_codes(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().out)
     assert diag["command"] == "packet"
 
+    # an unknown flag is a usage error
     assert main(["--config", str(good), "--threads", "0"]) == 2
+    assert main(["--config", str(good), "--threads", "4"]) == 2
 
 
 def test_main_deterministic_flag(tmp_path, capsys):

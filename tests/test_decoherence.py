@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from synchrad import decoherence
@@ -20,7 +21,13 @@ from synchrad.decoherence import (
     s_averaged,
     s_ultrarel,
 )
-from synchrad.errors import DomainError, NegativityError, RangeError
+from synchrad.errors import (
+    ConvergenceError,
+    DomainError,
+    NegativityError,
+    RangeError,
+    UncertifiedWidthWarning,
+)
 from synchrad.numerics import gauss_nodes
 from synchrad.semiclassical import total_photon_rate
 from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
@@ -217,6 +224,42 @@ def test_localization_time_fixed_point():
         localization_time(beam, -1.0, "transverse")
 
 
+def test_localization_time_onset_search_stops_at_its_tolerance(monkeypatch):
+    beam = BeamParams.from_gamma_radius(10.0, 1000.0)
+    w_star = localization_width(beam, 1e6, "transverse")
+    calls = []
+
+    def counted(b, t, axis):
+        calls.append(t)
+        return localization_width(b, t, axis)
+
+    monkeypatch.setattr(decoherence, "localization_width", counted)
+    localization_time(beam, w_star, "transverse")
+    # bisecting log t over [1, 1e20] down to a ratio of 1 + 1e-3 takes 16
+    # halvings
+    assert len(calls) < 30
+
+
+def test_localization_time_raises_when_the_iteration_does_not_settle(monkeypatch):
+    beam = BeamParams.from_gamma_radius(10.0, 1000.0)
+    target = 1.0
+    times = []
+
+    def oscillating(b, t, axis):
+        # 1.5 and 0.5 times the target on alternate calls between the bracket
+        # ends: the iterate never lands within rel_tol of the target
+        times.append(t)
+        if t in (1.0, 1e20):
+            return 10.0 if t == 1.0 else 0.1
+        return target * (1.5 if len(times) % 2 else 0.5)
+
+    monkeypatch.setattr(decoherence, "localization_width", oscillating)
+    with pytest.raises(ConvergenceError) as info:
+        localization_time(beam, target, "transverse")
+    assert info.value.best_estimate in times[2:]
+    assert info.value.error_estimate == pytest.approx(0.5)
+
+
 def test_s_averaged_cold_and_warm_calls_agree():
     beam = BeamParams.from_gamma_radius(3.0, 700.0)  # used nowhere else: cold
     r = np.logspace(-1, 5, 33)
@@ -307,6 +350,125 @@ def test_width_at_interpolant_range_edge_is_finite():
     assert w_late < w < w_early
 
 
+def _log_kernel(r_lo, r_max, values_of):
+    """A kernel slice on the transform's node layout: r = 0, then 400 nodes
+    per decade from r_lo, then r_max."""
+    h = decoherence._LOG_STEP / decoherence._SUB
+    nodes = np.exp(np.arange(math.floor(math.log(r_lo) / h), math.ceil(math.log(r_max) / h)) * h)
+    r = np.concatenate([[0.0], nodes[nodes < r_max * (1.0 - 1e-9)], [r_max]])
+    values = np.clip(values_of(r), 1e-300, 1.0)
+    return CoherenceKernel(beam=BEAM2, t=1.0, r=r, theta0=np.zeros(r.shape), values=values)
+
+
+@pytest.mark.parametrize("a", [1e-4, 0.01, 0.3])
+def test_two_scale_kernel_width_matches_parseval_integral(a):
+    # G = (1 - a) exp(-r^2 / 2 s1^2) + a exp(-r^2 / 2 s2^2) with s2 / s1 = 1e5:
+    # G^(q) = sqrt(2 pi) ((1 - a) s1 exp(-q^2 s1^2 / 2) + a s2 exp(-q^2 s2^2 / 2))
+    # and <x^2> = int (G^')^2 / (4 G^) dq / int G^ dq over q >= 0
+    s1, s2 = 1.0, 1e5
+
+    def g_hat(q):
+        return math.sqrt(2 * math.pi) * (
+            (1 - a) * s1 * math.exp(-((q * s1) ** 2) / 2) + a * s2 * math.exp(-((q * s2) ** 2) / 2)
+        )
+
+    def g_hat_prime(q):
+        return -math.sqrt(2 * math.pi) * q * (
+            (1 - a) * s1**3 * math.exp(-((q * s1) ** 2) / 2)
+            + a * s2**3 * math.exp(-((q * s2) ** 2) / 2)
+        )
+
+    breaks = [0.0, 1 / s2, 10 / s2, 1 / s1, 10 / s1, 30 / s1]
+    pieces = list(zip(breaks, breaks[1:]))
+
+    def spread(q):
+        return g_hat_prime(q) ** 2 / (4 * g_hat(q))
+
+    num = sum(scipy.integrate.quad(spread, lo, hi, epsrel=1e-12)[0] for lo, hi in pieces)
+    den = sum(scipy.integrate.quad(g_hat, lo, hi, epsrel=1e-12)[0] for lo, hi in pieces)
+    want = math.sqrt(num / den)
+
+    kernel = _log_kernel(
+        1e-3 * s1,
+        10 * s2,
+        lambda r: (1 - a) * np.exp(-(r**2) / (2 * s1**2)) + a * np.exp(-(r**2) / (2 * s2**2)),
+    )
+    assert len(kernel.r) < 10_000
+    width, rel_error = decoherence._width_from_kernel(kernel, "transverse")
+    assert width == pytest.approx(want, rel=2e-5)
+    # the error estimate is an upper bound here, and certifies the width
+    assert abs(width / want - 1) <= rel_error <= decoherence._WIDTH_RTOL
+
+
+def test_width_from_kernel_contracts():
+    kernel = _log_kernel(1e-3, 40.0, lambda r: np.exp(-(r**2) / 2))
+    with pytest.raises(DomainError):
+        decoherence._width_from_kernel(kernel, "sideways")
+    r = np.linspace(0.0, 40.0, 64)
+    uniform = CoherenceKernel(beam=BEAM2, t=1.0, r=r, theta0=np.zeros(64), values=np.exp(-r / 2))
+    with pytest.raises(DomainError):
+        decoherence._width_from_kernel(uniform, "transverse")
+    # heavily oscillatory kernel is not a valid autocorrelation
+    ringing = _log_kernel(
+        1e-3, 50.0, lambda r: np.where(r == 0, 1.0, 0.5 + 0.5 * np.cos(r) * np.exp(-0.05 * r))
+    )
+    with pytest.raises(NegativityError):
+        decoherence._width_from_kernel(ringing, "longitudinal")
+
+
+def test_width_of_a_kernel_cut_before_it_decays_is_not_certified():
+    # cut at 3 sigma, G(R) = e^-4.5: the half-radius check moves the width
+    width, rel_error = decoherence._width_from_kernel(
+        _log_kernel(1e-3, 3.0, lambda r: np.exp(-(r**2) / 2)), "transverse"
+    )
+    assert rel_error > decoherence._WIDTH_RTOL
+    width, rel_error = decoherence._width_from_kernel(
+        _log_kernel(1e-3, 12.0, lambda r: np.exp(-(r**2) / 2)), "transverse"
+    )
+    assert width == pytest.approx(0.5, rel=1e-5) and rel_error <= decoherence._WIDTH_RTOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    a=st.floats(min_value=8.88, max_value=14.0),
+    b=st.floats(min_value=8.88, max_value=14.0),
+    axis=st.sampled_from(["transverse", "longitudinal"]),
+)
+def test_fian60_widths_are_certified_and_shrink_with_time(a, b, axis):
+    assume(abs(a - b) >= 0.01)
+    beam = beam_from_lab(FIAN_60)
+    early = localization_width(beam, 10.0 ** min(a, b), axis)
+    late = localization_width(beam, 10.0 ** max(a, b), axis)
+    assert early.certified and late.certified
+    assert late < early
+
+
+def test_fian60_width_shrinks_across_the_benchmark_probe_pair():
+    beam = beam_from_lab(FIAN_60)
+    for axis in ("transverse", "longitudinal"):
+        w0 = localization_width(beam, 10.0**8.86, axis)
+        w1 = localization_width(beam, 10.0**8.88, axis)
+        assert w0.certified and w1.certified
+        assert w1 < w0
+
+
+def test_window_limited_width_is_flagged(monkeypatch):
+    beam = beam_from_lab(FIAN_60)
+    seen = []
+    original = decoherence._width_from_kernel
+
+    def recorded(kernel, axis):
+        seen.append(len(kernel.r))
+        return original(kernel, axis)
+
+    monkeypatch.setattr(decoherence, "_width_from_kernel", recorded)
+    with pytest.warns(UncertifiedWidthWarning) as caught:
+        w = localization_width(beam, 1e8, "longitudinal")
+    assert math.isfinite(w) and not w.certified
+    assert caught[0].message.rel_error == w.rel_error > decoherence._WIDTH_RTOL
+    assert max(seen) < 100_000  # no uniform grid over the 1e7-bohr window
+
+
 def _mode_table_loop(beam, n_exact, per_decade, n_theta):
     """The mode table built one harmonic at a time: the reference the blocked
     array evaluation must reproduce bit for bit."""
@@ -352,3 +514,19 @@ def test_mode_table_equals_per_harmonic_loop(resolution):
     want = _mode_table_loop(beam, *resolution)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_pchip_slopes_match_scipy():
+    # the lattice interpolant's derivatives are SciPy's PCHIP on a uniform grid
+    import scipy.interpolate
+
+    rng = np.random.default_rng(7)
+    h = decoherence._LOG_STEP
+    for n in (4, 5, 9, 40):
+        x = np.arange(n) * h
+        rising = np.cumsum(rng.exponential(size=n))
+        flat_start = np.r_[0.0, 0.0, rng.normal(size=n - 2)]
+        for y in (rng.normal(size=n), rising, flat_start):
+            want = scipy.interpolate.PchipInterpolator(x, y).derivative()(x)
+            got = decoherence._pchip_slopes(y, h)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -169,6 +169,15 @@ def test_adaptive_integral_domain():
         adaptive_integral(lambda x: x, 1.0, 0.0)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_adaptive_integral_rejects_non_finite_integrand():
+    with pytest.raises(ConvergenceError) as info:
+        adaptive_integral(lambda x: math.nan, 0.0, 1.0)
+    assert math.isnan(info.value.best_estimate)
+    with pytest.raises(ConvergenceError):
+        adaptive_integral(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
+
+
 def test_harmonic_sum_geometric():
     assert harmonic_sum(lambda n: 0.5**n) == pytest.approx(1.0, rel=1e-9)
     # sum n^2 x^n = x (1 + x) / (1 - x)^3
