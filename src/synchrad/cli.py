@@ -62,6 +62,9 @@ _KNOWN_KEYS = {
 }
 
 
+_MAX_POINTS = 1 << 16  # longest grid or harmonic range a config may ask for
+
+
 def _parse_float(raw: str, key: str, line: int) -> float:
     try:
         return float(raw)
@@ -76,6 +79,13 @@ def _parse_vector(raw: str, key: str, line: int) -> np.ndarray:
     return np.array([_parse_float(p, key, line) for p in parts])
 
 
+def _parse_int(raw: str, key: str, line: int) -> int:
+    number = _parse_float(raw, key, line)
+    if not math.isfinite(number):
+        raise ConfigError(f"line {line}: key {key!r} needs a finite number, got {raw!r}")
+    return int(number)
+
+
 def _parse_int_list(raw: str, key: str, line: int) -> list[int]:
     out = []
     for part in raw.split(","):
@@ -86,10 +96,14 @@ def _parse_int_list(raw: str, key: str, line: int) -> list[int]:
             bounds = part.split(":")
             if len(bounds) != 2:
                 raise ConfigError(f"line {line}: bad range {part!r} in {key!r}")
-            a, b = (int(_parse_float(x, key, line)) for x in bounds)
+            a, b = (_parse_int(x, key, line) for x in bounds)
+            if b - a >= _MAX_POINTS:
+                raise ConfigError(
+                    f"line {line}: range {part!r} in {key!r} is longer than {_MAX_POINTS}"
+                )
             out.extend(range(a, b + 1))
         else:
-            out.append(int(_parse_float(part, key, line)))
+            out.append(_parse_int(part, key, line))
     if not out:
         raise ConfigError(f"line {line}: key {key!r} is empty")
     return out
@@ -192,10 +206,10 @@ def _param(params, name, default=None, kind=float):
     if kind is float:
         return _parse_float(value, name, lineno)
     if kind is int:
-        number = _parse_float(value, name, lineno)
-        if not math.isfinite(number):
-            raise ConfigError(f"line {lineno}: key {name!r} needs a finite number")
-        return int(number)
+        number = _parse_int(value, name, lineno)
+        if number > _MAX_POINTS:
+            raise ConfigError(f"line {lineno}: key {name!r} is above {_MAX_POINTS}")
+        return number
     return value
 
 
@@ -209,6 +223,11 @@ def _write_json(path, payload) -> None:
 
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
+    if config.beam.gamma > semiclassical.TOTALS_GAMMA_MAX:
+        raise ConfigError(
+            f"spectrum: beam gamma {config.beam.gamma:g} is above "
+            f"{semiclassical.TOTALS_GAMMA_MAX:g}, where the radiated totals are not accurate"
+        )
     params = config.params
     if "harmonics" in params:
         value, lineno = params["harmonics"]
@@ -381,7 +400,8 @@ def main(argv=None) -> int:
 
     try:
         artifacts = run(config, args.out)
-    except SynchradError as exc:
+    except (SynchradError, ArithmeticError) as exc:
+        # an overflow (ArithmeticError) is a non-finite result: it exits 3 as a NaN does
         print(
             json.dumps(
                 {

@@ -71,19 +71,10 @@ class ModeSum:
         """Returns (q_vecs[N,3], weights[N], e1[N,3], e2[N,3]) with weights
         absorbing q'^2 dq' dOmega / (2 pi)^3."""
         qr, wr = gauss_nodes(0.0, self.q_c, self.n_radial)
-        cu, wu = gauss_nodes(-1.0, 1.0, self.n_polar)
-        phi = (np.arange(self.n_azimuth) + 0.5) * (2.0 * math.pi / self.n_azimuth)
-        wphi = 2.0 * math.pi / self.n_azimuth
-
-        Q, CU, PH = np.meshgrid(qr, cu, phi, indexing="ij")
-        WQ, WCU, _ = np.meshgrid(wr, wu, phi, indexing="ij")
-        s = np.sqrt(1.0 - CU**2)
-        q_vecs = np.stack(
-            [Q * s * np.cos(PH), Q * s * np.sin(PH), Q * CU], axis=-1
-        ).reshape(-1, 3)
-        weights = (WQ * Q**2 * WCU * wphi / (2.0 * math.pi) ** 3).reshape(-1)
-
-        n = q_vecs / np.linalg.norm(q_vecs, axis=1, keepdims=True)
+        nvec, w_sphere = sphere_rule(self.n_polar, self.n_azimuth)
+        q_vecs = (qr[:, None, None, None] * nvec).reshape(-1, 3)
+        weights = ((wr * qr**2)[:, None, None] * w_sphere / (2.0 * math.pi) ** 3).reshape(-1)
+        n = np.broadcast_to(nvec, (self.n_radial,) + nvec.shape).reshape(-1, 3)
         e1, e2 = transverse_polarization_pairs(n)
         return q_vecs, weights, e1, e2
 
@@ -239,13 +230,18 @@ def p_const_velocity(
     x12 = w12 * dt
     si2a, ci2a = scipy.special.sici(np.abs(x2))
     si12a, ci12a = scipy.special.sici(np.abs(x12))
+    log_arg = w2w12 * dt**2
+    if log_arg.min() < np.finfo(float).tiny:  # dt**2 lost bits or underflowed to 0
+        log_term = np.log(w2w12) + 2.0 * math.log(abs(dt))
+    else:
+        log_term = np.log(log_arg)
     bracket = (
         1j * np.copysign(si2a, x2)
         + 1j * np.copysign(si12a, x12)
         + 2.0 * EULER_GAMMA
         - ci2a
         - ci12a
-        + np.log(w2w12 * dt**2)
+        + log_term
     )
     do_integral = np.sum(weights * (factor * bracket))
     value = Z**2 / (4.0 * math.pi**2 * C_AU**3) * do_integral

@@ -59,7 +59,6 @@ __all__ = [
     "s_ultrarel",
     "decoherence_field",
     "coherence_kernel",
-    "chi_spectrum",
     "Width",
     "localization_width",
     "localization_time",
@@ -318,53 +317,6 @@ def coherence_kernel(field: DecoherenceField) -> CoherenceKernel:
 # ---------------------------------------------------------------------------
 
 
-def _even_extension(g: np.ndarray) -> np.ndarray:
-    # g sampled on r = 0, dr, ..., (N-1) dr; extend to the full even signal
-    return np.concatenate([g, g[-2:0:-1]])
-
-
-def chi_spectrum(kernel: CoherenceKernel, axis: str, tol: float = 5e-3):
-    """Square root of the Fourier transform of a uniform 1-D kernel slice.
-
-    Returns (wavenumbers, chi_q) with the arbitrary phase fixed to zero.
-    Transform values below -tol * max raise NegativityError (under-resolved
-    or unphysical kernel); small negative values are clamped to zero.
-    """
-    if axis not in _AXIS_ANGLE:
-        raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
-    r = kernel.r
-    if len(r) < 8 or r[0] != 0.0:
-        raise DomainError("kernel slice must start at r = 0 with >= 8 samples")
-    dr = r[1] - r[0]
-    if np.max(np.abs(np.diff(r) - dr)) > 1e-9 * dr:
-        raise DomainError("kernel slice must be uniformly spaced")
-    g = kernel.values - kernel.values[-1]  # remove the unlocalized plateau
-    # cosine taper over the outer 10% suppresses truncation ringing from any
-    # residual tail oscillating about the plateau
-    n_taper = max(2, len(r) // 10)
-    ramp = 0.5 * (1.0 + np.cos(np.linspace(0.0, math.pi, n_taper)))
-    g = g.copy()
-    g[-n_taper:] *= ramp
-    k = 2.0 * math.pi * np.fft.rfftfreq(2 * (len(r) - 1), d=dr)
-    if float(np.max(np.abs(g))) <= 1e-12 * float(np.max(kernel.values)):
-        # constant kernel (no emission yet): all mass in the k = 0 bin
-        spec = np.zeros(len(k))
-        spec[0] = float(np.sum(kernel.values)) * dr
-        return k, np.sqrt(spec)
-    spec = np.fft.rfft(_even_extension(g)).real * dr
-    pos_mass = float(np.sum(spec[spec > 0]))
-    if pos_mass <= 0:
-        raise NegativityError("kernel transform has no positive mass")
-    neg_mass = -float(np.sum(spec[spec < 0]))
-    if neg_mass > tol * pos_mass:
-        raise NegativityError(
-            f"kernel transform carries negative mass {neg_mass:.3e} "
-            f"(above {tol:g} of its positive mass); refine the grid"
-        )
-    spec = np.clip(spec, 0.0, None)
-    return k, np.sqrt(spec)
-
-
 class Width(float):
     """A localization width in bohr: a float that also carries the estimated
     relative error of the transform it came from (0 for an unlocalized
@@ -557,7 +509,7 @@ def _parseval_width(log_q: np.ndarray, g_hat_0: float, g_hat: np.ndarray) -> flo
     return math.sqrt(spread / norm)
 
 
-def _width_from_kernel(kernel: CoherenceKernel, axis: str) -> tuple[float, float]:
+def _width_from_kernel(kernel: CoherenceKernel) -> tuple[float, float]:
     """Rms width of |chi(x)|^2, and its estimated relative error, from a
     kernel slice sampled at r = 0, at log-uniform nodes and at the truncation
     radius R = r[-1].
@@ -570,8 +522,6 @@ def _width_from_kernel(kernel: CoherenceKernel, axis: str) -> tuple[float, float
     width is recomputed from every other node, from every other wavenumber
     and from the kernel cut at R/2; the largest relative change is the error
     estimate.  A check that cannot be computed raises ConvergenceError."""
-    if axis not in _AXIS_ANGLE:
-        raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
     r, values = kernel.r, kernel.values
     if len(r) < 8 or r[0] != 0.0 or not r[-1] > r[-2]:
         raise DomainError("kernel slice must start at r = 0 with >= 8 increasing samples")
@@ -676,7 +626,7 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
         theta0=np.full(r.shape, theta0),
         values=np.clip(np.exp(-s_of_r(r)), 1e-300, 1.0),
     )
-    width, rel_error = _width_from_kernel(kernel, axis)
+    width, rel_error = _width_from_kernel(kernel)
     if rel_error > _WIDTH_RTOL:
         warnings.warn(
             UncertifiedWidthWarning(

@@ -6,7 +6,7 @@ class SynchradError(Exception):
 
 
 class RangeError(SynchradError, ValueError):
-    """Argument outside the supported range of a special function."""
+    """Argument outside the range over which a result is known to be accurate."""
 
 
 class DomainError(SynchradError, ValueError):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 from .numerics import Tolerance, gauss_nodes
 from .units import C_AU, BeamParams
 
@@ -40,6 +40,10 @@ __all__ = [
     "momentum_loss_rate",
     "classical_power",
 ]
+
+# Largest gamma at which the totals are tested against Lienard's power; above
+# about 3e4, jv at the tail's harmonic orders is inaccurate and they go wrong.
+TOTALS_GAMMA_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -358,8 +362,18 @@ def classical_power(beam: BeamParams) -> float:
     return (2.0 / 3.0) * beam.Z**2 * C_AU * beam.beta**4 * beam.gamma**4 / beam.R**2
 
 
+def _check_totals_range(beam: BeamParams) -> None:
+    if beam.gamma > TOTALS_GAMMA_MAX:
+        raise RangeError(
+            f"gamma = {beam.gamma:g} is above {TOTALS_GAMMA_MAX:g}, where the "
+            f"radiated totals are no longer accurate"
+        )
+
+
 def total_power(beam: BeamParams) -> float:
-    """Radiated power: sum over harmonics of n omega0 times the harmonic rate."""
+    """Radiated power: sum over harmonics of n omega0 times the harmonic rate.
+    Raises RangeError above TOTALS_GAMMA_MAX, as do the other totals."""
+    _check_totals_range(beam)
     if beam.beta == 0.0:
         return 0.0
     pref = beam.Z**2 * beam.omega0**2 / C_AU
@@ -370,6 +384,7 @@ def total_power(beam: BeamParams) -> float:
 
 def total_photon_rate(beam: BeamParams) -> float:
     """Total photons per atomic time, summed over harmonics."""
+    _check_totals_range(beam)
     if beam.beta == 0.0:
         return 0.0
     pref = beam.Z**2 * beam.omega0 / C_AU
@@ -386,6 +401,7 @@ def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
     circular-orbit distribution; the longitudinal component approaches
     total_power/c as beta -> 1 (forward beaming).
     """
+    _check_totals_range(beam)
     if beam.beta == 0.0:
         return np.zeros(3)
     pref = beam.Z**2 * beam.omega0**2 / C_AU**2

@@ -71,6 +71,8 @@ class BeamParams:
         v0 = beta * C_AU
         omega0 = v0 / R
         H0 = gamma * C_AU * omega0
+        if not math.isfinite(H0):
+            raise DomainError(f"orbit radius {R} is too small: the orbital frequency overflows")
         return cls(Z=Z, gamma=gamma, R=R, beta=beta, v0=v0, omega0=omega0, H0=H0)
 
 

@@ -1,15 +1,20 @@
 """Config parsing, command execution, artifacts, and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synchrad import ir_model
 from synchrad.cli import ConfigError, main, parse_config, run
@@ -254,6 +259,7 @@ def test_main_deterministic_flag(tmp_path, capsys):
         "decohere.r_max = inf",
         "decohere.r_points = 0",
         "decohere.r_points = nan",
+        "decohere.r_points = 1e300",
         "decohere.t_au = 0",
         "decohere.t_au = -5",
         "decohere.t_au = nan",
@@ -284,6 +290,9 @@ def test_decohere_rejects_bad_input_as_config_error(tmp_path, capsys, line):
         ("spectrum", "spectrum.harmonics = 3, -1"),
         ("spectrum", "spectrum.thetas = 0.5, nan"),
         ("spectrum", "spectrum.thetas = inf"),
+        ("spectrum", "spectrum.harmonics = nan"),
+        ("spectrum", "spectrum.harmonics = 2, inf"),
+        ("spectrum", "spectrum.harmonics = 1:1e300"),
         ("ir", "ir.omega_min = 0"),
         ("ir", "ir.omega_min = -1e-8"),
         ("ir", "ir.omega_min = nan"),
@@ -294,6 +303,8 @@ def test_decohere_rejects_bad_input_as_config_error(tmp_path, capsys, line):
         ("ir", "ir.omega_max = nan"),
         ("ir", "ir.points = 0"),
         ("ir", "ir.points = -3"),
+        ("ir", "ir.points = 65537"),
+        ("ir", "ir.points = 1e300"),
     ],
 )
 def test_spectrum_and_ir_reject_bad_input_as_config_error(tmp_path, capsys, command, line):
@@ -325,6 +336,8 @@ def test_spectrum_and_ir_reject_bad_input_as_config_error(tmp_path, capsys, comm
         "beam.energy_gev = inf\nbeam.radius_m = 2.0",
         "beam.energy_gev = 0.68\nbeam.radius_m = nan",
         "beam.energy_gev = 0.68\nbeam.radius_m = 2.0\nbeam.z = inf",
+        # finite, but the orbital frequency v / R overflows
+        "beam.gamma = 2.0\nbeam.radius_bohr = 1e-308",
     ],
 )
 def test_non_finite_beam_is_config_error(tmp_path, capsys, beam):
@@ -347,6 +360,18 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys, monkey
     assert out.count("\n") == 1
     diag = json.loads(out)
     assert diag["command"] == "spectrum" and "total_power_au" in diag["message"]
+    assert not (tmp_path / "out" / "spectrum.json").exists()
+
+
+def test_overflow_exits_3_without_writing_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "command = spectrum\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\nbeam.z = 1e300\n"
+        "spectrum.harmonics = 1\nspectrum.thetas = 0.5\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "OverflowError" and diag["command"] == "spectrum"
     assert not (tmp_path / "out" / "spectrum.json").exists()
 
 
@@ -399,6 +424,26 @@ def test_huge_gamma_is_config_error(tmp_path, capsys, command, beam):
     assert not (tmp_path / "out").exists()
 
 
+def test_spectrum_refuses_gamma_above_the_certified_totals(tmp_path, capsys):
+    # above TOTALS_GAMMA_MAX the harmonic sums are wrong (+1.0e3 relative at
+    # gamma = 5e4), so the command writes nothing rather than a wrong total
+    cfg = tmp_path / "cfg"
+    cfg.write_text("command = spectrum\nbeam.gamma = 5e4\nbeam.radius_bohr = 1000.0\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError" and "gamma" in diag["message"]
+    assert not (out / "spectrum.csv").exists() and not (out / "spectrum.json").exists()
+
+    cfg.write_text("command = spectrum\nbeam.gamma = 1e4\nbeam.radius_bohr = 1000.0\n")
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads((out / "spectrum.json").read_text())
+    # the gamma = 1e4 totals pinned in tests/test_semiclassical.py
+    assert payload["total_power_au"] == 913585530005.2351
+    assert payload["total_photon_rate_au"] == 14.432260537695027
+
+
 def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):
     calls = []
     shift = ir_model.delta_shift
@@ -409,3 +454,64 @@ def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):
     )
     run(config, str(tmp_path))
     assert len(calls) == 1
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+_BASE = {
+    "spectrum": {"spectrum.harmonics": "1,2", "spectrum.thetas": "0.5"},
+    "ir": {"ir.v1": "13.7, 0, 0", "ir.v2": "16.4, 0, 0", "ir.points": "4"},
+    "decohere": {"decohere.t_au": "1e6", "decohere.r_points": "4"},
+    "packet": {},
+}
+_OWN_KEYS = {
+    "spectrum": ["spectrum.harmonics", "spectrum.thetas"],
+    "ir": ["ir.v1", "ir.v2", "ir.q_c", "ir.omega_min", "ir.omega_max", "ir.points", "ir.use_delta"],
+    "decohere": ["decohere.t_au", "decohere.r_min", "decohere.r_max", "decohere.r_points"],
+    "packet": [],
+}
+_BEAM_KEYS = ["beam.gamma", "beam.radius_bohr", "beam.z", "beam.beta"]
+_JUNK_KEYS = [
+    "bogus", "beam.spin", "beam.energy_gev", "decohere.t_au", "spectrum.thetas", "command"
+]
+_NUMBERS = st.one_of(
+    st.floats(-20.0, 200.0).map(repr),
+    st.sampled_from(["0", "-1", "-0.0", "nan", "-nan", "inf", "-inf", "1e300", "-1e300"]),
+)
+_WORDS = st.sampled_from(["", "  ", "abc", "true", "1,2", "1:x", "0x10", "1e", "#"])
+_SCALARS = st.one_of(_NUMBERS, _NUMBERS, _WORDS)
+_TRIPLES = st.lists(_SCALARS, min_size=3, max_size=3).map(", ".join)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    command = draw(st.sampled_from(sorted(_BASE)))
+    lines = {"command": command, "beam.gamma": "2.0", "beam.radius_bohr": "1000.0"}
+    lines.update(_BASE[command])
+    keys = draw(st.lists(st.sampled_from(_OWN_KEYS[command] + _BEAM_KEYS), max_size=3, unique=True))
+    if draw(st.sampled_from([False, False, False, True])):
+        keys.append(draw(st.sampled_from(_JUNK_KEYS)))
+    for key in keys:
+        lines[key] = draw(_TRIPLES if key in ("ir.v1", "ir.v2") else _SCALARS)
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_fuzzed_configs())
+def test_main_on_fuzzed_configs_exits_cleanly(text):
+    # exit 0, 2 or 3; no exception escapes; stdout ends in one JSON line and
+    # every JSON artifact is strict JSON (no NaN or Infinity)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        json.loads(stdout.getvalue().strip().splitlines()[-1])
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_non_finite)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synchrad.corrections import (
     ConstantVelocity,
@@ -19,7 +21,7 @@ from synchrad.corrections import (
     p_nonrel_asymptotic,
 )
 from synchrad.errors import DomainError
-from synchrad.numerics import EULER_GAMMA
+from synchrad.numerics import EULER_GAMMA, gauss_nodes
 from synchrad.semiclassical import PhotonMode
 from synchrad.units import C_AU
 
@@ -40,6 +42,25 @@ def test_mode_sum_weights_integrate_momentum_ball():
     assert np.max(np.abs(np.sum(e1 * n, axis=1))) < 1e-12
     assert np.max(np.abs(np.sum(e2 * n, axis=1))) < 1e-12
     assert np.max(np.abs(np.sum(e1 * e2, axis=1))) < 1e-12
+
+
+def test_mode_sum_nodes_match_the_spherical_product():
+    # reference: the radial x polar x azimuthal meshgrid product, directions
+    # from the normalized momenta
+    ms = ModeSum(q_c=3.0, n_radial=8, n_polar=6, n_azimuth=5)
+    qr, wr = gauss_nodes(0.0, ms.q_c, ms.n_radial)
+    cu, wu = gauss_nodes(-1.0, 1.0, ms.n_polar)
+    phi = (np.arange(ms.n_azimuth) + 0.5) * (2.0 * math.pi / ms.n_azimuth)
+    Q, CU, PH = np.meshgrid(qr, cu, phi, indexing="ij")
+    WQ, WCU, _ = np.meshgrid(wr, wu, phi, indexing="ij")
+    S = np.sqrt(1.0 - CU**2)
+    q_ref = np.stack([Q * S * np.cos(PH), Q * S * np.sin(PH), Q * CU], axis=-1).reshape(-1, 3)
+    w_ref = (WQ * Q**2 * WCU * (2.0 * math.pi / ms.n_azimuth) / (2.0 * math.pi) ** 3).ravel()
+    q_vecs, weights, e1, e2 = ms.nodes()
+    np.testing.assert_allclose(q_vecs, q_ref, rtol=0, atol=1e-15 * ms.q_c)
+    np.testing.assert_allclose(weights, w_ref, rtol=1e-15)
+    n = q_ref / np.linalg.norm(q_ref, axis=1, keepdims=True)
+    np.testing.assert_allclose(np.cross(e1, e2), n, rtol=0, atol=1e-15)
 
 
 def test_mu_coupling_sign_and_scale():
@@ -66,6 +87,37 @@ def test_p_diagonal_and_hermitian():
     const_swap = p_const_velocity(v0, q, t1=2.0, t2=1.0)
     assert const.value == pytest.approx(np.conj(const_swap.value), rel=1e-13)
     assert p_const_velocity(v0, q, t1=3.0, t2=3.0).value == 0.0
+
+
+DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 0.1 <= math.hypot(*v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v_dir=DIRECTIONS,
+    speed=st.floats(0.0, 0.9),
+    q_dir=DIRECTIONS,
+    q_mag=st.floats(0.0, 1.0),
+    q_c=st.floats(1e-2, 1e3),
+    gamma=st.floats(1.0, 1e4),
+    t1=st.floats(-1e3, 1e3),
+    t2=st.floats(-1e3, 1e3),
+)
+# dt**2 underflows to 0 here; the logarithm used to turn P into NaN
+@example((0.0, 0.0, 1.0), 0.5, (0.0, 0.0, 1.0), 0.0, 1.0, 1.0, 2.2758035083812248e-274, 0.0)
+def test_p_const_velocity_diagonal_and_hermitian_bit_for_bit(
+    v_dir, speed, q_dir, q_mag, q_c, gamma, t1, t2
+):
+    # P(t, t) = 0 and P(t2, t1) = conj P(t1, t2): the Si terms are odd in
+    # t1 - t2 and the rest is even, so the identity holds in floating point
+    v0 = speed * C_AU * np.array(v_dir) / math.hypot(*v_dir)
+    q = q_mag * np.array(q_dir) / math.hypot(*q_dir)
+    kw = dict(q_c=q_c, gamma=gamma, n_polar=12, n_azimuth=8)
+    assert p_const_velocity(v0, q, t1=t1, t2=t1, **kw).value == 0.0
+    p12 = p_const_velocity(v0, q, t1=t1, t2=t2, **kw).value
+    p21 = p_const_velocity(v0, q, t1=t2, t2=t1, **kw).value
+    assert math.isfinite(p12.real) and math.isfinite(p12.imag)
+    assert (p21.real, p21.imag) == (p12.real, -p12.imag)
 
 
 def test_p_vanishing_momentum_limit():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from synchrad import decoherence
 from synchrad.decoherence import (
     CoherenceKernel,
-    chi_spectrum,
     coherence_kernel,
     decoherence_field,
     localization_time,
@@ -30,7 +29,7 @@ from synchrad.errors import (
 )
 from synchrad.numerics import gauss_nodes
 from synchrad.semiclassical import total_photon_rate
-from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
+from synchrad.units import C_AU, FIAN_60, GAMMA_MAX, BeamParams, beam_from_lab
 
 
 BEAM2 = BeamParams.from_gamma_radius(2.0, 1000.0)
@@ -110,89 +109,6 @@ def test_field_and_kernel_construction(tmp_path):
 
     with pytest.raises(DomainError):
         decoherence_field(BEAM2, 5.0, np.array([-1.0, 1.0]), 0.0)
-
-
-def test_chi_gaussian_fourier_pair():
-    # G = exp(-r^2 / 2 w^2) factorizes into a packet of rms width w / 2
-    w = 3.0
-    r = np.linspace(0.0, 40 * w, 4096)
-    kernel = CoherenceKernel(
-        beam=BEAM2,
-        t=1.0,
-        r=r,
-        theta0=np.full(r.shape, math.pi / 2),
-        values=np.clip(np.exp(-(r**2) / (2 * w**2)), 1e-300, 1.0),
-    )
-    k, chi_q = chi_spectrum(kernel, "transverse")
-    assert np.all(chi_q >= 0.0)
-    # spectrum itself is Gaussian of width 1/w in wavenumber
-    band = k < 2.0 / w
-    expect = chi_q[0] * np.exp(-(k[band] ** 2) * w**2 / 4.0)
-    assert np.allclose(chi_q[band], expect, rtol=1e-6, atol=1e-9 * chi_q[0])
-
-    n = len(r)
-    chi_x = np.fft.irfft(chi_q, 2 * (n - 1))
-    j = np.arange(2 * (n - 1))
-    x = np.where(j <= n - 1, j, j - 2 * (n - 1)) * (r[1] - r[0])
-    width = math.sqrt(float(np.sum(x**2 * chi_x**2) / np.sum(chi_x**2)))
-    assert width == pytest.approx(w / 2.0, rel=1e-3)
-
-
-def test_chi_round_trip_reproduces_kernel():
-    # the packet amplitude's autocorrelation must rebuild G
-    w = 2.0
-    r = np.linspace(0.0, 30 * w, 1024)
-    dr = r[1] - r[0]
-    G = np.exp(-(r**2) / (2 * w**2))
-    kernel = CoherenceKernel(
-        beam=BEAM2,
-        t=1.0,
-        r=r,
-        theta0=np.zeros(r.shape),
-        values=np.clip(G, 1e-300, 1.0),
-    )
-    _, chi_q = chi_spectrum(kernel, "longitudinal")
-    chi_x = np.fft.irfft(chi_q, 2 * (len(r) - 1)) / dr
-    for lag in (0, 1, 5, 20, 80):
-        corr = float(np.sum(chi_x * np.roll(chi_x, -lag))) * dr
-        assert corr == pytest.approx(G[lag], abs=1e-6)
-
-
-def test_chi_constant_kernel_is_delta():
-    r = np.linspace(0.0, 100.0, 512)
-    kernel = CoherenceKernel(
-        beam=BEAM2, t=1.0, r=r, theta0=np.zeros(r.shape), values=np.ones(r.shape)
-    )
-    k, chi_q = chi_spectrum(kernel, "longitudinal")
-    assert chi_q[0] > 0.0
-    assert np.all(chi_q[1:] == 0.0)
-
-
-def test_chi_spectrum_input_contracts():
-    r = np.linspace(0.0, 10.0, 64)
-    kernel = CoherenceKernel(
-        beam=BEAM2, t=1.0, r=r, theta0=np.zeros(r.shape), values=np.exp(-r)
-    )
-    with pytest.raises(DomainError):
-        chi_spectrum(kernel, "sideways")
-    bad_r = np.logspace(-2, 1, 64)
-    bad = CoherenceKernel(
-        beam=BEAM2, t=1.0, r=bad_r, theta0=np.zeros(64), values=np.exp(-bad_r)
-    )
-    with pytest.raises(DomainError):
-        chi_spectrum(bad, "transverse")
-
-
-def test_chi_negativity_detection():
-    # heavily oscillatory kernel is not a valid autocorrelation
-    r = np.linspace(0.0, 50.0, 512)
-    values = 0.5 + 0.5 * np.cos(r) * np.exp(-0.05 * r)
-    values[0] = 1.0
-    kernel = CoherenceKernel(
-        beam=BEAM2, t=1.0, r=r, theta0=np.zeros(r.shape), values=np.clip(values, 1e-6, 1.0)
-    )
-    with pytest.raises(NegativityError):
-        chi_spectrum(kernel, "longitudinal")
 
 
 def test_width_unbounded_for_tiny_time():
@@ -287,6 +203,19 @@ def test_s_averaged_scales_cached_profile_by_t(t):
     np.testing.assert_array_max_ulp(
         s_averaged(r, 1.2, t, BEAM2), t * s_averaged(r, 1.2, 1.0, BEAM2), maxulp=4
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t=st.floats(min_value=1e-6, max_value=1e16),
+    log_gamma=st.floats(0.0, math.log(GAMMA_MAX)),
+    log_radius=st.floats(math.log(1e-3), math.log(1e12)),
+)
+def test_s_vanishes_at_zero_separation_on_both_axes(t, log_gamma, log_radius):
+    beam = BeamParams.from_gamma_radius(min(math.exp(log_gamma), GAMMA_MAX), math.exp(log_radius))
+    for theta0 in (math.pi / 2.0, 0.0):
+        s0 = s_averaged(0.0, theta0, t, beam, n_exact=16, per_decade=8, n_theta=8)
+        assert s0 == 0.0
 
 
 def test_alternating_beams_keep_their_own_cache_entries():
@@ -394,36 +323,38 @@ def test_two_scale_kernel_width_matches_parseval_integral(a):
         lambda r: (1 - a) * np.exp(-(r**2) / (2 * s1**2)) + a * np.exp(-(r**2) / (2 * s2**2)),
     )
     assert len(kernel.r) < 10_000
-    width, rel_error = decoherence._width_from_kernel(kernel, "transverse")
+    width, rel_error = decoherence._width_from_kernel(kernel)
     assert width == pytest.approx(want, rel=2e-5)
     # the error estimate is an upper bound here, and certifies the width
     assert abs(width / want - 1) <= rel_error <= decoherence._WIDTH_RTOL
 
 
 def test_width_from_kernel_contracts():
-    kernel = _log_kernel(1e-3, 40.0, lambda r: np.exp(-(r**2) / 2))
     with pytest.raises(DomainError):
-        decoherence._width_from_kernel(kernel, "sideways")
+        localization_width(BEAM2, 1e3, "sideways")
     r = np.linspace(0.0, 40.0, 64)
     uniform = CoherenceKernel(beam=BEAM2, t=1.0, r=r, theta0=np.zeros(64), values=np.exp(-r / 2))
     with pytest.raises(DomainError):
-        decoherence._width_from_kernel(uniform, "transverse")
+        decoherence._width_from_kernel(uniform)
     # heavily oscillatory kernel is not a valid autocorrelation
     ringing = _log_kernel(
         1e-3, 50.0, lambda r: np.where(r == 0, 1.0, 0.5 + 0.5 * np.cos(r) * np.exp(-0.05 * r))
     )
     with pytest.raises(NegativityError):
-        decoherence._width_from_kernel(ringing, "longitudinal")
+        decoherence._width_from_kernel(ringing)
+    # a constant kernel (no emission yet) has no localized part to transform
+    with pytest.raises(NegativityError, match="no decay"):
+        decoherence._width_from_kernel(_log_kernel(1e-3, 40.0, np.ones_like))
 
 
 def test_width_of_a_kernel_cut_before_it_decays_is_not_certified():
     # cut at 3 sigma, G(R) = e^-4.5: the half-radius check moves the width
     width, rel_error = decoherence._width_from_kernel(
-        _log_kernel(1e-3, 3.0, lambda r: np.exp(-(r**2) / 2)), "transverse"
+        _log_kernel(1e-3, 3.0, lambda r: np.exp(-(r**2) / 2))
     )
     assert rel_error > decoherence._WIDTH_RTOL
     width, rel_error = decoherence._width_from_kernel(
-        _log_kernel(1e-3, 12.0, lambda r: np.exp(-(r**2) / 2)), "transverse"
+        _log_kernel(1e-3, 12.0, lambda r: np.exp(-(r**2) / 2))
     )
     assert width == pytest.approx(0.5, rel=1e-5) and rel_error <= decoherence._WIDTH_RTOL
 
@@ -457,9 +388,9 @@ def test_window_limited_width_is_flagged(monkeypatch):
     seen = []
     original = decoherence._width_from_kernel
 
-    def recorded(kernel, axis):
+    def recorded(kernel):
         seen.append(len(kernel.r))
-        return original(kernel, axis)
+        return original(kernel)
 
     monkeypatch.setattr(decoherence, "_width_from_kernel", recorded)
     with pytest.warns(UncertifiedWidthWarning) as caught:

@@ -1,29 +1,19 @@
-"""Oracle checks for the special-function and quadrature layer.
+"""Oracle checks for the special functions the physics evaluates and for the
+quadrature layer.
 
-Every reference value here is produced independently of the implementation:
-ascending power series summed with math.fsum, closed-form integrals, and
-recurrence identities.
+The special functions are called as the physics modules call them: vectorized
+scipy.special calls on arrays.  Every reference value here is produced
+independently of the implementation: ascending power series summed with
+math.fsum, closed-form integrals, and recurrence identities.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 
-from synchrad.errors import ConvergenceError, DomainError, RangeError
-from synchrad.numerics import (
-    EULER_GAMMA,
-    Tolerance,
-    adaptive_integral,
-    airy_ai,
-    airy_ai_prime,
-    bessel_j,
-    bessel_j_prime,
-    cos_integral,
-    gauss_nodes,
-    harmonic_sum,
-    sin_integral,
-)
+from synchrad.numerics import EULER_GAMMA, Tolerance, gauss_nodes, sphere_rule
 
 
 def bessel_series(n, x, terms=80):
@@ -32,6 +22,16 @@ def bessel_series(n, x, terms=80):
     for k in range(terms):
         num = (-1.0) ** k * (x / 2.0) ** (n + 2 * k)
         vals.append(num / (math.factorial(k) * math.factorial(n + k)))
+    return math.fsum(vals)
+
+
+def bessel_prime_series(n, x, terms=80):
+    # termwise derivative: (n+2k)/2 (x/2)^(n+2k-1) (-1)^k / (k! (n+k)!)
+    vals = []
+    for k in range(terms):
+        if n + 2 * k > 0:
+            num = (-1.0) ** k * (n + 2 * k) / 2.0 * (x / 2.0) ** (n + 2 * k - 1)
+            vals.append(num / (math.factorial(k) * math.factorial(n + k)))
     return math.fsum(vals)
 
 
@@ -77,119 +77,52 @@ def ci_series(x, terms=60):
     return EULER_GAMMA + math.log(x) + math.fsum(vals)
 
 
+ORDERS = np.array([0, 1, 2, 5, 12])
+ARGS = np.array([0.3, 0.9, 1.0, 3.0, 4.2, 8.0])
+
+
 def test_bessel_matches_ascending_series():
-    for n in (0, 1, 2, 5, 12):
-        for x in (0.3, 1.0, 3.0, 8.0):
-            assert bessel_j(n, x) == pytest.approx(bessel_series(n, x), rel=1e-12, abs=1e-15)
+    # as _emission_blocks calls it: a column of orders against rows of arguments
+    got = scipy.special.jv(ORDERS[:, None], ARGS[None, :])
+    for i, n in enumerate(ORDERS.tolist()):
+        for j, x in enumerate(ARGS.tolist()):
+            assert got[i, j] == pytest.approx(bessel_series(n, x), rel=1e-12, abs=1e-15)
+
+
+def test_bessel_prime_matches_series():
+    got = scipy.special.jvp(ORDERS[:, None], ARGS[None, :], 1)
+    for i, n in enumerate(ORDERS.tolist()):
+        for j, x in enumerate(ARGS.tolist()):
+            assert got[i, j] == pytest.approx(bessel_prime_series(n, x), rel=1e-12, abs=1e-15)
 
 
 def test_bessel_recurrence_invariant():
     # 2n/x J_n = J_{n-1} + J_{n+1}
-    for n in (1, 4, 9):
-        for x in (0.7, 2.5, 6.0):
-            lhs = 2.0 * n / x * bessel_j(n, x)
-            rhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
-            assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-14)
-
-
-def test_bessel_negative_argument_reflection():
-    assert bessel_j(3, -2.0) == pytest.approx(-bessel_j(3, 2.0), rel=1e-14)
-    assert bessel_j(2, -2.0) == pytest.approx(bessel_j(2, 2.0), rel=1e-14)
-
-
-def test_bessel_prime_matches_central_difference():
-    h = 1e-6
-    for n in (0, 1, 5):
-        for x in (0.9, 4.2):
-            fd = (bessel_j(n, x + h) - bessel_j(n, x - h)) / (2 * h)
-            assert bessel_j_prime(n, x) == pytest.approx(fd, rel=1e-8, abs=1e-10)
-
-
-def test_bessel_range_contracts():
-    with pytest.raises(RangeError):
-        bessel_j(-1, 1.0)
-    with pytest.raises(RangeError):
-        bessel_j(10**6 + 1, 1.0)
-    with pytest.raises(RangeError):
-        bessel_j(2, 1e9)
+    n = np.array([1.0, 4.0, 9.0])[:, None]
+    x = np.array([0.7, 2.5, 6.0])[None, :]
+    lhs = 2.0 * n / x * scipy.special.jv(n, x)
+    rhs = scipy.special.jv(n - 1, x) + scipy.special.jv(n + 1, x)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-14)
 
 
 def test_airy_matches_maclaurin_series():
-    for x in (-4.0, -1.5, 0.0, 0.5, 2.0, 4.0):
-        assert airy_ai(x) == pytest.approx(airy_series(x), rel=1e-10, abs=1e-13)
+    # as s_ultrarel calls it: one array in, Ai and Ai' out
+    xs = [-4.0, -1.5, 0.0, 0.5, 2.0, 4.0]
+    ai, aip, _, _ = scipy.special.airy(np.array(xs))
+    for i, x in enumerate(xs):
+        assert ai[i] == pytest.approx(airy_series(x), rel=1e-10, abs=1e-13)
         if x != 0.0:
-            assert airy_ai_prime(x) == pytest.approx(airy_prime_series(x), rel=1e-10, abs=1e-13)
-
-
-def test_airy_range_contract():
-    with pytest.raises(RangeError):
-        airy_ai(-25.0)
-    with pytest.raises(RangeError):
-        airy_ai(300.0)
+            assert aip[i] == pytest.approx(airy_prime_series(x), rel=1e-10, abs=1e-13)
 
 
 def test_sin_cos_integrals_match_series():
-    for x in (0.1, 1.0, 4.0):
-        assert sin_integral(x) == pytest.approx(si_series(x), rel=1e-12, abs=1e-15)
-        assert cos_integral(x) == pytest.approx(ci_series(x), rel=1e-11, abs=1e-14)
-
-
-def test_sin_integral_is_odd():
-    for x in (0.5, 2.0, 7.0):
-        assert sin_integral(-x) == pytest.approx(-sin_integral(x), rel=1e-14)
-
-
-def test_cos_integral_domain():
-    with pytest.raises(DomainError):
-        cos_integral(0.0)
-    with pytest.raises(DomainError):
-        cos_integral(-1.0)
-
-
-def test_adaptive_integral_closed_forms():
-    # int_0^10 cos(50 x) e^(-x) dx = (1 - e^(-10)(cos 500 - 50 sin 500)) / 2501
-    exact = (1.0 - math.exp(-10.0) * (math.cos(500.0) - 50.0 * math.sin(500.0))) / 2501.0
-    val = adaptive_integral(lambda x: math.cos(50.0 * x) * math.exp(-x), 0.0, 10.0)
-    assert val == pytest.approx(exact, rel=1e-9)
-
-    val, err = adaptive_integral(lambda x: x**3, 0.0, 2.0, full=True)
-    assert val == pytest.approx(4.0, rel=1e-12)
-    assert err < 1e-8
-
-
-def test_adaptive_integral_linearity():
-    f = lambda x: math.exp(-(x**2))
-    a = adaptive_integral(f, 0.0, 1.0)
-    b = adaptive_integral(lambda x: 3.0 * f(x), 0.0, 1.0)
-    assert b == pytest.approx(3.0 * a, rel=1e-10)
-
-
-def test_adaptive_integral_domain():
-    with pytest.raises(DomainError):
-        adaptive_integral(lambda x: x, 1.0, 0.0)
-
-
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_adaptive_integral_rejects_non_finite_integrand():
-    with pytest.raises(ConvergenceError) as info:
-        adaptive_integral(lambda x: math.nan, 0.0, 1.0)
-    assert math.isnan(info.value.best_estimate)
-    with pytest.raises(ConvergenceError):
-        adaptive_integral(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
-
-
-def test_harmonic_sum_geometric():
-    assert harmonic_sum(lambda n: 0.5**n) == pytest.approx(1.0, rel=1e-9)
-    # sum n^2 x^n = x (1 + x) / (1 - x)^3
-    x = 0.8
-    exact = x * (1 + x) / (1 - x) ** 3
-    assert harmonic_sum(lambda n: n**2 * x**n) == pytest.approx(exact, rel=1e-8)
-
-
-def test_harmonic_sum_nonconvergent_raises():
-    with pytest.raises(ConvergenceError) as exc:
-        harmonic_sum(lambda n: 1.0, n_max_cap=1000)
-    assert exc.value.best_estimate == pytest.approx(1000.0)
+    # as p_const_velocity calls it: sici on |x|, Si(x) = copysign(Si(|x|), x)
+    x = np.array([0.1, 1.0, 4.0, -0.1, -1.0, -4.0])
+    si_abs, ci = scipy.special.sici(np.abs(x))
+    si = np.copysign(si_abs, x)
+    for i, xi in enumerate(x.tolist()):
+        assert si[i] == pytest.approx(si_series(xi), rel=1e-12, abs=1e-15)
+        assert ci[i] == pytest.approx(ci_series(abs(xi)), rel=1e-11, abs=1e-14)
 
 
 def test_gauss_nodes_polynomial_exactness():
@@ -214,8 +147,6 @@ def test_euler_gamma_against_independent_limit():
 
 
 def test_sphere_rule_is_cached_and_read_only():
-    from synchrad.numerics import sphere_rule
-
     nvec, weights = sphere_rule(12, 8)
     assert sphere_rule(12, 8)[0] is nvec
     assert nvec.shape == (12, 8, 3) and weights.shape == (12, 8)

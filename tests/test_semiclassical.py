@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from synchrad import semiclassical
 
-from synchrad.errors import DomainError
+from synchrad.errors import DomainError, RangeError
 from synchrad.semiclassical import (
     PhotonMode,
     Trajectory,
@@ -206,10 +206,20 @@ def test_totals_share_one_bessel_pass(monkeypatch):
 
 
 @settings(max_examples=8, deadline=None)
-@given(log_gamma=st.floats(math.log(2.0), math.log(1e4)))
+@given(log_gamma=st.floats(math.log(2.0), math.log(semiclassical.TOTALS_GAMMA_MAX)))
 def test_total_power_matches_lienard(log_gamma):
-    beam = BeamParams.from_gamma_radius(gamma=math.exp(log_gamma), R=1e5)
+    # exp(log(g)) can round one step above g
+    gamma = min(math.exp(log_gamma), semiclassical.TOTALS_GAMMA_MAX)
+    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1e5)
     assert total_power(beam) == pytest.approx(classical_power(beam), rel=1e-4)
+
+
+def test_totals_raise_above_the_certified_gamma_range():
+    # total_power is off by +1.0e3 relative at gamma = 5e4
+    beam = BeamParams.from_gamma_radius(gamma=5e4, R=1000.0)
+    for total in (total_power, total_photon_rate, momentum_loss_rate):
+        with pytest.raises(RangeError, match="gamma"):
+            total(beam)
 
 
 def test_total_rate_positive_and_at_rest_zero():
