@@ -20,7 +20,7 @@ import numpy as np
 
 from . import decoherence, ir_model, packets, semiclassical
 from .errors import DomainError, SynchradError, UncertifiedWidthWarning
-from .units import C_AU, BeamParams, LabInput, beam_from_lab
+from .units import C_AU, OMEGA_MAX_AU, BeamParams, LabInput, beam_from_lab
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -213,6 +213,12 @@ def _param(params, name, default=None, kind=float):
     return value
 
 
+def _inf_as_null(value: float):
+    """JSON null for a valid +inf (an unlocalized packet's width, the smallness
+    of a jump from rest); anything else, NaN included, goes to _write_json."""
+    return None if value == math.inf else value
+
+
 def _write_json(path, payload) -> None:
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
@@ -245,9 +251,15 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
             raise ConfigError(f"line {lineno}: spectrum.thetas must be finite, got {value!r}")
     else:
         thetas = list(np.linspace(0.0, math.pi, 19))
-    table = semiclassical.build_spectral_table(config.beam, harmonics, thetas)
+    rates = semiclassical.schott_angular_rate(
+        np.asarray(harmonics, dtype=float)[:, None], np.asarray(thetas, dtype=float), config.beam
+    )
     csv_path = os.path.join(out_dir, "spectrum.csv")
-    table.to_csv(csv_path)
+    with open(csv_path, "w", newline="\n") as f:
+        f.write("n,theta_rad,rate_au\n")
+        for n, row in zip(harmonics, rates.tolist()):
+            for theta, rate in zip(thetas, row):
+                f.write(f"{n},{theta:.16e},{rate:.16e}\n")
     json_path = os.path.join(out_dir, "spectrum.json")
     _write_json(
         json_path,
@@ -281,9 +293,10 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     points = _param(params, "points", default=64, kind=int)
     if not (math.isfinite(omega_min) and omega_min > 0):
         raise ConfigError(f"ir.omega_min must be positive and finite, got {omega_min!r}")
-    if not (math.isfinite(omega_max) and omega_max > omega_min):
+    if not (omega_min < omega_max <= OMEGA_MAX_AU):
         raise ConfigError(
-            f"ir.omega_max must be finite and above omega_min = {omega_min!r}, got {omega_max!r}"
+            f"ir.omega_max must be above omega_min = {omega_min!r} and at most "
+            f"{OMEGA_MAX_AU:g}, got {omega_max!r}"
         )
     if points < 1:
         raise ConfigError(f"ir.points must be at least 1, got {points}")
@@ -303,7 +316,7 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
         {
             "delta_au": delta,
             "delta_closed_form_au": ir_model.delta_shift_closed_form(jump),
-            "lambda_smallness": jump.smallness,
+            "lambda_smallness": _inf_as_null(jump.smallness),
             "total_count": ir_model.total_soft_count(
                 jump, omega_min, omega_max, delta_override=shift
             ),
@@ -332,19 +345,17 @@ def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
         [[0.0], np.exp(np.linspace(math.log(r_min), math.log(r_max), r_points))]
     )
     csv_path = os.path.join(out_dir, "decohere.csv")
-    with open(csv_path, "w", newline="\n") as f:
-        f.write("r_bohr,theta0_rad,S\n")
-        for theta0 in (math.pi / 2.0, 0.0):
-            fld = decoherence.decoherence_field(config.beam, t, r, theta0)
-            for rr, th, s in zip(fld.r, fld.theta0, fld.values):
-                f.write(f"{rr:.16e},{th:.16e},{s:.16e}\n")
+    # both axes in one field: transverse rows first, then longitudinal
+    decoherence.decoherence_field(
+        config.beam, t, np.tile(r, 2), np.repeat([math.pi / 2.0, 0.0], len(r))
+    ).to_csv(csv_path)
     payload = {"t_au": t}
     # an uncertified width is reported in the JSON rather than on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UncertifiedWidthWarning)
         for axis in ("transverse", "longitudinal"):
             width = decoherence.localization_width(config.beam, t, axis)
-            payload[f"width_{axis}_bohr"] = width
+            payload[f"width_{axis}_bohr"] = _inf_as_null(width)
             payload[f"width_{axis}_certified"] = width.certified
             payload[f"width_{axis}_rel_error"] = width.rel_error
     json_path = os.path.join(out_dir, "decohere.json")

@@ -28,6 +28,7 @@ __all__ = [
     "p_const_velocity",
     "p_nonrel_asymptotic",
     "PiecewiseConstantVelocity",
+    "GaussianPacket",
     "corrected_photon_number",
 ]
 
@@ -114,7 +115,6 @@ def p_general(
     t1: float,
     t2: float,
     mode_sum: Optional[ModeSum] = None,
-    drop_fast_terms: bool = True,
 ) -> PExponent:
     """Photon-interaction exponent from the three-term mode-sum bracket:
 
@@ -122,10 +122,9 @@ def p_general(
                        + |Q(t2)|^2 (1 - exp(+i mu t2))
                        - Q*(t1) Q(t2) (1 - exp(-i mu t1)) (1 - exp(+i mu t2)) ]
 
-    with mu = mu_coupling(mode_q, q').  When drop_fast_terms is set, the
-    single-time exponentials are zeroed where |mu| * t exceeds the
-    stationary-phase threshold; the mu cap at q' = q_c large-q' saturation is
-    applied throughout.
+    with mu = mu_coupling(mode_q, q').  The single-time exponentials are
+    zeroed where |mu| * t exceeds the stationary-phase threshold, and mu is
+    capped at its large-q' saturation value at q' = q_c.
     """
     mode_q = np.asarray(mode_q, dtype=float)
     ms = mode_sum or ModeSum()
@@ -146,9 +145,8 @@ def p_general(
         Q2 = amplitudes.amplitude(q_vecs, e, t2)
         f1 = 1.0 - np.exp(-1j * mu * t1)
         f2 = 1.0 - np.exp(1j * mu * t2)
-        if drop_fast_terms:
-            f1 = np.where(np.abs(mu * t1) > FAST_PHASE_THRESHOLD, 1.0, f1)
-            f2 = np.where(np.abs(mu * t2) > FAST_PHASE_THRESHOLD, 1.0, f2)
+        f1 = np.where(np.abs(mu * t1) > FAST_PHASE_THRESHOLD, 1.0, f1)
+        f2 = np.where(np.abs(mu * t2) > FAST_PHASE_THRESHOLD, 1.0, f2)
         bracket = (
             np.abs(Q1) ** 2 * f1 + np.abs(Q2) ** 2 * f2 - np.conj(Q1) * Q2 * f1 * f2
         )
@@ -295,25 +293,6 @@ class PiecewiseConstantVelocity:
     def breakpoints(self, t_end: float):
         if 0.0 < self.t_jump < t_end:
             return [0.0, self.t_jump, t_end]
-        return [0.0, t_end]
-
-
-@dataclass(frozen=True)
-class ConstantVelocity:
-    """Trivial velocity law for factorization tests."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-    def velocity(self, t) -> np.ndarray:
-        return np.broadcast_to(self.v, np.shape(t) + (3,))
-
-    def position(self, t) -> np.ndarray:
-        return self.v * np.asarray(t, dtype=float)[..., None]
-
-    def breakpoints(self, t_end: float):
         return [0.0, t_end]
 
 

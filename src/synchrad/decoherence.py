@@ -152,9 +152,9 @@ def _one_minus_j0(x: np.ndarray) -> np.ndarray:
 
 def _dephasing_factor(a_arg, b_arg) -> np.ndarray:
     """1 - J0(a) cos(b), assembled from the cancellation-free pieces
-    m = 1 - J0(a) and h = 1 - cos(b) = 2 sin^2(b/2):  m + h - m h."""
-    if a_arg is None and b_arg is None:
-        raise ValueError("at least one argument required")
+    m = 1 - J0(a) and h = 1 - cos(b) = 2 sin^2(b/2):  m + h - m h.  A None
+    argument stands for a = 0 or b = 0; sin(theta0) and cos(theta0) never
+    both vanish, so at most one is None."""
     m = _one_minus_j0(a_arg) if a_arg is not None else 0.0
     h = 2.0 * np.sin(b_arg / 2.0) ** 2 if b_arg is not None else 0.0
     return m + h - m * h
@@ -166,20 +166,16 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     pairs, so each temporary stays near 4 MB."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    a = k * s * sin0 if abs(sin0) > 1e-12 else None
-    b = k * u * cos0 if abs(cos0) > 1e-12 else None
+    a = None if abs(sin0) <= 1e-12 else k * s * sin0
+    b = None if abs(cos0) <= 1e-12 else k * u * cos0
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty(r.shape)
     block = max(1, int(500_000 / max(1, len(k))))
     for i in range(0, len(r), block):
         rc = r[i : i + block, None]
-        if a is None and b is None:
-            factor = np.zeros((len(rc), len(k)))
-        else:
-            factor = _dephasing_factor(
-                rc * a if a is not None else None,
-                rc * b if b is not None else None,
-            )
+        factor = _dephasing_factor(
+            rc * a if a is not None else None, rc * b if b is not None else None
+        )
         out[i : i + block] = factor @ W
     return out
 
@@ -259,6 +255,7 @@ def s_ultrarel(
     tw[0] = tw[-1] = h / 2.0
 
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
+    scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     pref = t * 2.0 ** (2.0 / 3.0) * beam.Z**2 * beam.omega0 / C_AU
     total = np.zeros(r.shape)
@@ -283,7 +280,7 @@ def s_ultrarel(
         # factor 2: mirror hemisphere
         total += 2.0 * wz * zeta ** (1.0 / 3.0) * ((1.0 - osc) @ (wt * kern))
     vals = pref * total
-    return float(vals[0]) if vals.size == 1 else vals
+    return float(vals[0]) if scalar else vals
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Theta used in the underlying per-harmonic distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -25,9 +25,7 @@ from .units import C_AU, BeamParams
 __all__ = [
     "Trajectory",
     "PhotonMode",
-    "SpectralTable",
     "circular_trajectory",
-    "transverse_polarization_basis",
     "transverse_polarization_pairs",
     "coupling_amplitude",
     "mean_photon_number",
@@ -73,24 +71,6 @@ def circular_trajectory(beam: BeamParams, t0: float = 0.0) -> Trajectory:
     return Trajectory(r0=r0, v0=v0, domain=(t0, math.inf))
 
 
-def transverse_polarization_basis(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal vectors transverse to q, built deterministically.
-
-    Tie-break when q is (anti)parallel to z: returns (x_hat, y_hat).
-    """
-    q = np.asarray(q, dtype=float)
-    qn = np.linalg.norm(q)
-    if qn == 0:
-        raise DomainError("polarization basis undefined for q = 0")
-    n = q / qn
-    if abs(n[0]) < 1e-14 and abs(n[1]) < 1e-14:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    e1 = np.cross([0.0, 0.0, 1.0], n)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return e1, e2
-
-
 def transverse_polarization_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized transverse basis for unit directions n[..., 3]:
     e1 = z x n / |z x n| (x_hat where n lies along z) and e2 = n x e1."""
@@ -126,37 +106,7 @@ class PhotonMode:
 
     @property
     def e_vec(self) -> np.ndarray:
-        return transverse_polarization_basis(self.q)[self.alpha - 1]
-
-
-def mode_from_harmonic(
-    beam: BeamParams, n: int, theta: float, phi: float = 0.0, alpha: int = 1
-) -> PhotonMode:
-    """Mode at harmonic n of the orbital frequency, polar angle theta from
-    the field axis."""
-    qmag = n * beam.omega0 / C_AU
-    q = qmag * np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
-    return PhotonMode(alpha=alpha, q=q)
-
-
-@dataclass
-class SpectralTable:
-    """Rows of (harmonic n, theta_rad, rate per atomic time per steradian)."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, n: int, theta: float, rate: float) -> None:
-        if rate < 0:
-            raise DomainError(f"negative rate {rate} for n={n}, theta={theta}")
-        self.rows.append((n, theta, rate))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            f.write("n,theta_rad,rate_au\n")
-            for n, theta, rate in self.rows:
-                f.write(f"{n},{theta:.16e},{rate:.16e}\n")
+        return transverse_polarization_pairs(self.q / np.linalg.norm(self.q))[self.alpha - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +189,36 @@ def rate_integrand(
 # ---------------------------------------------------------------------------
 
 
-def schott_angular_rate(n: int, theta: float, beam: BeamParams) -> float:
+def _schott_bracket(n, u, s, s2, beta: float):
+    """The Schott bracket cot^2(theta) J_n^2(x) + beta^2 J_n'^2(x) at
+    x = n beta sin(theta), from u = cos(theta), s = sin(theta) and
+    s2 = sin^2(theta); each caller rounds s and s2 its own way."""
+    x = n * beta * s
+    return (u**2 / s2) * scipy.special.jv(n, x) ** 2 + beta**2 * scipy.special.jvp(n, x, 1) ** 2
+
+
+def schott_angular_rate(n, theta, beam: BeamParams):
     """Photons per atomic time per steradian emitted into harmonic n at polar
     angle theta from the field axis:
 
         dN_n/(dt dOmega) = Z^2 n omega0 / (2 pi c)
                            * [cot^2(theta) J_n^2(n beta sin theta)
                               + beta^2 J_n'^2(n beta sin theta)]
+
+    n and theta broadcast against each other; scalars give a float.  Each
+    element equals the scalar call on it, bit for bit.
     """
-    if n < 1:
-        raise DomainError(f"harmonic must be >= 1, got {n}")
+    n, theta = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(theta, dtype=float))
+    if np.any(n < 1):
+        raise DomainError(f"harmonic must be >= 1, got {n.min():g}")
     pref = beam.Z**2 * n * beam.omega0 / (2.0 * math.pi * C_AU)
-    s = math.sin(theta)
-    if abs(s) < 1e-12:
-        # small-argument limit: only n = 1 survives, bracket -> beta^2 / 2
-        return pref * beam.beta**2 / 2.0 if n == 1 else 0.0
-    x = n * beam.beta * s
-    jn = float(scipy.special.jv(n, x))
-    jnp = float(scipy.special.jvp(n, x, 1))
-    c2 = math.cos(theta) ** 2
-    bracket = (c2 / s**2) * jn**2 + beam.beta**2 * jnp**2
-    return pref * bracket
+    s = np.sin(theta)
+    # small-argument limit on the axis: only n = 1 survives, bracket -> beta^2 / 2
+    axis = np.abs(s) < 1e-12
+    s = np.where(axis, 1.0, s)
+    bracket = _schott_bracket(n, np.cos(theta), s, s**2, beam.beta)
+    rate = pref * np.where(axis, np.where(n == 1, beam.beta**2 / 2.0, 0.0), bracket)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 _BLOCK = 16  # harmonics per Bessel evaluation: keeps the node arrays small
@@ -299,11 +258,7 @@ def _emission_blocks(n: np.ndarray, beam: BeamParams, n_theta: int):
         u, wt = gauss_nodes(0.0, np.array(umax)[:, None], n_theta)
         s2 = 1.0 - u**2
         s = np.sqrt(s2)
-        x = nb * beam.beta * s
-        jn = scipy.special.jv(nb, x)
-        jnp = scipy.special.jvp(nb, x, 1)
-        bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
-        yield slice(i, i + len(nb)), u, wt, s, bracket
+        yield slice(i, i + len(nb)), u, wt, s, _schott_bracket(nb, u, s, s2, beam.beta)
 
 
 @lru_cache(maxsize=8)
@@ -411,12 +366,3 @@ def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
     )
     return np.array([-longitudinal, 0.0, 0.0])
 
-
-def build_spectral_table(
-    beam: BeamParams, harmonics: Sequence[int], thetas: Sequence[float]
-) -> SpectralTable:
-    table = SpectralTable()
-    for n in harmonics:
-        for theta in thetas:
-            table.add(n, theta, schott_angular_rate(n, theta, beam))
-    return table

@@ -20,6 +20,13 @@ AU_TIME_SECONDS = 2.4188843265857e-17
 # Largest accepted Lorentz factor: far above any storage ring (LEP reached
 # about 2e5) and far below where gamma**4 overflows a float (about 1e77).
 GAMMA_MAX = 1e12
+# Largest accepted |Z|, orbit radius (bohr) and photon frequency (a.u.): far
+# above any nucleus, any orbit (the observable universe spans about 1e37 bohr)
+# and the electron rest energy c**2, and far below where Z**2, R**2,
+# GAMMA_MAX * R**2 or (omega / c)**2 overflow a float.
+Z_MAX = 1e6
+R_MAX_BOHR = 1e40
+OMEGA_MAX_AU = 1e12
 
 
 @dataclass(frozen=True)
@@ -63,10 +70,10 @@ class BeamParams:
     def from_gamma_radius(cls, gamma: float, R: float, Z: float = 1.0) -> "BeamParams":
         if not (1.0 <= gamma <= GAMMA_MAX):
             raise DomainError(f"gamma must satisfy 1 <= gamma <= {GAMMA_MAX:g}, got {gamma}")
-        if not (math.isfinite(R) and R > 0):
-            raise DomainError(f"orbit radius must be positive and finite, got {R}")
-        if not math.isfinite(Z):
-            raise DomainError(f"charge number must be finite, got {Z}")
+        if not (0 < R <= R_MAX_BOHR):
+            raise DomainError(f"orbit radius must satisfy 0 < R <= {R_MAX_BOHR:g} bohr, got {R}")
+        if not abs(Z) <= Z_MAX:
+            raise DomainError(f"charge number must satisfy |Z| <= {Z_MAX:g}, got {Z}")
         beta = math.sqrt(max(0.0, 1.0 - 1.0 / gamma**2))
         v0 = beta * C_AU
         omega0 = v0 / R

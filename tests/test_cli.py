@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from synchrad import ir_model
 from synchrad.cli import ConfigError, main, parse_config, run
+from synchrad.decoherence import Width
 from synchrad.semiclassical import classical_power, schott_angular_rate
 from synchrad.units import C_AU
 
@@ -363,10 +364,11 @@ def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys, monkey
     assert not (tmp_path / "out" / "spectrum.json").exists()
 
 
-def test_overflow_exits_3_without_writing_json(tmp_path, capsys):
+def test_overflow_exits_3_without_writing_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("synchrad.semiclassical.classical_power", lambda beam: math.exp(1e3))
     cfg = tmp_path / "cfg"
     cfg.write_text(
-        "command = spectrum\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\nbeam.z = 1e300\n"
+        "command = spectrum\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
         "spectrum.harmonics = 1\nspectrum.thetas = 0.5\n"
     )
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
@@ -422,6 +424,82 @@ def test_huge_gamma_is_config_error(tmp_path, capsys, command, beam):
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"] == "ConfigError" and "gamma" in diag["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, lines, key",
+    [
+        ("spectrum", "beam.gamma = 2.0\nbeam.radius_bohr = 1000.0\nbeam.z = 1e300", "charge"),
+        ("packet", "beam.gamma = 2.0\nbeam.radius_bohr = 1e300", "radius"),
+        (
+            "ir",
+            "beam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+            "ir.v1 = 13.7, 0, 0\nir.v2 = 16.4, 0, 0\nir.omega_max = 1e300",
+            "omega_max",
+        ),
+    ],
+)
+def test_absurd_finite_inputs_are_config_errors(tmp_path, capsys, command, lines, key):
+    # Z**2, R**2 and (omega / c)**2 would overflow: the bounds beside
+    # units.GAMMA_MAX reject these at the boundary
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"command = {command}\n{lines}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError" and key in diag["message"]
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_unlocalized_widths_are_written_as_null(tmp_path, capsys):
+    # at t = 1e-3 a.u. the packet is not localized: each width is +inf,
+    # written as JSON null, and the run succeeds
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "command = decohere\nbeam.gamma = 10.0\nbeam.radius_bohr = 1000.0\n"
+        "decohere.t_au = 1e-3\ndecohere.r_points = 4\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads((out / "decohere.json").read_text(), parse_constant=_reject_non_finite)
+    for axis in ("transverse", "longitudinal"):
+        assert payload[f"width_{axis}_bohr"] is None
+        assert payload[f"width_{axis}_certified"] is True
+        assert payload[f"width_{axis}_rel_error"] == 0.0
+    assert (out / "decohere.csv").exists()
+
+
+def test_jump_from_rest_writes_a_null_smallness(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "command = ir\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+        "ir.v1 = 0, 0, 0\nir.v2 = 16.4, 0, 0\nir.points = 4\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads((out / "ir.json").read_text(), parse_constant=_reject_non_finite)
+    assert payload["lambda_smallness"] is None
+    assert sorted(payload) == ["delta_au", "delta_closed_form_au", "lambda_smallness", "total_count"]
+    assert payload["total_count"] > 0.0
+
+
+def test_a_nan_width_still_exits_3(tmp_path, capsys, monkeypatch):
+    # only +inf is a valid answer written as null; NaN is a runtime failure
+    monkeypatch.setattr(
+        "synchrad.decoherence.localization_width", lambda beam, t, axis: Width(math.nan)
+    )
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "command = decohere\nbeam.gamma = 10.0\nbeam.radius_bohr = 1000.0\n"
+        "decohere.t_au = 1e6\ndecohere.r_points = 4\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().out)["command"] == "decohere"
+    assert not (out / "decohere.json").exists()
 
 
 def test_spectrum_refuses_gamma_above_the_certified_totals(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synchrad.corrections import (
-    ConstantVelocity,
     GaussianPacket,
     ModeSum,
     PiecewiseConstantVelocity,
@@ -26,6 +25,11 @@ from synchrad.semiclassical import PhotonMode
 from synchrad.units import C_AU
 
 V01 = 0.1 * C_AU
+
+
+def steady(v):
+    """Constant velocity v: the jump law with equal velocities on both sides."""
+    return PiecewiseConstantVelocity(v, v, t_jump=0.0)
 
 
 def small_mode_sum():
@@ -173,7 +177,7 @@ def test_cutoff_sensitivity_is_logarithmic():
 def test_corrected_number_semiclassical_path():
     # with no exponent the double integral factorizes into |int Qdot|^2
     v = np.array([0.05 * C_AU, 0.0, 0.0])
-    law = ConstantVelocity(v)
+    law = steady(v)
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     T = 4.0
     got = corrected_photon_number(law, mode, T)
@@ -185,7 +189,7 @@ def test_corrected_number_semiclassical_path():
 
 def test_constant_exponent_factorizes():
     # P(t1, t2) = const real p multiplies the number by exp(-p) exactly
-    law = ConstantVelocity(np.array([0.05 * C_AU, 0.0, 0.0]))
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     base = corrected_photon_number(law, mode, 2.0)
     for p in (0.3, 1.0, 2.5):
@@ -223,18 +227,18 @@ def test_gaussian_packet_nodes_normalized():
 def test_packet_averaging_reduces_to_plain_at_zero_width():
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     v = np.array([0.05 * C_AU, 0.0, 0.0])
-    plain = corrected_photon_number(ConstantVelocity(v), mode, 2.0)
+    plain = corrected_photon_number(steady(v), mode, 2.0)
     packet = GaussianPacket(k0=v, delta_l=1e6, delta_perp=1e6, n_nodes=3)
     averaged = corrected_photon_number(
-        ConstantVelocity(v),
+        steady(v),
         mode,
         2.0,
         packet=packet,
-        velocity_law_factory=lambda k: ConstantVelocity(k),
+        velocity_law_factory=steady,
     )
     assert averaged == pytest.approx(plain, rel=1e-6)
     with pytest.raises(DomainError):
-        corrected_photon_number(ConstantVelocity(v), mode, 2.0, packet=packet)
+        corrected_photon_number(steady(v), mode, 2.0, packet=packet)
 
 
 # A criterion-06-like jump off the axes, with the values the per-call sphere
@@ -322,7 +326,7 @@ def test_hermitian_fill_calls_the_provider_on_the_upper_triangle_in_order():
         calls.append((t1, t2))
         return 1e-3 * (t1 - t2) * (1.0 + 2.0j)
 
-    law = ConstantVelocity(np.array([0.05 * C_AU, 0.0, 0.0]))
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=6)
     times = [t2 for _, t2 in calls[:6]]
@@ -331,7 +335,7 @@ def test_hermitian_fill_calls_the_provider_on_the_upper_triangle_in_order():
 
 
 def test_non_finite_exponent_raises_with_the_first_bad_pair():
-    law = ConstantVelocity(np.array([0.05 * C_AU, 0.0, 0.0]))
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     seen = []
 
@@ -363,7 +367,7 @@ def test_qdot_equals_the_per_time_loop():
     times = np.linspace(0.0, 1.0, 97)
     for law in (
         PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5),
-        ConstantVelocity(JUMP_V2),
+        steady(JUMP_V2),
     ):
         for alpha in (1, 2):
             mode = PhotonMode(alpha=alpha, q=JUMP_Q)

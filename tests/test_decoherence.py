@@ -86,6 +86,16 @@ def test_ultrarel_epsilon_plateau():
     assert abs(a - b) < 0.02 * abs(a)
 
 
+def test_ultrarel_and_averaged_share_the_scalar_contract():
+    # a float only for a scalar r: a one-element array stays an array
+    beam = BeamParams.from_gamma_radius(1000.0, 3.78e10)
+    for s_of in (s_averaged, s_ultrarel):
+        one = s_of(np.array([5.0]), 0.8, 1.0, beam)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        scalar = s_of(5.0, 0.8, 1.0, beam)
+        assert isinstance(scalar, float) and scalar == one[0]
+
+
 def test_ultrarel_validity_warning():
     beam = BeamParams.from_gamma_radius(1000.0, 3.78e10)
     with pytest.warns(UserWarning, match="validity"):

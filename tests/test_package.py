@@ -1,6 +1,8 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and every
+public function or class a module defines is exported."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +17,19 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names undefined attributes: {missing}"
+
+
+@pytest.mark.parametrize(
+    "module_name", [m for m in MODULES if hasattr(importlib.import_module(m), "__all__")]
+)
+def test_every_public_definition_is_exported(module_name):
+    module = importlib.import_module(module_name)
+    defined = [
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module_name
+    ]
+    unlisted = sorted(set(defined) - set(module.__all__))
+    assert not unlisted, f"{module_name} defines public names missing from __all__: {unlisted}"

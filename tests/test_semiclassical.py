@@ -15,12 +15,10 @@ from synchrad.errors import DomainError, RangeError
 from synchrad.semiclassical import (
     PhotonMode,
     Trajectory,
-    build_spectral_table,
     circular_trajectory,
     classical_power,
     coupling_amplitude,
     mean_photon_number,
-    mode_from_harmonic,
     momentum_loss_rate,
     rate_integrand,
     schott_angular_rate,
@@ -28,7 +26,7 @@ from synchrad.semiclassical import (
     spectral_sum,
     total_photon_rate,
     total_power,
-    transverse_polarization_basis,
+    transverse_polarization_pairs,
 )
 from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
 
@@ -40,17 +38,18 @@ def uniform_trajectory(v):
 
 def test_polarization_basis_orthonormal():
     for q in ([0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.3, -0.4, 0.5]):
-        e1, e2 = transverse_polarization_basis(np.array(q))
+        e1, e2 = (PhotonMode(alpha=alpha, q=np.array(q)).e_vec for alpha in (1, 2))
         n = np.array(q) / np.linalg.norm(q)
         for e in (e1, e2):
             assert abs(e @ n) < 1e-13
             assert np.linalg.norm(e) == pytest.approx(1.0, rel=1e-13)
         assert abs(e1 @ e2) < 1e-13
-    e1, e2 = transverse_polarization_basis(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(e1, [1.0, 0.0, 0.0])
-    assert np.allclose(e2, [0.0, 1.0, 0.0])
+    # along the field axis the pair is (x_hat, y_hat); every pair is right-handed
+    e1, e2 = transverse_polarization_pairs(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
+    assert e1[0].tolist() == [1.0, 0.0, 0.0] and e2[0].tolist() == [0.0, 1.0, 0.0]
+    assert np.allclose(np.cross(e1[1], e2[1]), [0.6, 0.0, 0.8], atol=1e-15)
     with pytest.raises(DomainError):
-        transverse_polarization_basis(np.zeros(3))
+        PhotonMode(alpha=1, q=np.zeros(3))
 
 
 def test_uniform_velocity_amplitude_closed_form():
@@ -124,6 +123,35 @@ def test_schott_angular_rate_nonnegative():
     for n in (1, 2, 5, 20):
         for theta in np.linspace(0.0, math.pi, 17):
             assert schott_angular_rate(n, theta, beam) >= 0.0
+
+
+_ANGLES = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 2000), min_size=1, max_size=5),
+    thetas=st.lists(_ANGLES, min_size=1, max_size=5),
+    log_gamma=st.floats(0.0, math.log(1e4)),
+    bad=st.integers(-3, 0),
+)
+def test_schott_angular_rate_array_contract(ns, thetas, log_gamma, bad):
+    beam = BeamParams.from_gamma_radius(gamma=math.exp(log_gamma), R=1e4, Z=2.0)
+    rates = schott_angular_rate(np.array(ns)[:, None], np.array(thetas), beam)
+    assert rates.shape == (len(ns), len(thetas))
+    # the mesh call is the scalar call at every node, bit for bit
+    scalar = [[schott_angular_rate(n, theta, beam) for theta in thetas] for n in ns]
+    assert all(isinstance(x, float) for row in scalar for x in row)
+    assert rates.tolist() == scalar
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+    for i, n in enumerate(ns):
+        for j, theta in enumerate(thetas):
+            if abs(math.sin(theta)) < 1e-12:
+                pref = beam.Z**2 * n * beam.omega0 / (2.0 * math.pi * C_AU)
+                on_axis = pref * beam.beta**2 / 2.0 if n == 1 else 0.0
+                assert rates[i, j] == pytest.approx(on_axis, rel=1e-15, abs=0.0)
+    with pytest.raises(DomainError):
+        schott_angular_rate(np.array(ns + [bad])[:, None], np.array(thetas), beam)
 
 
 def test_harmonic_rate_against_independent_quadrature():
@@ -238,23 +266,3 @@ def test_momentum_loss_beamed_limit():
     assert -loss[0] == pytest.approx(total_power(beam) / C_AU, rel=2e-2)
     assert -loss[0] <= total_power(beam) / C_AU
 
-
-def test_mode_from_harmonic_geometry():
-    beam = BeamParams.from_gamma_radius(gamma=2.0, R=500.0)
-    mode = mode_from_harmonic(beam, 3, theta=0.8, phi=0.4, alpha=2)
-    assert mode.omega == pytest.approx(3 * beam.omega0, rel=1e-12)
-    assert mode.q[2] == pytest.approx(3 * beam.omega0 / C_AU * math.cos(0.8), rel=1e-12)
-
-
-def test_spectral_table_csv_format(tmp_path):
-    beam = BeamParams.from_gamma_radius(gamma=2.0, R=500.0)
-    table = build_spectral_table(beam, [1, 2], [0.5, 1.0])
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    lines = path.read_bytes().decode().split("\n")
-    assert lines[0] == "n,theta_rad,rate_au"
-    assert len(lines) == 6 and lines[-1] == ""
-    n, theta, rate = lines[1].split(",")
-    assert n == "1"
-    assert float(theta) == pytest.approx(0.5)
-    assert float(rate) == pytest.approx(schott_angular_rate(1, 0.5, beam), rel=1e-15)
