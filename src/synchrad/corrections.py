@@ -39,6 +39,10 @@ DEFAULT_QC = C_AU
 # in the mode-sum bracket are dropped (stationary-phase regime).
 FAST_PHASE_THRESHOLD = 20.0
 
+# Lags |t1 - t2| remembered per cached constant-velocity geometry (about
+# 100 bytes each); the oldest is dropped first.
+_P_MEMO_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class PExponent:
@@ -168,9 +172,10 @@ def p_general(
 @lru_cache(maxsize=8)
 def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma, n_polar, n_azimuth):
     """The dt-independent part of p_const_velocity over the direction grid:
-    (weights, [n' x v0]^2 / (1 - n'.v0/c)^2, w2, w2 + w1, w2 |w2 + w1|),
-    or None for v0 = 0.  Keyed by the bytes of v0 and q, so the key tells
-    -0.0 from 0.0 exactly as the arithmetic does."""
+    (weights, [n' x v0]^2 / (1 - n'.v0/c)^2, w2, w2 + w1, w2 |w2 + w1|,
+    memo), or None for v0 = 0; memo maps |dt| to the angular integral at
+    +|dt|.  Keyed by the bytes of v0 and q, so the key tells -0.0 from 0.0
+    exactly as the arithmetic does."""
     v0 = np.frombuffer(v0_bytes)
     q = np.frombuffer(q_bytes)
     if np.linalg.norm(v0) >= C_AU:
@@ -186,7 +191,32 @@ def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma, n_polar, n_azimuth):
     out = (weights, cross2 / (1.0 - ndotv / C_AU) ** 2, w2, w12, w2 * np.abs(w12))
     for arr in out[1:]:
         arr.setflags(write=False)
-    return out
+    return out + ({},)
+
+
+def _const_velocity_integral(geometry, dt: float) -> complex:
+    """The angular integral of p_const_velocity at lag dt != 0."""
+    weights, factor, w2, w12, w2w12, _ = geometry
+    # one Si/Ci pass per argument: Ci takes |x|, and Si is odd, so
+    # Si(x) = copysign(Si(|x|), x)
+    x2 = w2 * dt
+    x12 = w12 * dt
+    si2a, ci2a = scipy.special.sici(np.abs(x2))
+    si12a, ci12a = scipy.special.sici(np.abs(x12))
+    log_arg = w2w12 * dt**2
+    if log_arg.min() < np.finfo(float).tiny:  # dt**2 lost bits or underflowed to 0
+        log_term = np.log(w2w12) + 2.0 * math.log(abs(dt))
+    else:
+        log_term = np.log(log_arg)
+    bracket = (
+        1j * np.copysign(si2a, x2)
+        + 1j * np.copysign(si12a, x12)
+        + 2.0 * EULER_GAMMA
+        - ci2a
+        - ci12a
+        + log_term
+    )
+    return np.sum(weights * (factor * bracket))
 
 
 def p_const_velocity(
@@ -210,7 +240,9 @@ def p_const_velocity(
 
     with w1 = q_c (n'.q)/(m gamma), w2 = (c - n'.v0) q_c, dt = t1 - t2.
     The direction-grid geometry is cached per (v0, q, q_c, gamma, grid), so a
-    table over many lags evaluates it once.
+    table over many lags evaluates it once, and with it the angular integral
+    per |dt|: P(-dt) = conj P(dt) holds bit for bit (Si is odd, Ci and the
+    log are even), so a table over symmetric lags does half the Si/Ci work.
     """
     v0 = np.asarray(v0, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -220,28 +252,15 @@ def p_const_velocity(
     dt = t1 - t2
     if dt == 0.0 or geometry is None:
         return PExponent(0.0 + 0.0j, t1, t2, context="const-velocity")
-    weights, factor, w2, w12, w2w12 = geometry
-
-    # one Si/Ci pass per argument: Ci takes |x|, and Si is odd, so
-    # Si(x) = copysign(Si(|x|), x)
-    x2 = w2 * dt
-    x12 = w12 * dt
-    si2a, ci2a = scipy.special.sici(np.abs(x2))
-    si12a, ci12a = scipy.special.sici(np.abs(x12))
-    log_arg = w2w12 * dt**2
-    if log_arg.min() < np.finfo(float).tiny:  # dt**2 lost bits or underflowed to 0
-        log_term = np.log(w2w12) + 2.0 * math.log(abs(dt))
+    *_, memo = geometry
+    known = memo.get(abs(dt))
+    if known is None:
+        do_integral = _const_velocity_integral(geometry, dt)
+        if len(memo) >= _P_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[abs(dt)] = do_integral if dt > 0 else do_integral.conjugate()
     else:
-        log_term = np.log(log_arg)
-    bracket = (
-        1j * np.copysign(si2a, x2)
-        + 1j * np.copysign(si12a, x12)
-        + 2.0 * EULER_GAMMA
-        - ci2a
-        - ci12a
-        + log_term
-    )
-    do_integral = np.sum(weights * (factor * bracket))
+        do_integral = known if dt > 0 else known.conjugate()
     value = Z**2 / (4.0 * math.pi**2 * C_AU**3) * do_integral
     return PExponent(complex(value), t1, t2, context="const-velocity")
 

@@ -41,6 +41,8 @@ __all__ = [
 
 # Largest gamma at which the totals are tested against Lienard's power; above
 # about 3e4, jv at the tail's harmonic orders is inaccurate and they go wrong.
+# J_n and J_n' both come from jv at orders n -/+ 1 (DLMF 10.6.1), so the
+# bound is set by jv alone.
 TOTALS_GAMMA_MAX = 1e4
 
 
@@ -189,12 +191,23 @@ def rate_integrand(
 # ---------------------------------------------------------------------------
 
 
+def _bessel_pair(n, x):
+    """(J_n(x), J_n'(x)) from two Bessel calls, J_{n-1} and J_{n+1}, by DLMF
+    10.6.1: J_n' = (J_{n-1} - J_{n+1}) / 2 is scipy's jvp(n, x, 1) bit for
+    bit, and J_n = x (J_{n-1} + J_{n+1}) / (2n) adds two positive terms for
+    0 < x < n, so it is as accurate as jv(n, x).  Needs n >= 1 and x > 0."""
+    lo = scipy.special.jv(n - 1.0, x)
+    hi = scipy.special.jv(n + 1.0, x)
+    return x * (lo + hi) / (2.0 * n), (lo - hi) / 2.0
+
+
 def _schott_bracket(n, u, s, s2, beta: float):
     """The Schott bracket cot^2(theta) J_n^2(x) + beta^2 J_n'^2(x) at
     x = n beta sin(theta), from u = cos(theta), s = sin(theta) and
-    s2 = sin^2(theta); each caller rounds s and s2 its own way."""
-    x = n * beta * s
-    return (u**2 / s2) * scipy.special.jv(n, x) ** 2 + beta**2 * scipy.special.jvp(n, x, 1) ** 2
+    s2 = sin^2(theta); each caller rounds s and s2 its own way.  J_n and
+    J_n' come from one _bessel_pair."""
+    jn, jnp = _bessel_pair(n, n * beta * s)
+    return (u**2 / s2) * jn**2 + beta**2 * jnp**2
 
 
 def schott_angular_rate(n, theta, beam: BeamParams):

@@ -27,6 +27,10 @@ GAMMA_MAX = 1e12
 Z_MAX = 1e6
 R_MAX_BOHR = 1e40
 OMEGA_MAX_AU = 1e12
+# Smallest accepted orbit radius (bohr): far below a nucleus (about 2e-5
+# bohr), and far above where the orbital frequency c / R, its square in the
+# radiated power or the harmonic wavenumbers up to 50 GAMMA_MAX**3 overflow.
+R_MIN_BOHR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,16 @@ class BeamParams:
     def from_gamma_radius(cls, gamma: float, R: float, Z: float = 1.0) -> "BeamParams":
         if not (1.0 <= gamma <= GAMMA_MAX):
             raise DomainError(f"gamma must satisfy 1 <= gamma <= {GAMMA_MAX:g}, got {gamma}")
-        if not (0 < R <= R_MAX_BOHR):
-            raise DomainError(f"orbit radius must satisfy 0 < R <= {R_MAX_BOHR:g} bohr, got {R}")
+        if not (R_MIN_BOHR <= R <= R_MAX_BOHR):
+            raise DomainError(
+                f"orbit radius must satisfy {R_MIN_BOHR:g} <= R <= {R_MAX_BOHR:g} bohr, got {R}"
+            )
         if not abs(Z) <= Z_MAX:
             raise DomainError(f"charge number must satisfy |Z| <= {Z_MAX:g}, got {Z}")
         beta = math.sqrt(max(0.0, 1.0 - 1.0 / gamma**2))
         v0 = beta * C_AU
         omega0 = v0 / R
         H0 = gamma * C_AU * omega0
-        if not math.isfinite(H0):
-            raise DomainError(f"orbit radius {R} is too small: the orbital frequency overflows")
         return cls(Z=Z, gamma=gamma, R=R, beta=beta, v0=v0, omega0=omega0, H0=H0)
 
 

@@ -337,7 +337,7 @@ def test_spectrum_and_ir_reject_bad_input_as_config_error(tmp_path, capsys, comm
         "beam.energy_gev = inf\nbeam.radius_m = 2.0",
         "beam.energy_gev = 0.68\nbeam.radius_m = nan",
         "beam.energy_gev = 0.68\nbeam.radius_m = 2.0\nbeam.z = inf",
-        # finite, but the orbital frequency v / R overflows
+        # finite, but far below units.R_MIN_BOHR: v / R would overflow
         "beam.gamma = 2.0\nbeam.radius_bohr = 1e-308",
     ],
 )
@@ -437,11 +437,20 @@ def test_huge_gamma_is_config_error(tmp_path, capsys, command, beam):
             "ir.v1 = 13.7, 0, 0\nir.v2 = 16.4, 0, 0\nir.omega_max = 1e300",
             "omega_max",
         ),
+        # omega0**2 = (v / R)**2 in total_power would overflow
+        ("spectrum", "beam.gamma = 2.0\nbeam.radius_bohr = 1e-200", "radius"),
+        ("packet", "beam.gamma = 2.0\nbeam.radius_bohr = 1e-200", "radius"),
+        ("decohere", "beam.gamma = 2.0\nbeam.radius_bohr = 1e-200\ndecohere.t_au = 1e6", "radius"),
+        (
+            "ir",
+            "beam.gamma = 2.0\nbeam.radius_bohr = 1e-200\nir.v1 = 13.7, 0, 0\nir.v2 = 16.4, 0, 0",
+            "radius",
+        ),
     ],
 )
 def test_absurd_finite_inputs_are_config_errors(tmp_path, capsys, command, lines, key):
-    # Z**2, R**2 and (omega / c)**2 would overflow: the bounds beside
-    # units.GAMMA_MAX reject these at the boundary
+    # Z**2, R**2, (v / R)**2 and (omega / c)**2 would overflow: the bounds
+    # beside units.GAMMA_MAX reject these at the boundary
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"command = {command}\n{lines}\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -518,8 +527,8 @@ def test_spectrum_refuses_gamma_above_the_certified_totals(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((out / "spectrum.json").read_text())
     # the gamma = 1e4 totals pinned in tests/test_semiclassical.py
-    assert payload["total_power_au"] == 913585530005.2351
-    assert payload["total_photon_rate_au"] == 14.432260537695027
+    assert payload["total_power_au"] == 913585530221.7722
+    assert payload["total_photon_rate_au"] == 14.43226053901171
 
 
 def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):

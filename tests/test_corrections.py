@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from synchrad import corrections
 from synchrad.corrections import (
     GaussianPacket,
     ModeSum,
@@ -119,6 +120,8 @@ def test_p_const_velocity_diagonal_and_hermitian_bit_for_bit(
     kw = dict(q_c=q_c, gamma=gamma, n_polar=12, n_azimuth=8)
     assert p_const_velocity(v0, q, t1=t1, t2=t1, **kw).value == 0.0
     p12 = p_const_velocity(v0, q, t1=t1, t2=t2, **kw).value
+    # drop the geometry and its per-|dt| memo, so p21 is computed, not recalled
+    corrections._const_velocity_geometry.cache_clear()
     p21 = p_const_velocity(v0, q, t1=t2, t2=t1, **kw).value
     assert math.isfinite(p12.real) and math.isfinite(p12.imag)
     assert (p21.real, p21.imag) == (p12.real, -p12.imag)
@@ -301,7 +304,7 @@ def test_corrected_numbers_equal_the_per_entry_fill():
 def test_p_table_makes_one_si_ci_pass_per_argument_and_one_sphere_build(monkeypatch):
     import scipy.special
 
-    from synchrad import corrections, numerics
+    from synchrad import numerics
 
     sici, gauss = scipy.special.sici, numerics.gauss_nodes
     elems, builds = [], []
@@ -312,9 +315,12 @@ def test_p_table_makes_one_si_ci_pass_per_argument_and_one_sphere_build(monkeypa
     v0, q = np.array([0.0, 0.15 * C_AU, 0.0]), np.array([0.01, 0.0, 0.02])
     p_const_velocity(v0, q, t1=0.25, t2=0.0)
     assert elems == [48 * 32, 48 * 32]
-    for d in np.linspace(-1.0, 1.0, 256):
+    # 128 lags and their exact negatives (linspace(-1, 1, 256) itself is not
+    # symmetric in the last bit): one pass per |dt|, plus the first call's
+    half = np.linspace(-1.0, 1.0, 256)[128:]
+    for d in np.concatenate([-half[::-1], half]):
         p_const_velocity(v0, q, t1=d, t2=0.0)
-    assert len(elems) == 2 * 257
+    assert len(elems) == 2 * 129
     assert builds == [(-1.0, 1.0, 48)]
     assert corrections._const_velocity_geometry.cache_info().misses == 1
 

@@ -435,7 +435,9 @@ def _mode_table_loop(beam, n_exact, per_decade, n_theta):
         s2 = 1.0 - u**2
         s = np.sqrt(s2)
         x = n * beam.beta * s
-        jn = scipy.special.jv(n, x)
+        # J_n from the recurrence, as _schott_bracket forms it: this checks
+        # the blocking, not the Bessel routine
+        jn = x * (scipy.special.jv(n - 1, x) + scipy.special.jv(n + 1, x)) / (2.0 * n)
         jnp = scipy.special.jvp(n, x, 1)
         bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
         ks.append(np.full(n_theta, n * beam.omega0 / C_AU))
