@@ -49,7 +49,7 @@ from .errors import (
     UncertifiedWidthWarning,
 )
 from .numerics import gauss_nodes
-from .semiclassical import _default_cap, _emission_blocks, _harmonic_grid
+from .semiclassical import _beaming_windows, _default_cap, _emission_blocks, _harmonic_grid
 from .units import AU_TIME_SECONDS, C_AU, BeamParams
 
 __all__ = [
@@ -124,14 +124,16 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
 
     Harmonics up to n_exact enter with unit weight; the smooth tail up to
     50 gamma^3 is carried on a log grid with trapezoid weights.  Polar nodes
-    are Gauss points confined to the beaming window of each harmonic, with
-    the lower-hemisphere mirror folded into the weight.
+    are Gauss points confined to 8 beaming widths of each harmonic
+    (_beaming_windows), with the lower-hemisphere mirror folded into the
+    weight.
     """
     n, wn, _ = _harmonic_grid(_default_cap(beam), n_exact, per_decade)
     pref = beam.Z**2 * beam.omega0 / C_AU
     k = np.repeat(n * beam.omega0 / C_AU, n_theta)
     s, u, W = (np.empty((len(n), n_theta)) for _ in range(3))
-    for rows, u_rows, wt, s_rows, bracket in _emission_blocks(n, beam, n_theta):
+    umax = _beaming_windows(n, beam.gamma, 8.0)
+    for rows, u_rows, wt, s_rows, bracket in _emission_blocks(n, umax, beam, n_theta):
         u[rows], s[rows] = u_rows, s_rows
         # factor 2 folds in the mirror hemisphere (integrand even in cos theta)
         W[rows] = 2.0 * pref * n[rows, None] * wn[rows, None] * wt * bracket

@@ -10,7 +10,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from synchrad import decoherence
+from synchrad import decoherence, semiclassical
 from synchrad.decoherence import (
     CoherenceKernel,
     coherence_kernel,
@@ -457,6 +457,28 @@ def test_mode_table_equals_per_harmonic_loop(resolution):
     want = _mode_table_loop(beam, *resolution)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_mode_table_makes_one_bessel_pass_at_the_width_resolution(monkeypatch):
+    # the decoherence table keeps its own rule: 24 nodes per harmonic at
+    # _WIDTH_RES, two jv calls per node, and no more
+    beam = beam_from_lab(FIAN_60)
+    res = decoherence._WIDTH_RES
+    assert (res["n_exact"], res["per_decade"], res["n_theta"]) == (128, 16, 24)
+    calls = {"jv": 0, "jvp": 0}
+
+    def counted(name, fn):
+        def wrapper(v, z, *args):
+            calls[name] += np.size(z)
+            return fn(v, z, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scipy.special, name, counted(name, getattr(scipy.special, name)))
+    decoherence._mode_table.__wrapped__(beam, **res)
+    n, _, _ = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 128, 16)
+    assert calls == {"jv": 2 * len(n) * 24, "jvp": 0}
 
 
 def test_pchip_slopes_match_scipy():
