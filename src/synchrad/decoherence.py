@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 import scipy.special
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -421,9 +420,23 @@ def _scale_radius(lattice: _Lattice, t: float, target: float) -> float | None:
             hi = mid
     s = lattice.span(lo - 1, hi + 1)
     d = _pchip_slopes(s, _LOG_STEP)
-    a, b, da, db = float(s[1]), float(s[2]), float(d[1]), float(d[2])
-    frac = scipy.optimize.brentq(lambda f: _hermite(a, b, da, db, _LOG_STEP, f) - y, 0.0, 1.0)
+    frac = _step_root(float(s[1]), float(s[2]), float(d[1]), float(d[2]), y)
     return math.exp((lo + frac) * _LOG_STEP)
+
+
+def _step_root(a: float, b: float, da: float, db: float, y: float) -> float:
+    """The fraction f in [0, 1] where the monotone cubic Hermite step from
+    a < y to b >= y (slopes da, db) reaches y, by bisection down to
+    neighbouring floats: the lower one where the step is below y."""
+    f_lo, f_hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (f_lo + f_hi)
+        if mid in (f_lo, f_hi):
+            return f_lo
+        if _hermite(a, b, da, db, _LOG_STEP, mid) < y:
+            f_lo = mid
+        else:
+            f_hi = mid
 
 
 def _log_profile_interpolant(lattice: _Lattice, t: float, r_lo: float, r_hi: float):

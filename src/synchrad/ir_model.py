@@ -112,6 +112,24 @@ def delta_shift_closed_form(jump: VelocityJump) -> float:
     return 4.0 * jump.Z**2 * v1sq * jump.q_c / (3.0 * math.pi * C_AU**2)
 
 
+def _two_pole(ev2, ev1, qv2, qv1, omega, delta2, delta1):
+    """The two-pole bracket
+
+        | e.v2/(omega - q.v2 + delta2) - e.v1/(omega - q.v1 + delta1) |^2
+
+    from the projections ev = e.v and qv = q.v of both velocities, without
+    the Z^2 g_q^2 / c^2 prefactor; the arguments broadcast."""
+    return np.abs(ev2 / (omega - qv2 + delta2) - ev1 / (omega - qv1 + delta1)) ** 2
+
+
+def _mode_number(jump: VelocityJump, mode: PhotonMode, delta2: float, delta1: float) -> float:
+    """Per-mode photon number with the v2 pole displaced by delta2 and the v1
+    pole by delta1."""
+    v1, v2, e, q = jump.v1, jump.v2, mode.e_vec, mode.q
+    bracket = _two_pole(e @ v2, e @ v1, q @ v2, q @ v1, mode.omega, delta2, delta1)
+    return jump.Z**2 * mode.g_squared / C_AU**2 * float(bracket)
+
+
 def soft_photon_number(
     jump: VelocityJump, mode: PhotonMode, delta_override: float | None = None
 ) -> float:
@@ -123,39 +141,21 @@ def soft_photon_number(
     Passing delta_override = 0 recovers the classical two-pole expression.
     """
     delta = delta_shift(jump) if delta_override is None else delta_override
-    omega = mode.omega
     mdv = float(np.linalg.norm(jump.delta_v))
-    if mdv > 0 and omega > mdv * C_AU:
+    if mdv > 0 and mode.omega > mdv * C_AU:
         warnings.warn(
             "soft_photon_number: omega above the soft regime m|dv|c",
             stacklevel=2,
         )
-    e = mode.e_vec
-    q = mode.q
-    a2 = float(e @ jump.v2) / (omega - float(q @ jump.v2) + delta)
-    a1 = float(e @ jump.v1) / (omega - float(q @ jump.v1) + delta)
-    return jump.Z**2 * mode.g_squared / C_AU**2 * abs(a2 - a1) ** 2
+    return _mode_number(jump, mode, delta, delta)
 
 
-def shifted_pole_photon_number(
-    jump: VelocityJump, mode: PhotonMode, drop_derivatives: bool = False
-) -> float:
+def shifted_pole_photon_number(jump: VelocityJump, mode: PhotonMode) -> float:
     """Per-mode photon number with the full complex pole displacements: the
     v2 term carries the mixed shift built from [n' x v1].[n' x v2], the v1
     term the pure v1 shift.  Small-q corrections of first order in q are
-    dropped.  With drop_derivatives, both shifts are zeroed (classical
-    two-pole formula)."""
-    if drop_derivatives:
-        d12 = d11 = 0.0
-    else:
-        d12 = _delta(jump, jump.v1, jump.v2)
-        d11 = _delta(jump, jump.v1, jump.v1)
-    omega = mode.omega
-    e = mode.e_vec
-    q = mode.q
-    a2 = float(e @ jump.v2) / (omega - float(q @ jump.v2) + d12)
-    a1 = float(e @ jump.v1) / (omega - float(q @ jump.v1) + d11)
-    return jump.Z**2 * mode.g_squared / C_AU**2 * abs(a2 - a1) ** 2
+    dropped."""
+    return _mode_number(jump, mode, _delta(jump, jump.v1, jump.v2), _delta(jump, jump.v1, jump.v1))
 
 
 def soft_spectral_density(
@@ -181,18 +181,16 @@ def soft_spectral_density(
         raise DomainError("soft_spectral_density requires omega > 0")
     delta = delta_shift(jump) if delta_override is None else delta_override
     nvec, weights = sphere_rule(n_polar, n_azimuth)
-    pairs = [(e @ jump.v2, e @ jump.v1) for e in transverse_polarization_pairs(nvec)]
+    # e.v for both polarizations on a leading axis of length 2
+    pairs = np.stack(transverse_polarization_pairs(nvec))
+    ev2, ev1 = pairs @ jump.v2, pairs @ jump.v1
 
     out = []
     for w in np.atleast_1d(omegas).tolist():
         qmag = w / C_AU
         qv = qmag * nvec
         g2 = 2.0 * math.pi * C_AU**2 / w
-        d2 = w - qv @ jump.v2 + delta
-        d1 = w - qv @ jump.v1 + delta
-        total = np.zeros(weights.shape)
-        for ev2, ev1 in pairs:
-            total += np.abs(ev2 / d2 - ev1 / d1) ** 2
+        total = _two_pole(ev2, ev1, qv @ jump.v2, qv @ jump.v1, w, delta, delta).sum(axis=0)
         n_ang = jump.Z**2 * g2 / C_AU**2 * total
         dens = qmag**2 / ((2.0 * math.pi) ** 3 * C_AU)
         out.append(float(np.sum(weights * dens * n_ang)))

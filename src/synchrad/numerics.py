@@ -1,5 +1,5 @@
 """Quadrature primitives shared by the physics modules: cached Gauss-Legendre
-rules, the cached unit-sphere rule, and the tolerance record.
+rules and the cached unit-sphere rule.
 
 Special functions are evaluated directly with vectorized scipy.special calls
 where the physics needs them.  All functions are pure and reentrant.
@@ -8,27 +8,12 @@ where the physics needs them.  All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 # Euler's constant, stored as a literal.
 EULER_GAMMA = 0.57721566490153286
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative/absolute stopping tolerance for quadratures and sums."""
-
-    rel: float = 1e-10
-    abs: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel < 0 or self.abs < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.rel == 0 and self.abs == 0:
-            raise ValueError("rel and abs tolerance cannot both be zero")
 
 
 @lru_cache(maxsize=256)

@@ -1,6 +1,11 @@
-"""Photon numbers and rates from the exact coherent-state solution for a
-classical current: coupling amplitudes, the correlation-integral rate, the
-Schott per-harmonic angular distribution, and radiated totals.
+"""Photon modes and rates from the exact coherent-state solution for a
+classical current: the photon mode and its polarization basis, the circular
+orbit as a velocity law, the correlation-integral rate, the Schott
+per-harmonic angular distribution, and radiated totals.
+
+Motion is a velocity law: position(t) and velocity(t) on arrays of times and
+breakpoints(t_end); its photon number |Q(t)|^2 in a mode is
+corrections.corrected_photon_number(law, mode, t, Z).
 
 Angle convention: theta is the polar angle measured from the magnetic-field
 axis, so cos(Theta) = sin(theta) relative to the orbital-plane inclination
@@ -15,20 +20,16 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
-from .errors import ConvergenceError, DomainError, RangeError
-from .numerics import Tolerance, gauss_nodes
+from .errors import DomainError, RangeError
+from .numerics import gauss_nodes
 from .units import C_AU, BeamParams
 
 __all__ = [
-    "Trajectory",
+    "CircularOrbit",
     "PhotonMode",
-    "circular_trajectory",
     "transverse_polarization_pairs",
-    "coupling_amplitude",
-    "mean_photon_number",
     "rate_integrand",
     "schott_angular_rate",
     "schott_harmonic_rate",
@@ -47,30 +48,26 @@ TOTALS_GAMMA_MAX = 1e4
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Prescribed classical path: position and velocity callbacks over a
-    time interval.  Velocities must stay below c on the domain."""
+class CircularOrbit:
+    """Velocity law of a circular orbit of radius R in the xy plane, field
+    along z, from t = 0; position and velocity take a time or an array of
+    times and return shape (..., 3).  A photon momentum in the xz plane
+    reproduces the standard period-averaged correlation integrand."""
 
-    r0: Callable[[float], np.ndarray]
-    v0: Callable[[float], np.ndarray]
-    domain: tuple[float, float] = (0.0, math.inf)
+    beam: BeamParams
 
+    def position(self, t) -> np.ndarray:
+        wt = self.beam.omega0 * np.asarray(t, dtype=float)
+        return self.beam.R * np.stack([np.sin(wt), -np.cos(wt), np.zeros_like(wt)], axis=-1)
 
-def circular_trajectory(beam: BeamParams, t0: float = 0.0) -> Trajectory:
-    """Circular orbit of radius R in the xy plane, field along z.
+    def velocity(self, t) -> np.ndarray:
+        wt = self.beam.omega0 * np.asarray(t, dtype=float)
+        return self.beam.v0 * np.stack([np.cos(wt), np.sin(wt), np.zeros_like(wt)], axis=-1)
 
-    Parameterized so that a photon momentum in the xz plane reproduces the
-    standard period-averaged correlation integrand.
-    """
-    R, w = beam.R, beam.omega0
-
-    def r0(t):
-        return np.array([R * math.sin(w * t), -R * math.cos(w * t), 0.0])
-
-    def v0(t):
-        return np.array([R * w * math.cos(w * t), R * w * math.sin(w * t), 0.0])
-
-    return Trajectory(r0=r0, v0=v0, domain=(t0, math.inf))
+    def breakpoints(self, t_end: float):
+        """Quadrature pieces: one per whole orbital period, then the rest."""
+        period = 2.0 * math.pi / self.beam.omega0
+        return [0.0, *np.arange(period, t_end, period).tolist(), t_end]
 
 
 def transverse_polarization_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,6 +80,14 @@ def transverse_polarization_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return e1, np.cross(n, e1)
 
 
+def _photon_momentum(q) -> np.ndarray:
+    """q as a float array; DomainError unless it is a finite, nonzero 3-vector."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (3,) or not 0.0 < float(q @ q) < math.inf:
+        raise DomainError(f"photon momentum must be a finite, nonzero 3-vector, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class PhotonMode:
     """Photon mode: polarization index (1 or 2) and momentum 3-vector."""
@@ -93,9 +98,7 @@ class PhotonMode:
     def __post_init__(self):
         if self.alpha not in (1, 2):
             raise DomainError(f"polarization index must be 1 or 2, got {self.alpha}")
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        if self.omega <= 0:
-            raise DomainError("photon mode requires |q| > 0")
+        object.__setattr__(self, "q", _photon_momentum(self.q))
 
     @property
     def omega(self) -> float:
@@ -112,78 +115,25 @@ class PhotonMode:
 
 
 # ---------------------------------------------------------------------------
-# Coupling amplitudes
-# ---------------------------------------------------------------------------
-
-
-def coupling_amplitude(
-    traj: Trajectory,
-    mode: PhotonMode,
-    t: float,
-    Z: float = 1.0,
-    tol: Tolerance = Tolerance(1e-9, 1e-12),
-) -> complex:
-    """Photon coupling amplitude: i (Z/c) g_q int_{t0}^{t} e* . v0(t')
-    exp(i omega t' - i q . r0(t')) dt'."""
-    t0 = traj.domain[0]
-    if t < t0:
-        raise DomainError(f"time {t} before trajectory domain start {t0}")
-    if t == t0:
-        return 0.0 + 0.0j
-    omega = mode.omega
-    e = mode.e_vec
-    q = mode.q
-
-    def integrand(tp):
-        phase = omega * tp - float(q @ traj.r0(tp))
-        return float(e @ traj.v0(tp)) * complex(math.cos(phase), math.sin(phase))
-
-    re, re_err = scipy.integrate.quad(
-        lambda tp: integrand(tp).real, t0, t, epsabs=tol.abs, epsrel=tol.rel, limit=500
-    )
-    im, im_err = scipy.integrate.quad(
-        lambda tp: integrand(tp).imag, t0, t, epsabs=tol.abs, epsrel=tol.rel, limit=500
-    )
-    val = complex(re, im)
-    scale = max(abs(val), 1.0)
-    if re_err + im_err > 100 * (tol.abs + tol.rel * scale):
-        raise ConvergenceError(
-            "coupling amplitude quadrature did not converge",
-            best_estimate=val,
-            error_estimate=re_err + im_err,
-        )
-    g_q = math.sqrt(mode.g_squared)
-    return 1j * (Z / C_AU) * g_q * val
-
-
-def mean_photon_number(
-    traj: Trajectory, mode: PhotonMode, t: float, Z: float = 1.0
-) -> float:
-    """Semiclassical mean photon number |Q(t)|^2 in the given mode."""
-    return abs(coupling_amplitude(traj, mode, t, Z)) ** 2
-
-
-# ---------------------------------------------------------------------------
 # Correlation-integral rate
 # ---------------------------------------------------------------------------
 
 
-def rate_integrand(
-    traj: Trajectory, q: np.ndarray, t: float, Z: float, tau: float
-) -> complex:
-    """Integrand of the polarization-summed rate correlation integral at lag tau."""
-    q = np.asarray(q, dtype=float)
+def rate_integrand(law, q: np.ndarray, t: float, Z: float, tau):
+    """Integrand of the polarization-summed rate correlation integral at lag
+    tau, on a velocity law (position(t) and velocity(t) on arrays), with the
+    shape of tau: a numpy complex for a scalar tau."""
+    q = _photon_momentum(q)
     q2 = float(q @ q)
-    if q2 <= 0:
-        raise DomainError("rate integrand requires |q| > 0")
     omega = C_AU * math.sqrt(q2)
-    a = t - abs(tau) / 2.0 + tau / 2.0
-    b = t - abs(tau) / 2.0 - tau / 2.0
-    va, vb = traj.v0(a), traj.v0(b)
-    bracket = float(va @ vb) - float(q @ va) * float(q @ vb) / q2
-    phase = omega * tau - float(q @ (traj.r0(a) - traj.r0(b)))
+    tau = np.asarray(tau, dtype=float)
+    a = t - np.abs(tau) / 2.0 + tau / 2.0
+    b = t - np.abs(tau) / 2.0 - tau / 2.0
+    va, vb = law.velocity(a), law.velocity(b)
+    bracket = np.vecdot(va, vb) - np.vecdot(va, q) * np.vecdot(vb, q) / q2
+    phase = omega * tau - np.vecdot(law.position(a) - law.position(b), q)
     g2 = 2.0 * math.pi * C_AU**2 / omega
-    return (Z**2 / C_AU**2) * g2 * bracket * complex(math.cos(phase), math.sin(phase))
+    return (Z**2 / C_AU**2) * g2 * bracket * np.exp(1j * phase)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from synchrad.corrections import (
     p_general,
     p_nonrel_asymptotic,
 )
-from synchrad.errors import DomainError
+from synchrad.errors import ConvergenceError, DomainError
 from synchrad.numerics import EULER_GAMMA, gauss_nodes
 from synchrad.semiclassical import PhotonMode
 from synchrad.units import C_AU
@@ -72,8 +72,15 @@ def test_mu_coupling_sign_and_scale():
     q = np.array([0.0, 0.0, 2.0])
     qp = np.array([0.0, 0.0, 3.0])
     assert mu_coupling(q, qp, gamma=2.0) == pytest.approx(-3.0)
-    with pytest.raises(DomainError):
-        mu_coupling(q, qp, gamma=0.5)
+    # rows of q' give one shift per row, each equal to the single-row call
+    rows = np.array([qp, [1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+    assert mu_coupling(q, rows, gamma=2.0).tolist() == [mu_coupling(q, r, 2.0) for r in rows]
+    amps = UniformVelocityAmplitudes([V01, 0.0, 0.0])
+    for gamma in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            mu_coupling(q, qp, gamma=gamma)
+        with pytest.raises(DomainError):
+            p_general(q, amps, gamma, 1.0, 2.0, small_mode_sum())
 
 
 def test_p_diagonal_and_hermitian():
@@ -335,7 +342,10 @@ def test_hermitian_fill_calls_the_provider_on_the_upper_triangle_in_order():
     law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=6)
-    times = [t2 for _, t2 in calls[:6]]
+    # the first row holds every time; 6 nodes resolve 1.5 rad, so the one
+    # piece, whose phase bound is 2.9 rad, is cut in two
+    times = [t2 for t1, t2 in calls if t1 == calls[0][0]]
+    assert len(times) == 12
     assert calls == [(a, b) for i, a in enumerate(times) for b in times[i:]]
     assert all(isinstance(t, float) for pair in calls for t in pair)
 
@@ -355,6 +365,19 @@ def test_non_finite_exponent_raises_with_the_first_bad_pair():
     assert f"({t1!r}, {t2!r})" in str(info.value)
     with pytest.raises(DomainError, match="non-finite"):
         corrected_photon_number(law, mode, 1.0, p_provider=lambda a, b: math.inf, nodes_per_piece=4)
+
+
+def test_unresolvable_phase_raises_before_any_work():
+    law = steady(np.array([5.0, 0.0, 0.0]))
+    mode = PhotonMode(alpha=2, q=0.02 * np.array([0.6, 0.0, 0.8]))
+    calls = []
+    with pytest.raises(ConvergenceError):
+        corrected_photon_number(law, mode, 1e9)
+    # the kernel's limit is lower: its exponent matrix grows as the nodes squared
+    corrected_photon_number(law, mode, 1e4)
+    with pytest.raises(ConvergenceError):
+        corrected_photon_number(law, mode, 1e4, p_provider=lambda a, b: calls.append(a) or 0j)
+    assert calls == []
 
 
 def test_qdot_equals_the_per_time_loop():

@@ -495,3 +495,29 @@ def test_pchip_slopes_match_scipy():
             want = scipy.interpolate.PchipInterpolator(x, y).derivative()(x)
             got = decoherence._pchip_slopes(y, h)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e8, 1e10, 1e12])
+def test_scale_radius_fraction_matches_brentq(monkeypatch, t):
+    # the bisection in the step fraction agrees with SciPy's brentq (run to
+    # its default xtol) on the FIAN_60 lattices at both radii a width uses
+    import scipy.optimize
+
+    steps = []
+    step_root = decoherence._step_root
+
+    def recorded(*args):
+        steps.append((args, step_root(*args)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(decoherence, "_step_root", recorded)
+    beam = beam_from_lab(FIAN_60)
+    for theta0 in (math.pi / 2, 0.0):
+        lattice = decoherence._width_lattice(beam, theta0)
+        for target in (1.0, min(37.0, 0.98 * t * lattice.rate)):
+            assert decoherence._scale_radius(lattice, t, target) is not None
+    assert len(steps) == 4
+    for (a, b, da, db, y), frac in steps:
+        step = lambda f: decoherence._hermite(a, b, da, db, decoherence._LOG_STEP, f) - y
+        assert step(frac) < 0.0 <= step(np.nextafter(frac, 1.0))
+        assert abs(frac - scipy.optimize.brentq(step, 0.0, 1.0)) <= 2e-12

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from synchrad.numerics import EULER_GAMMA, Tolerance, gauss_nodes, sphere_rule
+from synchrad.numerics import EULER_GAMMA, gauss_nodes, sphere_rule
 
 
 def bessel_series(n, x, terms=80):
@@ -129,13 +129,6 @@ def test_gauss_nodes_polynomial_exactness():
     x, w = gauss_nodes(0.0, 1.0, 8)
     assert float(np.sum(w * x**5)) == pytest.approx(1.0 / 6.0, rel=1e-13)
     assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rel=-1e-3)
-    with pytest.raises(ValueError):
-        Tolerance(rel=0.0, abs=0.0)
 
 
 def test_euler_gamma_against_independent_limit():

@@ -3,7 +3,10 @@ public function or class a module defines is exported."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -33,3 +36,17 @@ def test_every_public_definition_is_exported(module_name):
     ]
     unlisted = sorted(set(defined) - set(module.__all__))
     assert not unlisted, f"{module_name} defines public names missing from __all__: {unlisted}"
+
+
+def test_cli_imports_no_scipy_integrate_or_optimize():
+    # the program needs only scipy.special; scipy.integrate and scipy.optimize
+    # would add about half a second to every command's start
+    code = (
+        "import sys, synchrad.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

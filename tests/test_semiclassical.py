@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 
 from synchrad import semiclassical
 
+from synchrad.corrections import PiecewiseConstantVelocity, corrected_photon_number
 from synchrad.errors import DomainError, RangeError
 from synchrad.semiclassical import (
+    CircularOrbit,
     PhotonMode,
-    Trajectory,
-    circular_trajectory,
     classical_power,
-    coupling_amplitude,
-    mean_photon_number,
     momentum_loss_rate,
     rate_integrand,
     schott_angular_rate,
@@ -31,11 +29,6 @@ from synchrad.semiclassical import (
     transverse_polarization_pairs,
 )
 from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
-
-
-def uniform_trajectory(v):
-    v = np.asarray(v, dtype=float)
-    return Trajectory(r0=lambda t: v * t, v0=lambda t: v, domain=(0.0, math.inf))
 
 
 def test_polarization_basis_orthonormal():
@@ -50,27 +43,62 @@ def test_polarization_basis_orthonormal():
     e1, e2 = transverse_polarization_pairs(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
     assert e1[0].tolist() == [1.0, 0.0, 0.0] and e2[0].tolist() == [0.0, 1.0, 0.0]
     assert np.allclose(np.cross(e1[1], e2[1]), [0.6, 0.0, 0.8], atol=1e-15)
-    with pytest.raises(DomainError):
-        PhotonMode(alpha=1, q=np.zeros(3))
+    for bad in (np.zeros(3), [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0, 2.0]):
+        with pytest.raises(DomainError):
+            PhotonMode(alpha=1, q=bad)
 
 
 def test_uniform_velocity_amplitude_closed_form():
     # |Q|^2 = (Z g / c)^2 |e.v|^2 * 4 sin^2((omega - q.v) T / 2) / (omega - q.v)^2
+    # for motion at constant velocity from t = 0; with v along x and q in the
+    # xz plane, e.v vanishes for alpha = 1 and alpha = 2 carries the check.
+    # T >= 100 puts a phase bound of 280 to 8,500 rad on the one piece, more
+    # than 64 nodes resolve
     v = np.array([5.0, 0.0, 0.0])
+    law = PiecewiseConstantVelocity(v, v, 0.0)
     q = 0.02 * np.array([0.6, 0.0, 0.8])
-    mode = PhotonMode(alpha=1, q=q)
-    T = 3.7
-    got = mean_photon_number(uniform_trajectory(v), mode, T, Z=1.3)
-    dqv = mode.omega - float(q @ v)
-    ev = float(mode.e_vec @ v)
-    expect = (1.3 / C_AU) ** 2 * mode.g_squared * ev**2 * 4 * math.sin(dqv * T / 2) ** 2 / dqv**2
-    assert got == pytest.approx(expect, rel=1e-8)
+    for T, rel in ((3.7, 1e-12), (100.0, 1e-9), (1000.0, 1e-9), (3000.0, 1e-9)):
+        for alpha in (1, 2):
+            mode = PhotonMode(alpha=alpha, q=q)
+            got = corrected_photon_number(law, mode, T, Z=1.3)
+            dqv = mode.omega - float(q @ v)
+            ev = float(mode.e_vec @ v)
+            expect = (1.3 / C_AU) ** 2 * mode.g_squared * ev**2 * 4 * math.sin(dqv * T / 2) ** 2
+            expect /= dqv**2
+            assert got == pytest.approx(expect, rel=rel, abs=1e-30)
+            assert (expect > 0.5) == (alpha == 2)
 
 
 def test_amplitude_zero_at_domain_start():
-    traj = uniform_trajectory([1.0, 0.0, 0.0])
-    mode = PhotonMode(alpha=1, q=[0.0, 0.0, 0.01])
-    assert coupling_amplitude(traj, mode, 0.0) == 0.0
+    v = np.array([1.0, 0.0, 0.0])
+    law = PiecewiseConstantVelocity(v, v, 0.0)
+    mode = PhotonMode(alpha=2, q=[0.01, 0.0, 0.01])
+    assert corrected_photon_number(law, mode, 0.0) == 0.0
+    for t in (-1.0, -1e-300, math.nan):
+        with pytest.raises(DomainError):
+            corrected_photon_number(law, mode, t)
+
+
+def test_circular_orbit_photon_number_per_period():
+    # over N whole periods at omega = n omega0, the generating function
+    # exp(-i x sin(phi)) = sum_k J_k(x) exp(-i k phi) leaves one term per
+    # velocity component: Q = i (Z/c) g R omega0 N (2 pi / omega0)
+    #   * (e_x n J_n(x) / x + i e_y J_n'(x)) with x = q_x R
+    # n = 20 and 30 put 220 and 330 rad of phase bound on each one-period
+    # piece, more than 64 nodes resolve
+    beam = BeamParams.from_gamma_radius(gamma=1.5, R=300.0)
+    law = CircularOrbit(beam)
+    periods, theta = 4, 1.1
+    t = periods * 2.0 * math.pi / beam.omega0
+    for n, rel in ((3, 1e-12), (20, 1e-10), (30, 1e-10)):
+        q = n * beam.omega0 / C_AU * np.array([math.sin(theta), 0.0, math.cos(theta)])
+        x = q[0] * beam.R
+        for alpha in (1, 2):
+            mode = PhotonMode(alpha=alpha, q=q)
+            ex, ey, _ = mode.e_vec
+            bessel = ex * n * scipy.special.jv(n, x) / x + 1j * ey * scipy.special.jvp(n, x)
+            amp = (1.0 / C_AU) * math.sqrt(mode.g_squared) * beam.R * beam.omega0 * t * bessel
+            assert corrected_photon_number(law, mode, t) == pytest.approx(abs(amp) ** 2, rel=rel)
 
 
 def test_rate_integrand_matches_period_averaged_form():
@@ -79,14 +107,18 @@ def test_rate_integrand_matches_period_averaged_form():
     # (Z^2/c^2) g^2 [v0^2 cos(w0 tau) - (q.v(a))(q.v(b))/q^2]
     #   * exp(i(omega tau - 2 q_x R sin(w0 tau / 2) cos(w0 (a+b)/2 - ...)))
     beam = BeamParams.from_gamma_radius(gamma=2.0, R=500.0)
-    traj = circular_trajectory(beam)
+    law = CircularOrbit(beam)
     R, w0, v = beam.R, beam.omega0, beam.v0
     theta = 1.1
     qmag = 3 * beam.omega0 / C_AU
     q = qmag * np.array([math.sin(theta), 0.0, math.cos(theta)])
     t = 2.0 / w0
-    for tau in (0.13, 1.7, -2.4):
-        got = rate_integrand(traj, q, t, 1.0, tau)
+    taus = (0.13, 1.7, -2.4)
+    scalar = [rate_integrand(law, q, t, 1.0, tau) for tau in taus]
+    # an array of lags gives the scalar calls' values bit for bit
+    assert rate_integrand(law, q, t, 1.0, np.array(taus)).tolist() == scalar
+    for tau, got in zip(taus, scalar):
+        assert isinstance(got, complex) and np.shape(got) == ()
         a = t - abs(tau) / 2 + tau / 2
         b = t - abs(tau) / 2 - tau / 2
         va = R * w0 * np.array([math.cos(w0 * a), math.sin(w0 * a), 0.0])
@@ -105,8 +137,9 @@ def test_rate_integrand_matches_period_averaged_form():
 
 def test_rate_integrand_requires_finite_momentum():
     beam = BeamParams.from_gamma_radius(gamma=2.0, R=500.0)
-    with pytest.raises(DomainError):
-        rate_integrand(circular_trajectory(beam), np.zeros(3), 1.0, 1.0, 0.1)
+    for bad in (np.zeros(3), [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0, 2.0]):
+        with pytest.raises(DomainError):
+            rate_integrand(CircularOrbit(beam), bad, 1.0, 1.0, 0.1)
 
 
 def test_schott_forward_limits():
