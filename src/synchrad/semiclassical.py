@@ -3,6 +3,14 @@ classical current: the photon mode and its polarization basis, the circular
 orbit as a velocity law, the correlation-integral rate, the Schott
 per-harmonic angular distribution, and radiated totals.
 
+The radiated totals sum the angle-integrated Schott bracket over harmonics.
+The unit-weight harmonics 1..512 take it from Schott's closed form (Schott
+1912; Jackson sec. 14.6) with Miller's backward recurrence (DLMF 3.6(vi),
+10.22.6), one jv element each; the log-spaced tail and the momentum moment
+take it from a 32-node angular rule, two jv elements per node.  Power and
+photon rate of one beam share 512 + 64 x (tail harmonics) jv elements:
+6,592 at gamma = 10, 34,240 at gamma = 1e4.
+
 Motion is a velocity law: position(t) and velocity(t) on arrays of times and
 breakpoints(t_end); its photon number |Q(t)|^2 in a mode is
 corrections.corrected_photon_number(law, mode, t, Z).
@@ -22,7 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.special
 
-from .errors import DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError
 from .numerics import gauss_nodes
 from .units import C_AU, BeamParams
 
@@ -42,8 +50,8 @@ __all__ = [
 
 # Largest gamma at which the totals are tested against Lienard's power; above
 # about 3e4, jv at the tail's harmonic orders is inaccurate and they go wrong.
-# J_n and J_n' both come from jv at orders n -/+ 1 (DLMF 10.6.1), so the
-# bound is set by jv alone.
+# Every Bessel value the totals use comes from jv, so the bound is set by jv
+# alone.
 TOTALS_GAMMA_MAX = 1e4
 
 
@@ -253,16 +261,19 @@ def _emission_blocks(
 def _angular_integrals(beam: BeamParams, harmonics: bytes):
     """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta, and the same
     with one more sin(theta) (the momentum moment), at each float64 harmonic
-    packed in `harmonics`: two read-only arrays.  Keyed by value, so the
-    totals of one beam share one Bessel pass.
+    packed in `harmonics`, from an angular rule: two read-only arrays.  The
+    totals take the first from it on the log-spaced tail only (the exact
+    harmonics use _schott_closed_form) and the second on the whole grid.
+    Keyed by value, so the totals of one beam share one Bessel pass.
 
     32 Gauss nodes per harmonic on the window min(4 beaming widths,
-    10 sqrt(gamma/n)) of _emission_blocks.  At 4 widths the Kapteyn bound is
-    below 1e-20 of every harmonic's integral for gamma in [1.01, 1e4]; the
-    second edge binds only above n ~ 4 gamma^3, where the harmonic is a
-    Gaussian in u of standard deviation sqrt(gamma/2n) and the edge lies
-    e^-100 below its peak.  Harmonics below 8, whose window always reaches
-    the axis, take their nodes in angle, for the momentum moment."""
+    10 sqrt(gamma/n)) of _emission_blocks, two jv elements per node.  At 4
+    widths the Kapteyn bound is below 1e-20 of every harmonic's integral for
+    gamma in [1.01, 1e4]; the second edge binds only above n ~ 4 gamma^3,
+    where the harmonic is a Gaussian in u of standard deviation
+    sqrt(gamma/2n) and the edge lies e^-100 below its peak.  Harmonics below
+    8, whose window always reaches the axis, take their nodes in angle, for
+    the momentum moment."""
     n = np.frombuffer(harmonics)
     umax = np.minimum(_beaming_windows(n, beam.gamma, 4.0), 10.0 * np.sqrt(beam.gamma / n))
     out = np.empty((2, len(n)))
@@ -274,22 +285,116 @@ def _angular_integrals(beam: BeamParams, harmonics: bytes):
     return out
 
 
+# Relative error allowed in the backward recurrence of _schott_closed_form,
+# dropped terms and start error together, and the most terms it may take.
+_MILLER_TOL = 1e-16
+_MILLER_MAX_TERMS = 10_000
+
+
+def _miller_terms(x: np.ndarray, a: np.ndarray) -> int:
+    """Fewest terms L for which Miller's recurrence started at order
+    M = a + 2(L - 1) gives S = sum_k J_{a+2k}(x) to _MILLER_TOL relative at
+    every element; needs a > x > 0.  Raises ConvergenceError if
+    _MILLER_MAX_TERMS do not suffice.
+
+    For nu >= x the ratio J_nu(x)/J_{nu-1}(x) is at most
+    rho_nu = x / (nu + sqrt(nu^2 - x^2)), the fixed point of its continued
+    fraction J_nu/J_{nu-1} = x / (2 nu - x J_{nu+1}/J_nu) (DLMF 10.6.1), and
+    rho_nu falls as nu grows.  So J_M/J_a <= B = prod_{nu=a+1}^M rho_nu (the
+    Kapteyn-type decay: log B <= -int_a^M atanh sqrt(1 - x^2/nu^2) dnu), and
+    with q = rho_{M+1} rho_{M+2} the dropped terms are at most B q/(1 - q)
+    of J_a <= S.  Starting at J_{M+1} = 0 leaves each computed ratio
+    J_k/J_{k-1} low by a relative delta_k <= rho_k rho_{k+1} delta_{k+1},
+    delta_{M+1} = 1, which puts at most B L (L - 1) on the kept terms.  The
+    bound is B (L (L - 1) + q/(1 - q))."""
+    rho = lambda nu: x / (nu + np.sqrt((nu - x) * (nu + x)))
+    log_b = np.zeros_like(x)
+    q = rho(a + 1.0) * rho(a + 2.0)
+    for terms in range(1, _MILLER_MAX_TERMS + 1):
+        log_bound = log_b + np.log(terms * (terms - 1) + q / (1.0 - q))
+        if np.all(log_bound <= math.log(_MILLER_TOL)):
+            return terms
+        log_b += np.log(q)
+        top = a + 2.0 * terms
+        q = rho(top + 1.0) * rho(top + 2.0)
+    raise ConvergenceError(
+        f"backward recurrence not certified to {_MILLER_TOL:g} in {_MILLER_MAX_TERMS} terms",
+        error_estimate=float(np.exp(log_bound.max())),
+    )
+
+
+@lru_cache(maxsize=8)
+def _schott_closed_form(beam: BeamParams, harmonics: bytes):
+    """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta at each
+    integer harmonic n packed in `harmonics`, from Schott's closed form
+    (Schott 1912; Jackson, Classical Electrodynamics, sec. 14.6) at
+    x = 2 n beta:
+
+        [2 beta^2 J_2n'(x) - gamma^-2 int_0^x J_2n(t) dt] / (n beta)
+
+    A read-only array, keyed by value like _angular_integrals.  One jv
+    element per harmonic, J_{2n+1}(x); the rest are ratios to it from
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}
+    (DLMF 3.6(vi), 10.6.1), vectorized over harmonics, stable at the orders
+    above x and certified by _miller_terms:
+    int_0^x J_2n = 2 sum_k J_{2n+2k+1}(x) (DLMF 10.22.6) from its odd orders,
+    and 2 J_2n' = J_{2n-1} - J_{2n+1} two steps below.  A second jv call
+    for J_{2n-1} would add its own error, up to 1.5e-13 at orders near 1000,
+    to a difference that cancels as beta -> 1."""
+    n = np.frombuffer(harmonics)
+    if np.any(n > 2.0**50):
+        raise RangeError(f"harmonic {n.max():g} is too large for distinct orders 2n -/+ 1")
+    beta = beam.beta
+    x = 2.0 * n * beta
+    a = 2.0 * n + 1.0
+    steps = 2 * (_miller_terms(x, a) - 1)
+    # f, hi: unnormalized J_k, J_{k+1} from k = a + steps down to k = a;
+    # total: their sum over k = a, a + 2, ...
+    hi, f, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    two_over_x = 2.0 / x
+    for i in range(steps, 0, -1):
+        hi, f = f, (a + i) * two_over_x * f - hi
+        if i % 2:
+            total += f
+        big = f > 1e150  # far from overflow: one step grows f by at most 2k/x
+        if big.any():
+            scale = np.where(big, 1.0 / f, 1.0)
+            hi, f, total = hi * scale, f * scale, total * scale
+    below = a * two_over_x * f - hi
+    lowest = (a - 1.0) * two_over_x * below - f
+    # gamma^-2 at this beta, so the identity holds for the float beta
+    gamma_m2 = (1.0 - beta) * (1.0 + beta)
+    bracket = beta**2 * (lowest - f) - 2.0 * gamma_m2 * total
+    out = scipy.special.jv(a, x) * bracket / (f * (n * beta))
+    out.setflags(write=False)
+    return out
+
+
 def schott_harmonic_rate(n: int, beam: BeamParams) -> float:
     """Photons per atomic time emitted into harmonic n, integrated over solid
-    angle: 2 pi int_0^pi sin(theta) dN_n/(dt dOmega) dtheta.  Raises
-    DomainError for n < 1, as schott_angular_rate does."""
+    angle: 2 pi int_0^pi sin(theta) dN_n/(dt dOmega) dtheta, from Schott's
+    closed form (_schott_closed_form) at integer n and from the angular rule
+    (_angular_integrals) otherwise.  Raises DomainError for n < 1, as
+    schott_angular_rate does."""
     if not n >= 1:
         raise DomainError(f"harmonic must be >= 1, got {n:g}")
     if beam.beta == 0.0:
         return 0.0
-    plain = _angular_integrals(beam, np.array([n], dtype=float).tobytes())[0]
+    harmonics = np.array([n], dtype=float).tobytes()
+    if float(n).is_integer():
+        plain = _schott_closed_form(beam, harmonics)
+    else:
+        plain = _angular_integrals(beam, harmonics)[0]
     return beam.Z**2 * n * beam.omega0 / C_AU * float(plain[0])
+
+
+_N_EXACT = 512  # harmonics summed one by one, with unit weight
 
 
 def spectral_sum(
     per_n: Callable[[np.ndarray], np.ndarray],
     n_cap: int,
-    n_exact: int = 512,
+    n_exact: int = _N_EXACT,
     per_decade: int = 48,
 ) -> float:
     """Sum per_n over harmonics n = 1..n_cap; per_n maps an array of
@@ -312,6 +417,19 @@ def _default_cap(beam: BeamParams) -> int:
     return max(64, int(50 * beam.gamma**3))
 
 
+def _grid_integrals(beam: BeamParams, n: np.ndarray, moment: bool = False) -> np.ndarray:
+    """The angular integrals of _angular_integrals on the totals' harmonic
+    grid n from spectral_sum: the plain integral, or the momentum moment.
+    The unit-weight harmonics at its head take the plain one from Schott's
+    closed form; the rest come from the angular rule, in two passes, head
+    and tail, so the tail's is shared."""
+    k = min(_N_EXACT, len(n))
+    head, tail = n[:k].tobytes(), n[k:].tobytes()
+    if moment:
+        return np.concatenate([_angular_integrals(beam, head)[1], _angular_integrals(beam, tail)[1]])
+    return np.concatenate([_schott_closed_form(beam, head), _angular_integrals(beam, tail)[0]])
+
+
 def classical_power(beam: BeamParams) -> float:
     """Classical synchrotron power (2/3) Z^2 c beta^4 gamma^4 / R^2 (a.u.)."""
     return (2.0 / 3.0) * beam.Z**2 * C_AU * beam.beta**4 * beam.gamma**4 / beam.R**2
@@ -332,9 +450,7 @@ def total_power(beam: BeamParams) -> float:
     if beam.beta == 0.0:
         return 0.0
     pref = beam.Z**2 * beam.omega0**2 / C_AU
-    return spectral_sum(
-        lambda n: pref * n * n * _angular_integrals(beam, n.tobytes())[0], _default_cap(beam)
-    )
+    return spectral_sum(lambda n: pref * n * n * _grid_integrals(beam, n), _default_cap(beam))
 
 
 def total_photon_rate(beam: BeamParams) -> float:
@@ -343,9 +459,7 @@ def total_photon_rate(beam: BeamParams) -> float:
     if beam.beta == 0.0:
         return 0.0
     pref = beam.Z**2 * beam.omega0 / C_AU
-    return spectral_sum(
-        lambda n: pref * n * _angular_integrals(beam, n.tobytes())[0], _default_cap(beam)
-    )
+    return spectral_sum(lambda n: pref * n * _grid_integrals(beam, n), _default_cap(beam))
 
 
 def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
@@ -361,8 +475,7 @@ def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
         return np.zeros(3)
     pref = beam.Z**2 * beam.omega0**2 / C_AU**2
     longitudinal = spectral_sum(
-        lambda n: pref * n * n * _angular_integrals(beam, n.tobytes())[1],
-        _default_cap(beam),
+        lambda n: pref * n * n * _grid_integrals(beam, n, moment=True), _default_cap(beam)
     )
     return np.array([-longitudinal, 0.0, 0.0])
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from synchrad import semiclassical
 
 from synchrad.corrections import PiecewiseConstantVelocity, corrected_photon_number
-from synchrad.errors import DomainError, RangeError
+from synchrad.cli import main
+from synchrad.errors import ConvergenceError, DomainError, RangeError
 from synchrad.semiclassical import (
     CircularOrbit,
     PhotonMode,
@@ -219,6 +220,18 @@ def test_schott_harmonic_rate_rejects_harmonics_below_one(n):
         schott_harmonic_rate(n, beam)
 
 
+def test_schott_harmonic_rate_paths_meet():
+    # integer n takes the closed form, any other n the angular rule
+    beam = BeamParams.from_gamma_radius(gamma=5.0, R=1000.0)
+    for n in (1, 7, 40, 300):
+        near = n + 1e-12 * n
+        assert schott_harmonic_rate(n, beam) == pytest.approx(
+            schott_harmonic_rate(near, beam) * n / near, rel=1e-10
+        )
+    with pytest.raises(RangeError, match="harmonic"):
+        schott_harmonic_rate(2.0**51, beam)
+
+
 @pytest.mark.parametrize("gamma", [1.01, 5.0, 1e3])
 def test_angular_integrals_match_adaptive_quadrature(gamma):
     # both integrals against scipy's adaptive quad in theta; the momentum
@@ -287,11 +300,97 @@ def test_totals_rule_is_converged(gamma, monkeypatch):
     for row in (0, 1):
         carried = want[row] >= 1e-12 * want[row].max()
         assert np.all(np.abs(got[row, carried] / want[row, carried] - 1.0) <= 1e-10)
+    # the totals with the rule where they use it (the tail, the momentum
+    # moment) against the totals with the reference there
     totals = (total_power(beam), total_photon_rate(beam), -momentum_loss_rate(beam)[0])
-    monkeypatch.setattr(semiclassical, "_angular_integrals", lambda b, harmonics: want)
+    semiclassical._angular_integrals.cache_clear()
+    seen = []
+    monkeypatch.setattr(
+        semiclassical,
+        "_angular_integrals",
+        lambda b, harmonics: seen.append(harmonics) or _reference_integrals(b, harmonics),
+    )
     ref = (total_power(beam), total_photon_rate(beam), -momentum_loss_rate(beam)[0])
+    # each total read the tail through the patch, and the momentum moment
+    # read the exact harmonics too
+    head, tail = n[:512].tobytes(), n[512:].tobytes()
+    assert sorted(seen) == sorted([head, tail, tail, tail])
     for a, b in zip(totals, ref):
         assert a == pytest.approx(b, rel=2e-12, abs=0.0)
+
+
+def _closed_form_oracle(beta, n):
+    # Schott's closed form at 30 digits, at the beam's float beta:
+    # [2 beta^2 J_2n'(x) - (1 - beta^2) int_0^x J_2n] / (n beta), x = 2 n beta,
+    # with the integral summed term by term from mpmath's J_{2n+2k+1}(x)
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        x = 2 * n * b
+        integral, k = mpmath.mpf(0), 0
+        while True:
+            term = 2 * mpmath.besselj(2 * n + 2 * k + 1, x)
+            integral += term
+            k += 1
+            if term < integral * mpmath.mpf(10) ** -32:
+                break
+        return float((2 * b**2 * mpmath.besselj(2 * n, x, 1) - (1 - b**2) * integral) / (n * b))
+
+
+@pytest.mark.parametrize("gamma", [1.01, 1.2, 2.0, 5.0, 10.0, 1e3, 1e4])
+def test_schott_closed_form_matches_mpmath(gamma):
+    # 1e-13 beyond the error of its one jv value, J_{2n+1}(x): jv itself is
+    # off by up to 1.5e-13 at orders near 1000 (gamma <= 2, n ~ 512)
+    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
+    n = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 40.0, 64.0, 511.0, 512.0])
+    got = semiclassical._schott_closed_form(beam, n.tobytes())
+    checked = 0
+    for order, value in zip(n.astype(int).tolist(), got.tolist()):
+        want = _closed_form_oracle(beam.beta, order)
+        if want <= 1e-280:
+            continue
+        x = 2.0 * order * beam.beta
+        with mpmath.workdps(30):
+            exact = mpmath.besselj(2 * order + 1, mpmath.mpf(x))
+            jv_error = abs(float(scipy.special.jv(2 * order + 1.0, x) / exact) - 1.0)
+        assert abs(value / want - 1.0) <= 1e-13 + jv_error
+        checked += 1
+    assert checked >= 7
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_gamma=st.floats(math.log(1.01), math.log(1e4)),
+    ns=st.lists(st.integers(1, 512), min_size=1, max_size=8),
+)
+def test_schott_closed_form_agrees_with_reference_rule(log_gamma, ns):
+    gamma = min(math.exp(log_gamma), 1e4)
+    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
+    largest = semiclassical._schott_closed_form(beam, np.arange(1.0, 513.0).tobytes()).max()
+    n = np.array(ns, dtype=float)
+    got = semiclassical._schott_closed_form(beam, n.tobytes())
+    want = _reference_integrals(beam, n.tobytes())[0]
+    carried = want >= 1e-12 * largest
+    assert np.all(np.abs(got[carried] / want[carried] - 1.0) <= 1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(1.0, 2000.0), ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_bessel_ratio_bound_behind_the_recurrence_certificate(nu, ratio):
+    # J_nu(x)/J_{nu-1}(x) <= x / (nu + sqrt(nu^2 - x^2)) for x <= nu
+    x = nu * ratio
+    lower = scipy.special.jv(nu - 1.0, x)
+    if lower > 1e-280:
+        bound = x / (nu + math.sqrt((nu - x) * (nu + x)))
+        assert scipy.special.jv(nu, x) / lower <= bound * (1.0 + 1e-12)
+
+
+def test_schott_closed_form_raises_when_the_recurrence_is_not_certified(monkeypatch):
+    beam = BeamParams.from_gamma_radius(gamma=1e4, R=1000.0)
+    monkeypatch.setattr(semiclassical, "_MILLER_MAX_TERMS", 20)
+    semiclassical._schott_closed_form.cache_clear()
+    with pytest.raises(ConvergenceError) as err:
+        semiclassical._schott_closed_form(beam, np.arange(1.0, 513.0).tobytes())
+    assert err.value.error_estimate > semiclassical._MILLER_TOL
 
 
 def test_spectral_sum_matches_brute_force():
@@ -311,11 +410,12 @@ def test_total_power_matches_classical_oracle():
 
 
 # (total_power, total_photon_rate, -momentum_loss_rate[0]) at R = 1000 bohr,
-# Z = 1, pinned bit for bit: J_n and J_n' both come from jv at orders n -/+ 1
+# Z = 1, pinned bit for bit: Schott's closed form on harmonics 1..512, the
+# angular rule on the tail and the momentum moment
 _TOTALS = {
-    1.01: (3.6909275970660207e-08, 1.8734606053753187e-06, 1.9958962321870436e-10),
-    2.0: (0.0008222159939999997, 0.00120804332198146, 5.56495854032433e-06),
-    10.0: (0.89536063388726, 0.012851469232622079, 0.006513489179357722),
+    1.01: (3.690927597066023e-08, 1.87346060537532e-06, 1.9958962321870436e-10),
+    2.0: (0.0008222159939999997, 0.0012080433219814602, 5.56495854032433e-06),
+    10.0: (0.8953606338872586, 0.012851469232622082, 0.006513489179357722),
     1e4: (913583196936.498, 14.432254249206375, 6666738672.672329),
     "FIAN_60": (2.0055838722620506e-07, 5.0780288026448665e-08, 1.4635450049413837e-09),
 }
@@ -331,25 +431,52 @@ def test_totals_equal_scalar_quadrature(gamma):
     assert got == _TOTALS[gamma]
 
 
-def test_totals_share_one_bessel_pass(monkeypatch):
-    beam = BeamParams.from_gamma_radius(gamma=7.25, R=321.0, Z=2.0)
-    semiclassical._angular_integrals.cache_clear()
+def _count_bessel_elements(monkeypatch):
     calls = {"jv": 0, "jvp": 0}
 
     def counted(name, fn):
         def wrapper(v, z, *args):
-            calls[name] += np.size(z)
+            calls[name] += np.broadcast(v, z).size
             return fn(v, z, *args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(scipy.special, name, counted(name, getattr(scipy.special, name)))
+    return calls
+
+
+def test_totals_share_one_bessel_pass(monkeypatch):
+    beam = BeamParams.from_gamma_radius(gamma=7.25, R=321.0, Z=2.0)
+    semiclassical._angular_integrals.cache_clear()
+    semiclassical._schott_closed_form.cache_clear()
+    calls = _count_bessel_elements(monkeypatch)
     total_power(beam)
     total_photon_rate(beam)
     momentum_loss_rate(beam)
-    n, _, _ = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 512, 48)
-    assert calls == {"jv": 2 * len(n) * 32, "jvp": 0}
+    n, _, n_exact = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 512, 48)
+    # one per exact harmonic in the closed form; the rule's 2 x 32 per
+    # harmonic for the tail and, on the exact harmonics, the momentum moment
+    assert calls == {"jv": n_exact + 64 * len(n), "jvp": 0}
+
+
+def test_spectrum_run_bessel_budget(tmp_path, monkeypatch, capsys):
+    # the totals of one `spectrum` run: at most 2 jv elements per exact
+    # harmonic and 64 per tail harmonic, plus 2 per angular-table rate
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "command = spectrum\nbeam.gamma = 10.0\nbeam.radius_bohr = 1000.0\n"
+        "spectrum.harmonics = 1:3\nspectrum.thetas = 0.5, 1.0\n"
+    )
+    beam = BeamParams.from_gamma_radius(gamma=10.0, R=1000.0)
+    n, _, n_exact = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 512, 48)
+    semiclassical._angular_integrals.cache_clear()
+    semiclassical._schott_closed_form.cache_clear()
+    calls = _count_bessel_elements(monkeypatch)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert 0 < calls["jv"] <= 2 * n_exact + 64 * (len(n) - n_exact) + 2 * 3 * 2
+    assert calls["jvp"] == 0
 
 
 def test_bessel_pair_derivative_is_jvp_bit_for_bit():
