@@ -62,7 +62,8 @@ _KNOWN_KEYS = {
 }
 
 
-_MAX_POINTS = 1 << 16  # longest grid or harmonic range a config may ask for
+_MAX_POINTS = 1 << 16  # longest grid, harmonic list or angle list a config may ask for
+_MAX_TABLE_ROWS = 1 << 21  # most (harmonic, angle) rows of spectrum.csv
 
 
 def _parse_float(raw: str, key: str, line: int) -> float:
@@ -104,6 +105,8 @@ def _parse_int_list(raw: str, key: str, line: int) -> list[int]:
             out.extend(range(a, b + 1))
         else:
             out.append(_parse_int(part, key, line))
+        if len(out) > _MAX_POINTS:
+            raise ConfigError(f"line {line}: key {key!r} lists more than {_MAX_POINTS} values")
     if not out:
         raise ConfigError(f"line {line}: key {key!r} is empty")
     return out
@@ -246,11 +249,21 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
         harmonics = list(range(1, 11))
     if "thetas" in params:
         value, lineno = params["thetas"]
-        thetas = [_parse_float(p, "spectrum.thetas", lineno) for p in value.split(",")]
+        parts = value.split(",")
+        if len(parts) > _MAX_POINTS:
+            raise ConfigError(
+                f"line {lineno}: key 'spectrum.thetas' lists more than {_MAX_POINTS} values"
+            )
+        thetas = [_parse_float(p, "spectrum.thetas", lineno) for p in parts]
         if not all(math.isfinite(theta) for theta in thetas):
             raise ConfigError(f"line {lineno}: spectrum.thetas must be finite, got {value!r}")
     else:
         thetas = list(np.linspace(0.0, math.pi, 19))
+    if len(harmonics) * len(thetas) > _MAX_TABLE_ROWS:
+        raise ConfigError(
+            f"spectrum: {len(harmonics)} harmonics x {len(thetas)} thetas is more than "
+            f"{_MAX_TABLE_ROWS} rows"
+        )
     rates = semiclassical.schott_angular_rate(
         np.asarray(harmonics, dtype=float)[:, None], np.asarray(thetas, dtype=float), config.beam
     )

@@ -359,6 +359,11 @@ def _qdot(velocity_law, mode: PhotonMode, Z: float, times: np.ndarray) -> np.nda
 _MAX_NODES = 1 << 20
 _MAX_KERNEL_NODES = 1 << 12
 
+# Imaginary part of the double integral, relative to its real part, above
+# which corrected_photon_number warns: the kernel is Hermitian, so the
+# imaginary part is rounding only
+_IMAG_TOL = 1e-8
+
 
 def _time_nodes(velocity_law, mode: PhotonMode, t: float, n: int, max_nodes: int):
     """Gauss nodes and weights over [0, t], n per breakpoint piece [a, b]; a
@@ -394,7 +399,6 @@ def corrected_photon_number(
     Z: float = 1.0,
     p_provider: Optional[Callable[[float, float], complex]] = None,
     nodes_per_piece: int = 64,
-    imag_tol: float = 1e-8,
     packet: Optional[GaussianPacket] = None,
     velocity_law_factory: Optional[Callable[[np.ndarray], object]] = None,
 ) -> float:
@@ -421,7 +425,6 @@ def corrected_photon_number(
                 Z,
                 p_provider,
                 nodes_per_piece=nodes_per_piece,
-                imag_tol=imag_tol,
             )
         return acc
 
@@ -447,7 +450,7 @@ def corrected_photon_number(
     P[lower] = np.conj(P.T[lower])
     kern = np.conj(qdot)[:, None] * qdot[None, :] * np.exp(-P)
     val = complex(weights @ kern @ weights)
-    if abs(val.imag) > imag_tol * max(abs(val.real), 1e-300):
+    if abs(val.imag) > _IMAG_TOL * max(abs(val.real), 1e-300):
         warnings.warn(
             f"corrected_photon_number: imaginary residual {val.imag:.3e} "
             f"relative to {val.real:.3e}",

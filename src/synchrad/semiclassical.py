@@ -6,10 +6,12 @@ per-harmonic angular distribution, and radiated totals.
 The radiated totals sum the angle-integrated Schott bracket over harmonics.
 The unit-weight harmonics 1..512 take it from Schott's closed form (Schott
 1912; Jackson sec. 14.6) with Miller's backward recurrence (DLMF 3.6(vi),
-10.22.6), one jv element each; the log-spaced tail and the momentum moment
-take it from a 32-node angular rule, two jv elements per node.  Power and
-photon rate of one beam share 512 + 64 x (tail harmonics) jv elements:
-6,592 at gamma = 10, 34,240 at gamma = 1e4.
+10.22.6), one jv element each; the log-spaced tail takes it from a 32-node
+angular rule, two jv elements per node.  Power and photon rate of one beam
+share 512 + 64 x (tail harmonics) jv elements: 6,592 at gamma = 10, 34,240
+at gamma = 1e4.  The momentum loss needs no pass of its own: the radiated
+four-momentum is parallel to the four-velocity (Landau & Lifshitz, Classical
+Theory of Fields, sec. 73), so momentum leaves along v at beta P / c.
 
 Motion is a velocity law: position(t) and velocity(t) on arrays of times and
 breakpoints(t_end); its photon number |Q(t)|^2 in a mode is
@@ -225,9 +227,7 @@ def _beaming_windows(n: np.ndarray, gamma: float, widths: float) -> np.ndarray:
     )
 
 
-def _emission_blocks(
-    n: np.ndarray, umax: np.ndarray, beam: BeamParams, n_theta: int, angle_below: float = 0.0
-):
+def _emission_blocks(n: np.ndarray, umax: np.ndarray, beam: BeamParams, n_theta: int):
     """Yields (rows, u, wt, s, bracket) per block of up to _BLOCK harmonics
     n[rows]: the Schott bracket cot^2 J_n^2 + beta^2 J_n'^2 at n_theta Gauss
     nodes u = cos(theta) (weights wt, s = sin(theta)) over the window
@@ -236,22 +236,10 @@ def _emission_blocks(
     from _beaming_windows.  The window may cut only where J_n is negligible:
     by Kapteyn's inequality (DLMF 10.14.8) J_n(n z)^2 <= exp(-2n(atanh w - w))
     with w = sqrt(1 - z^2), z = beta sin(theta), and the bound falls as theta
-    leaves the plane, so its value at the edge bounds the whole cut.
-
-    Harmonics below angle_below take their Gauss nodes in the angle
-    phi = pi/2 - theta from the orbital plane instead (u = sin(phi),
-    wt = w_phi cos(phi)).  Near the axis the bracket goes as s^(2n-2), so an
-    integrand with one more factor s has a branch point at u = 1 that Gauss
-    nodes in u resolve only as n_theta^-(2n+1); in phi it is smooth."""
+    leaves the plane, so its value at the edge bounds the whole cut."""
     for i in range(0, len(n), _BLOCK):
         nb = n[i : i + _BLOCK, None]
-        edge = umax[i : i + _BLOCK, None]
-        u, wt = gauss_nodes(0.0, edge, n_theta)
-        angle = nb < angle_below
-        if angle.any():
-            phi, wphi = gauss_nodes(0.0, np.arcsin(edge), n_theta)
-            u = np.where(angle, np.sin(phi), u)
-            wt = np.where(angle, wphi * np.cos(phi), wt)
+        u, wt = gauss_nodes(0.0, umax[i : i + _BLOCK, None], n_theta)
         s2 = 1.0 - u**2
         s = np.sqrt(s2)
         yield slice(i, i + len(nb)), u, wt, s, _schott_bracket(nb, u, s, s2, beam.beta)
@@ -259,28 +247,24 @@ def _emission_blocks(
 
 @lru_cache(maxsize=8)
 def _angular_integrals(beam: BeamParams, harmonics: bytes):
-    """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta, and the same
-    with one more sin(theta) (the momentum moment), at each float64 harmonic
-    packed in `harmonics`, from an angular rule: two read-only arrays.  The
-    totals take the first from it on the log-spaced tail only (the exact
-    harmonics use _schott_closed_form) and the second on the whole grid.
-    Keyed by value, so the totals of one beam share one Bessel pass.
+    """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta at each
+    float64 harmonic packed in `harmonics`, from an angular rule: a read-only
+    array.  The totals take it on the log-spaced tail (the exact harmonics
+    use _schott_closed_form).  Keyed by value, so the totals of one beam
+    share one Bessel pass.
 
     32 Gauss nodes per harmonic on the window min(4 beaming widths,
     10 sqrt(gamma/n)) of _emission_blocks, two jv elements per node.  At 4
     widths the Kapteyn bound is below 1e-20 of every harmonic's integral for
     gamma in [1.01, 1e4]; the second edge binds only above n ~ 4 gamma^3,
     where the harmonic is a Gaussian in u of standard deviation
-    sqrt(gamma/2n) and the edge lies e^-100 below its peak.  Harmonics below
-    8, whose window always reaches the axis, take their nodes in angle, for
-    the momentum moment."""
+    sqrt(gamma/2n) and the edge lies e^-100 below its peak."""
     n = np.frombuffer(harmonics)
     umax = np.minimum(_beaming_windows(n, beam.gamma, 4.0), 10.0 * np.sqrt(beam.gamma / n))
-    out = np.empty((2, len(n)))
-    for rows, _, wt, s, bracket in _emission_blocks(n, umax, beam, 32, angle_below=8.0):
+    out = np.empty(len(n))
+    for rows, _, wt, _, bracket in _emission_blocks(n, umax, beam, 32):
         # symmetric in u -> 2x half-range
-        out[0, rows] = 2.0 * np.sum(wt * bracket, axis=1)
-        out[1, rows] = 2.0 * np.sum(wt * (bracket * s), axis=1)
+        out[rows] = 2.0 * np.sum(wt * bracket, axis=1)
     out.setflags(write=False)
     return out
 
@@ -373,18 +357,13 @@ def _schott_closed_form(beam: BeamParams, harmonics: bytes):
 def schott_harmonic_rate(n: int, beam: BeamParams) -> float:
     """Photons per atomic time emitted into harmonic n, integrated over solid
     angle: 2 pi int_0^pi sin(theta) dN_n/(dt dOmega) dtheta, from Schott's
-    closed form (_schott_closed_form) at integer n and from the angular rule
-    (_angular_integrals) otherwise.  Raises DomainError for n < 1, as
-    schott_angular_rate does."""
-    if not n >= 1:
-        raise DomainError(f"harmonic must be >= 1, got {n:g}")
+    closed form (_schott_closed_form).  Raises DomainError unless n is an
+    integer >= 1."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise DomainError(f"harmonic must be an integer >= 1, got {n:g}")
     if beam.beta == 0.0:
         return 0.0
-    harmonics = np.array([n], dtype=float).tobytes()
-    if float(n).is_integer():
-        plain = _schott_closed_form(beam, harmonics)
-    else:
-        plain = _angular_integrals(beam, harmonics)[0]
+    plain = _schott_closed_form(beam, np.array([n], dtype=float).tobytes())
     return beam.Z**2 * n * beam.omega0 / C_AU * float(plain[0])
 
 
@@ -417,17 +396,14 @@ def _default_cap(beam: BeamParams) -> int:
     return max(64, int(50 * beam.gamma**3))
 
 
-def _grid_integrals(beam: BeamParams, n: np.ndarray, moment: bool = False) -> np.ndarray:
-    """The angular integrals of _angular_integrals on the totals' harmonic
-    grid n from spectral_sum: the plain integral, or the momentum moment.
-    The unit-weight harmonics at its head take the plain one from Schott's
-    closed form; the rest come from the angular rule, in two passes, head
-    and tail, so the tail's is shared."""
+def _grid_integrals(beam: BeamParams, n: np.ndarray) -> np.ndarray:
+    """The angular integral of the Schott bracket on the totals' harmonic
+    grid n from spectral_sum: Schott's closed form on the unit-weight
+    harmonics at its head, the angular rule on the tail."""
     k = min(_N_EXACT, len(n))
-    head, tail = n[:k].tobytes(), n[k:].tobytes()
-    if moment:
-        return np.concatenate([_angular_integrals(beam, head)[1], _angular_integrals(beam, tail)[1]])
-    return np.concatenate([_schott_closed_form(beam, head), _angular_integrals(beam, tail)[0]])
+    return np.concatenate(
+        [_schott_closed_form(beam, n[:k].tobytes()), _angular_integrals(beam, n[k:].tobytes())]
+    )
 
 
 def classical_power(beam: BeamParams) -> float:
@@ -463,19 +439,13 @@ def total_photon_rate(beam: BeamParams) -> float:
 
 
 def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
-    """Period-averaged momentum radiated per atomic time, in the co-rotating
-    basis (longitudinal along the instantaneous velocity, radial, field axis).
+    """Rate of change of the charge's momentum from radiation, per atomic
+    time, in the co-rotating basis (longitudinal along the instantaneous
+    velocity, radial, field axis): (-beta total_power / c, 0, 0).
 
-    The radial and axial components vanish by the symmetry of the averaged
-    circular-orbit distribution; the longitudinal component approaches
-    total_power/c as beta -> 1 (forward beaming).
-    """
-    _check_totals_range(beam)
-    if beam.beta == 0.0:
-        return np.zeros(3)
-    pref = beam.Z**2 * beam.omega0**2 / C_AU**2
-    longitudinal = spectral_sum(
-        lambda n: pref * n * n * _grid_integrals(beam, n, moment=True), _default_cap(beam)
-    )
-    return np.array([-longitudinal, 0.0, 0.0])
+    The four-momentum radiated per unit proper time is parallel to the
+    four-velocity (Landau & Lifshitz, Classical Theory of Fields, sec. 73;
+    Jackson, Classical Electrodynamics, sec. 14.2), so the momentum leaves
+    along v at beta/c times the power."""
+    return np.array([-(beam.beta * total_power(beam) / C_AU), 0.0, 0.0])
 

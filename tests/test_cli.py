@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synchrad import ir_model
-from synchrad.cli import ConfigError, main, parse_config, run
+from synchrad.cli import ConfigError, _parse_int_list, main, parse_config, run
 from synchrad.decoherence import Width
 from synchrad.semiclassical import classical_power, schott_angular_rate
 from synchrad.units import C_AU
@@ -323,6 +323,38 @@ def test_spectrum_and_ir_reject_bad_input_as_config_error(tmp_path, capsys, comm
     assert key.split(".")[1] in diag["message"]
     with pytest.raises(ConfigError):
         run(parse_config(cfg.read_text()), str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize(
+    "harmonics, n_thetas, named",
+    [
+        # one value above each cap: 2^16 + 1 harmonics, 2^16 + 1 angles, and
+        # 48,771 x 43 = 2^21 + 1 rows of spectrum.csv
+        ("1:65536, 1", None, "harmonics"),
+        ("1", 65537, "thetas"),
+        ("1:48771", 43, "rows"),
+    ],
+    ids=["harmonics", "thetas", "table"],
+)
+def test_spectrum_rejects_lists_above_the_caps(tmp_path, capsys, harmonics, n_thetas, named):
+    text = (
+        "command = spectrum\nbeam.gamma = 2.0\nbeam.radius_bohr = 1000.0\n"
+        f"spectrum.harmonics = {harmonics}\n"
+    )
+    if n_thetas is not None:
+        text += "spectrum.thetas = " + ", ".join(["0.5"] * n_thetas) + "\n"
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError" and named in diag["message"]
+    assert not (out / "spectrum.csv").exists() and not (out / "spectrum.json").exists()
+
+
+def test_spectrum_harmonic_list_may_fill_its_cap():
+    assert _parse_int_list("1:65536", "spectrum.harmonics", 1) == list(range(1, 65537))
+    assert len(_parse_int_list("1:32768, 32769:65536", "spectrum.harmonics", 1)) == 65536
 
 
 @pytest.mark.parametrize(
