@@ -6,12 +6,17 @@ per-harmonic angular distribution, and radiated totals.
 The radiated totals sum the angle-integrated Schott bracket over harmonics.
 The unit-weight harmonics 1..512 take it from Schott's closed form (Schott
 1912; Jackson sec. 14.6) with Miller's backward recurrence (DLMF 3.6(vi),
-10.22.6), one jv element each; the log-spaced tail takes it from a 32-node
-angular rule, two jv elements per node.  Power and photon rate of one beam
-share 512 + 64 x (tail harmonics) jv elements: 6,592 at gamma = 10, 34,240
-at gamma = 1e4.  The momentum loss needs no pass of its own: the radiated
-four-momentum is parallel to the four-velocity (Landau & Lifshitz, Classical
-Theory of Fields, sec. 73), so momentum leaves along v at beta P / c.
+10.22.6), one jv element each.  The tail, 513..50 gamma^3, is an integral
+over n on 6-point Gauss-Legendre panels of half a decade in log n, and each
+of its nodes takes the bracket from a 32-node angular rule: two jv elements
+per angular node below harmonic 1e6, and one airy element (Olver's uniform
+expansion, DLMF 10.20) at and above it.  Power and photon rate of one beam
+share one pass: 2,048 jv elements at gamma = 10 (6,592 on the earlier
+48-per-decade trapezoid), and 3,008 jv and 2,976 airy elements at
+gamma = 1e4 (34,240 jv).  The momentum loss needs no pass of its own: the
+radiated four-momentum is parallel to the four-velocity (Landau & Lifshitz,
+Classical Theory of Fields, sec. 73), so momentum leaves along v at
+beta P / c.
 
 Motion is a velocity law: position(t) and velocity(t) on arrays of times and
 breakpoints(t_end); its photon number |Q(t)|^2 in a mode is
@@ -50,10 +55,9 @@ __all__ = [
     "classical_power",
 ]
 
-# Largest gamma at which the totals are tested against Lienard's power; above
-# about 3e4, jv at the tail's harmonic orders is inaccurate and they go wrong.
-# Every Bessel value the totals use comes from jv, so the bound is set by jv
-# alone.
+# Largest gamma at which the totals are tested against Lienard's power.  The
+# tail harmonics above _OLVER_N no longer use jv, which is inaccurate at large
+# orders, but the totals have not been tested above this bound.
 TOTALS_GAMMA_MAX = 1e4
 
 
@@ -161,12 +165,63 @@ def _bessel_pair(n, x):
     return x * (lo + hi) / (2.0 * n), (lo - hi) / 2.0
 
 
+# Harmonics at and above which J_n and J_n' come from Olver's expansion
+# (_olver_pair) rather than from jv: there the expansion's leading terms are
+# within 1.3e-10 (J_n) and 7e-15 (J_n') of the peak values, while jv at
+# large orders carries noise that the difference for J_n' amplifies.
+_OLVER_N = 1e6
+
+
+def _atanh_minus_identity(w):
+    """atanh(w) - w for 0 < w < 1, without the cancellation at small w: the
+    Maclaurin series w^3 sum_k w^2k / (2k + 3) below w = 1/2, whose 29 terms
+    leave under 1e-18 of the sum there."""
+    w2 = w * w
+    series = np.zeros_like(w)
+    for k in range(28, -1, -1):
+        series = series * w2 + 1.0 / (2 * k + 3)
+    return np.where(w < 0.5, w * w2 * series, np.arctanh(w) - w)
+
+
+def _olver_pair(n, w, z):
+    """(J_n(n z), J_n'(n z)) from the leading terms of Olver's uniform
+    expansion (Olver 1954; DLMF 10.20.4, 10.20.7, 10.20.11), with
+    w = sqrt(1 - z^2) in (0, 1) passed in so that callers can form it
+    without cancellation:
+
+        J_n  ~ phi Ai(n^(2/3) zeta) / n^(1/3)
+        J_n' ~ -(2/z) phi^-1 [Ai'(n^(2/3) zeta) / n^(2/3)
+                              + C_0(zeta) Ai(n^(2/3) zeta) / n^(4/3)]
+
+    where (2/3) zeta^(3/2) = atanh w - w, phi = (4 zeta / w^2)^(1/4) and
+    C_0 = 7/(48 zeta) + zeta^(1/2) (3/(8 w) - 7/(24 w^3)).  The dropped terms
+    are of relative order n^(-4/3) in J_n and n^(-2) in J_n'."""
+    zeta = np.cbrt(np.square(1.5 * _atanh_minus_identity(w)))
+    c = np.cbrt(n)
+    # Ai and Ai' underflow to 0 from 104 on; airy returns NaN for large arguments
+    ai, aip, _, _ = scipy.special.airy(np.minimum(c * c * zeta, 200.0))
+    phi = np.sqrt(np.sqrt(4.0 * zeta / (w * w)))
+    c0 = 7.0 / (48.0 * zeta) + np.sqrt(zeta) * (3.0 / (8.0 * w) - 7.0 / (24.0 * (w * w * w)))
+    return phi * ai / c, -(2.0 / z) / phi * (aip / (c * c) + c0 * ai / (n * c))
+
+
 def _schott_bracket(n, u, s, s2, beta: float):
     """The Schott bracket cot^2(theta) J_n^2(x) + beta^2 J_n'^2(x) at
     x = n beta sin(theta), from u = cos(theta), s = sin(theta) and
     s2 = sin^2(theta); each caller rounds s and s2 its own way.  J_n and
-    J_n' come from one _bessel_pair."""
-    jn, jnp = _bessel_pair(n, n * beta * s)
+    J_n' come from one _bessel_pair below harmonic _OLVER_N and from
+    _olver_pair at and above it, element by element, with
+    w^2 = 1 - beta^2 sin^2(theta) = (1 - beta)(1 + beta) + beta^2 u^2.
+    Where w rounds to 1 (beta sin(theta) below about 1e-8) the pair takes
+    over again: there J_n(x) is far below the smallest double."""
+    n, u, s, s2 = np.broadcast_arrays(n, u, s, s2)
+    w = np.sqrt((1.0 - beta) * (1.0 + beta) + beta**2 * (u * u))
+    olver = (n >= _OLVER_N) & (w < 1.0)
+    jn, jnp = np.empty(n.shape), np.empty(n.shape)
+    pair = ~olver
+    jn[pair], jnp[pair] = _bessel_pair(n[pair], n[pair] * beta * s[pair])
+    if olver.any():  # an empty _olver_pair still costs its 29-term series
+        jn[olver], jnp[olver] = _olver_pair(n[olver], w[olver], beta * s[olver])
     # products, not **: a numpy scalar's ** 2 calls pow, which can differ
     # from the array square in the last place
     return (u * u / s2) * (jn * jn) + beta**2 * (jnp * jnp)
@@ -200,10 +255,10 @@ _BLOCK = 16  # harmonics per Bessel evaluation: keeps the node arrays small
 
 
 def _harmonic_grid(n_cap: int, n_exact: int, per_decade: int):
-    """(n, weights, n_exact) for sums over harmonics 1..n_cap: the harmonics
-    up to n_exact with unit weight, then the smooth tail on a log grid from
-    n_exact + 1/2 to n_cap + 1/2 with trapezoid weights in log n, which keeps
-    ultrarelativistic sums over ~gamma^3 harmonics tractable."""
+    """(n, weights, n_exact) for the decoherence mode table's sums over
+    harmonics 1..n_cap: the harmonics up to n_exact with unit weight, then
+    the smooth tail on a log grid from n_exact + 1/2 to n_cap + 1/2 with
+    trapezoid weights in log n.  The totals use _panel_grid instead."""
     n_exact = min(n_exact, n_cap)
     exact = np.arange(1.0, n_exact + 1.0)
     if n_cap <= n_exact:
@@ -249,12 +304,13 @@ def _emission_blocks(n: np.ndarray, umax: np.ndarray, beam: BeamParams, n_theta:
 def _angular_integrals(beam: BeamParams, harmonics: bytes):
     """int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta at each
     float64 harmonic packed in `harmonics`, from an angular rule: a read-only
-    array.  The totals take it on the log-spaced tail (the exact harmonics
-    use _schott_closed_form).  Keyed by value, so the totals of one beam
-    share one Bessel pass.
+    array.  The totals take it on the tail's panel nodes (the exact
+    harmonics use _schott_closed_form).  Keyed by value, so the totals of one
+    beam share one Bessel pass.
 
     32 Gauss nodes per harmonic on the window min(4 beaming widths,
-    10 sqrt(gamma/n)) of _emission_blocks, two jv elements per node.  At 4
+    10 sqrt(gamma/n)) of _emission_blocks, two jv elements per node below
+    _OLVER_N and one airy element at and above it.  At 4
     widths the Kapteyn bound is below 1e-20 of every harmonic's integral for
     gamma in [1.01, 1e4]; the second edge binds only above n ~ 4 gamma^3,
     where the harmonic is a Gaussian in u of standard deviation
@@ -273,6 +329,11 @@ def _angular_integrals(beam: BeamParams, harmonics: bytes):
 # dropped terms and start error together, and the most terms it may take.
 _MILLER_TOL = 1e-16
 _MILLER_MAX_TERMS = 10_000
+# Candidate term counts per array pass of _miller_terms.  On harmonics 1..512
+# the count rises with beta to 68 (37 at gamma = 2, 65 at 10): five passes of
+# 16 take about 70% of the time of a loop over the count, and keep each
+# temporary at 16 x 512 doubles (80 in one pass raised the peak RSS by 2 MB).
+_MILLER_CHUNK = 16
 
 
 def _miller_terms(x: np.ndarray, a: np.ndarray) -> int:
@@ -290,20 +351,26 @@ def _miller_terms(x: np.ndarray, a: np.ndarray) -> int:
     of J_a <= S.  Starting at J_{M+1} = 0 leaves each computed ratio
     J_k/J_{k-1} low by a relative delta_k <= rho_k rho_{k+1} delta_{k+1},
     delta_{M+1} = 1, which puts at most B L (L - 1) on the kept terms.  The
-    bound is B (L (L - 1) + q/(1 - q))."""
+    bound is B (L (L - 1) + q/(1 - q)).
+
+    The bound is taken for _MILLER_CHUNK candidate L at once; log B is a
+    running sum along them that adds in the order of a loop over L."""
     rho = lambda nu: x / (nu + np.sqrt((nu - x) * (nu + x)))
     log_b = np.zeros_like(x)
-    q = rho(a + 1.0) * rho(a + 2.0)
-    for terms in range(1, _MILLER_MAX_TERMS + 1):
-        log_bound = log_b + np.log(terms * (terms - 1) + q / (1.0 - q))
-        if np.all(log_bound <= math.log(_MILLER_TOL)):
-            return terms
-        log_b += np.log(q)
-        top = a + 2.0 * terms
+    for first in range(1, _MILLER_MAX_TERMS + 1, _MILLER_CHUNK):
+        terms = np.arange(first, min(first + _MILLER_CHUNK, _MILLER_MAX_TERMS + 1.0))[:, None]
+        # q at L terms: rho at the two orders above the start a + 2(L - 1)
+        top = a + 2.0 * (terms - 1.0)
         q = rho(top + 1.0) * rho(top + 2.0)
+        log_b = np.cumsum(np.vstack([log_b[None], np.log(q)]), axis=0)
+        log_bound = log_b[:-1] + np.log(terms * (terms - 1.0) + q / (1.0 - q))
+        done = np.all(log_bound <= math.log(_MILLER_TOL), axis=1)
+        if done.any():
+            return first + int(np.argmax(done))
+        log_b = log_b[-1]
     raise ConvergenceError(
         f"backward recurrence not certified to {_MILLER_TOL:g} in {_MILLER_MAX_TERMS} terms",
-        error_estimate=float(np.exp(log_bound.max())),
+        error_estimate=float(np.exp(log_bound[-1].max())),
     )
 
 
@@ -370,26 +437,37 @@ def schott_harmonic_rate(n: int, beam: BeamParams) -> float:
 _N_EXACT = 512  # harmonics summed one by one, with unit weight
 
 
+def _panel_grid(n_cap: int, n_exact: int):
+    """(n, weights, n_exact) for the totals' sums over harmonics 1..n_cap:
+    the harmonics up to n_exact with unit weight, then the smooth tail as an
+    integral over n from n_exact + 1/2 to n_cap + 1/2 (the sum-to-integral
+    midpoint match) on 6-point Gauss-Legendre panels of half a decade in
+    log n, ceil(2 log10(hi / lo)) of them; the weights carry dn = n dlog n."""
+    n_exact = min(n_exact, n_cap)
+    exact = np.arange(1.0, n_exact + 1.0)
+    if n_cap <= n_exact:
+        return exact, np.ones(n_exact), n_exact
+    lo, hi = n_exact + 0.5, n_cap + 0.5
+    edges = np.linspace(math.log(lo), math.log(hi), math.ceil(2.0 * math.log10(hi / lo)) + 1)
+    log_n, w = gauss_nodes(edges[:-1, None], edges[1:, None], 6)
+    tail = np.exp(log_n.ravel())
+    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), w.ravel() * tail]), n_exact
+
+
 def spectral_sum(
     per_n: Callable[[np.ndarray], np.ndarray],
     n_cap: int,
     n_exact: int = _N_EXACT,
-    per_decade: int = 48,
 ) -> float:
     """Sum per_n over harmonics n = 1..n_cap; per_n maps an array of
     harmonic numbers to the array of their terms and is called once.
 
-    Harmonics up to n_exact are summed exactly; the smooth tail is converted
-    to an integral on a log grid (midpoint-matched at n_exact + 1/2), see
-    _harmonic_grid.
+    Harmonics up to n_exact are summed exactly; the smooth tail is an
+    integral on Gauss-Legendre panels in log n, see _panel_grid.
     """
-    n, _, n_exact = _harmonic_grid(n_cap, n_exact, per_decade)
+    n, weights, n_exact = _panel_grid(n_cap, n_exact)
     terms = per_n(n)
-    total = math.fsum(terms[:n_exact])
-    if len(n) > n_exact:
-        tail = n[n_exact:]
-        total += float(np.trapezoid(terms[n_exact:] * tail, np.log(tail)))
-    return total
+    return math.fsum(terms[:n_exact]) + float(terms[n_exact:] @ weights[n_exact:])
 
 
 def _default_cap(beam: BeamParams) -> int:

@@ -19,8 +19,13 @@ from hypothesis import strategies as st
 from synchrad import ir_model
 from synchrad.cli import ConfigError, _parse_int_list, main, parse_config, run
 from synchrad.decoherence import Width
-from synchrad.semiclassical import classical_power, schott_angular_rate
-from synchrad.units import C_AU
+from synchrad.semiclassical import (
+    classical_power,
+    schott_angular_rate,
+    total_photon_rate,
+    total_power,
+)
+from synchrad.units import C_AU, BeamParams
 
 
 FIAN_CONFIG = """
@@ -544,8 +549,9 @@ def test_a_nan_width_still_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_spectrum_refuses_gamma_above_the_certified_totals(tmp_path, capsys):
-    # above TOTALS_GAMMA_MAX the harmonic sums are wrong (+1.0e3 relative at
-    # gamma = 5e4), so the command writes nothing rather than a wrong total
+    # above TOTALS_GAMMA_MAX the harmonic sums are untested (and off by -0.80
+    # relative at gamma = 1e8), so the command writes nothing rather than an
+    # unchecked total
     cfg = tmp_path / "cfg"
     cfg.write_text("command = spectrum\nbeam.gamma = 5e4\nbeam.radius_bohr = 1000.0\n")
     out = tmp_path / "out"
@@ -558,9 +564,10 @@ def test_spectrum_refuses_gamma_above_the_certified_totals(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     payload = json.loads((out / "spectrum.json").read_text())
-    # the gamma = 1e4 totals pinned in tests/test_semiclassical.py
-    assert payload["total_power_au"] == 913583196936.498
-    assert payload["total_photon_rate_au"] == 14.432254249206375
+    # the JSON carries the totals bit for bit
+    beam = BeamParams.from_gamma_radius(gamma=1e4, R=1000.0)
+    assert payload["total_power_au"] == total_power(beam)
+    assert payload["total_photon_rate_au"] == total_photon_rate(beam)
 
 
 def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):

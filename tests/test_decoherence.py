@@ -435,10 +435,15 @@ def _mode_table_loop(beam, n_exact, per_decade, n_theta):
         s2 = 1.0 - u**2
         s = np.sqrt(s2)
         x = n * beam.beta * s
-        # J_n from the recurrence, as _schott_bracket forms it: this checks
-        # the blocking, not the Bessel routine
-        jn = x * (scipy.special.jv(n - 1, x) + scipy.special.jv(n + 1, x)) / (2.0 * n)
-        jnp = scipy.special.jvp(n, x, 1)
+        # J_n from the recurrence below the switch and from Olver's expansion
+        # at and above it, as _schott_bracket forms them: this checks the
+        # blocking, not the Bessel routine
+        if n < semiclassical._OLVER_N:
+            jn = x * (scipy.special.jv(n - 1, x) + scipy.special.jv(n + 1, x)) / (2.0 * n)
+            jnp = scipy.special.jvp(n, x, 1)
+        else:
+            w = np.sqrt((1.0 - beam.beta) * (1.0 + beam.beta) + beam.beta**2 * (u * u))
+            jn, jnp = semiclassical._olver_pair(np.full(n_theta, n), w, beam.beta * s)
         bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
         ks.append(np.full(n_theta, n * beam.omega0 / C_AU))
         ss.append(s)
@@ -461,16 +466,17 @@ def test_mode_table_equals_per_harmonic_loop(resolution):
 
 def test_mode_table_makes_one_bessel_pass_at_the_width_resolution(monkeypatch):
     # the decoherence table keeps its own rule: 24 nodes per harmonic at
-    # _WIDTH_RES, two jv calls per node, and no more
+    # _WIDTH_RES, two jv calls per node below the switch to Olver's
+    # expansion and one airy call per node at and above it, and no more
     beam = beam_from_lab(FIAN_60)
     res = decoherence._WIDTH_RES
     assert (res["n_exact"], res["per_decade"], res["n_theta"]) == (128, 16, 24)
-    calls = {"jv": 0, "jvp": 0}
+    calls = {"jv": 0, "jvp": 0, "airy": 0}
 
     def counted(name, fn):
-        def wrapper(v, z, *args):
-            calls[name] += np.size(z)
-            return fn(v, z, *args)
+        def wrapper(*args):
+            calls[name] += np.size(args[0] if name == "airy" else args[1])
+            return fn(*args)
 
         return wrapper
 
@@ -478,7 +484,9 @@ def test_mode_table_makes_one_bessel_pass_at_the_width_resolution(monkeypatch):
         monkeypatch.setattr(scipy.special, name, counted(name, getattr(scipy.special, name)))
     decoherence._mode_table.__wrapped__(beam, **res)
     n, _, _ = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 128, 16)
-    assert calls == {"jv": 2 * len(n) * 24, "jvp": 0}
+    olver = np.count_nonzero(n >= semiclassical._OLVER_N)
+    assert olver > 0
+    assert calls == {"jv": 2 * (len(n) - olver) * 24, "jvp": 0, "airy": olver * 24}
 
 
 def test_pchip_slopes_match_scipy():
