@@ -232,11 +232,6 @@ def _write_json(path, payload) -> None:
 
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
-    if config.beam.gamma > semiclassical.TOTALS_GAMMA_MAX:
-        raise ConfigError(
-            f"spectrum: beam gamma {config.beam.gamma:g} is above "
-            f"{semiclassical.TOTALS_GAMMA_MAX:g}, where the radiated totals are not accurate"
-        )
     params = config.params
     if "harmonics" in params:
         value, lineno = params["harmonics"]
@@ -402,11 +397,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to key=value config file")
     parser.add_argument("--out", default=".", help="output directory for artifacts")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="accepted for compatibility; has no effect",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # a usage error (2) or --help (0)

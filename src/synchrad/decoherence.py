@@ -131,7 +131,7 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
     pref = beam.Z**2 * beam.omega0 / C_AU
     k = np.repeat(n * beam.omega0 / C_AU, n_theta)
     s, u, W = (np.empty((len(n), n_theta)) for _ in range(3))
-    umax = _beaming_windows(n, beam.gamma, 8.0)
+    umax = _beaming_windows(n, beam, 8.0)
     for rows, u_rows, wt, s_rows, bracket in _emission_blocks(n, umax, beam, n_theta):
         u[rows], s[rows] = u_rows, s_rows
         # factor 2 folds in the mirror hemisphere (integrand even in cos theta)
@@ -262,12 +262,13 @@ def s_ultrarel(
     total = np.zeros(r.shape)
     b2 = beam.beta**2
     for zeta, wz in zip(grid, tw * grid):
-        # Ai argument (zeta/2)^(2/3) (1 - beta^2 sin^2) decays beyond ~20
+        # Ai argument (zeta/2)^(2/3) (1 - beta^2 sin^2) decays beyond ~20;
+        # 1 - beta^2 sin^2 = gamma^-2 + beta^2 u^2, without the cancellation
         umax = min(math.sin(epsilon), math.sqrt(20.0) * (2.0 / zeta) ** (1.0 / 3.0))
         u, wt = gauss_nodes(0.0, umax, n_theta)
         s2 = 1.0 - u**2
         s = np.sqrt(s2)
-        arg = (zeta / 2.0) ** (2.0 / 3.0) * (1.0 - b2 * s2)
+        arg = (zeta / 2.0) ** (2.0 / 3.0) * (beam.gamma_m2 + b2 * (u * u))
         ai, aip, _, _ = scipy.special.airy(np.clip(arg, -20.0, 200.0))
         kern = (u**2 / s2) * ai**2 + (
             b2**2 * 2.0 ** (2.0 / 3.0) * s2 / zeta ** (2.0 / 3.0)

@@ -59,7 +59,9 @@ class BeamParams:
 
     Derived fields (beta, v0, omega0, H0) satisfy
     beta = sqrt(1 - 1/gamma^2), v0 = beta*c, omega0 = v0/R, H0 = gamma*c*omega0,
-    so omega0 = H0/(gamma*m*c) holds identically (e = m = 1).
+    so omega0 = H0/(gamma*m*c) holds identically (e = m = 1).  gamma_m2 is
+    1/gamma^2 from gamma: 1 - beta^2 from the rounded beta is off by about
+    gamma^2 times the double epsilon, and beta rounds to 1 above 1.35e8.
     """
 
     Z: float
@@ -85,6 +87,10 @@ class BeamParams:
         omega0 = v0 / R
         H0 = gamma * C_AU * omega0
         return cls(Z=Z, gamma=gamma, R=R, beta=beta, v0=v0, omega0=omega0, H0=H0)
+
+    @property
+    def gamma_m2(self) -> float:
+        return 1.0 / self.gamma**2
 
 
 def beam_from_lab(inp: LabInput) -> BeamParams:

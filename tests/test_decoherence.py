@@ -78,6 +78,16 @@ def test_ultrarel_matches_harmonic_sum_at_high_gamma():
             assert got == pytest.approx(ref, rel=0.05)
 
 
+def test_ultrarel_matches_harmonic_sum_at_gamma_1e8():
+    # 1 - beta^2 from the float beta is 2.2 gamma^-2 here, which puts the two
+    # sums 2% apart unless both take 1 - beta^2 sin^2 as gamma^-2 + beta^2 u^2
+    beam = BeamParams.from_gamma_radius(1e8, 1e9)
+    r = 1e9 / beam.gamma**2 * np.array([1e-2, 1.0, 1e2])
+    ref = s_averaged(r, math.pi / 2, 1.0, beam)
+    got = s_ultrarel(r, math.pi / 2, 1.0, beam)
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-3)
+
+
 def test_ultrarel_epsilon_plateau():
     beam = BeamParams.from_gamma_radius(1000.0, 3.78e10)
     r = 30.0 * C_AU / (beam.omega0 * beam.gamma**3)
@@ -429,7 +439,7 @@ def _mode_table_loop(beam, n_exact, per_decade, n_theta):
     ks, ss, us, ws = [], [], [], []
     pref = beam.Z**2 * beam.omega0 / C_AU
     for n, wn in zip(n_vals, n_wts):
-        width = math.sqrt(1.0 / beam.gamma**2 + (2.0 / n) ** (2.0 / 3.0))
+        width = math.sqrt(beam.gamma_m2 + (2.0 / n) ** (2.0 / 3.0))
         umax = min(1.0, 8.0 * width)
         u, wt = gauss_nodes(0.0, umax, n_theta)
         s2 = 1.0 - u**2
@@ -442,7 +452,7 @@ def _mode_table_loop(beam, n_exact, per_decade, n_theta):
             jn = x * (scipy.special.jv(n - 1, x) + scipy.special.jv(n + 1, x)) / (2.0 * n)
             jnp = scipy.special.jvp(n, x, 1)
         else:
-            w = np.sqrt((1.0 - beam.beta) * (1.0 + beam.beta) + beam.beta**2 * (u * u))
+            w = np.sqrt(beam.gamma_m2 + beam.beta**2 * (u * u))
             jn, jnp = semiclassical._olver_pair(np.full(n_theta, n), w, beam.beta * s)
         bracket = (u**2 / s2) * jn**2 + beam.beta**2 * jnp**2
         ks.append(np.full(n_theta, n * beam.omega0 / C_AU))
@@ -462,6 +472,18 @@ def test_mode_table_equals_per_harmonic_loop(resolution):
     want = _mode_table_loop(beam, *resolution)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gamma", [1e4, 1e6, 1e8, 1e10, 1e12])
+def test_mode_table_plateaus_match_the_total_photon_rate(gamma):
+    # the weights sum to the plateau of s1: within 1.9e-8 (CLI resolution)
+    # and 7.1e-7 (width resolution) of the totals at every gamma here
+    beam = BeamParams.from_gamma_radius(gamma, 1e9)
+    rate = total_photon_rate(beam)
+    width_res = tuple(decoherence._WIDTH_RES[k] for k in ("n_exact", "per_decade", "n_theta"))
+    for resolution in ((512, 48, 48), width_res):
+        weights = decoherence._mode_table(beam, *resolution)[3]
+        assert abs(math.fsum(weights) / rate - 1.0) <= 1e-6
 
 
 def test_mode_table_makes_one_bessel_pass_at_the_width_resolution(monkeypatch):

@@ -16,6 +16,7 @@ from synchrad import semiclassical
 from synchrad.corrections import PiecewiseConstantVelocity, corrected_photon_number
 from synchrad.cli import main
 from synchrad.errors import ConvergenceError, DomainError, RangeError
+from synchrad.numerics import gauss_nodes
 from synchrad.semiclassical import (
     CircularOrbit,
     PhotonMode,
@@ -29,7 +30,7 @@ from synchrad.semiclassical import (
     total_power,
     transverse_polarization_pairs,
 )
-from synchrad.units import C_AU, FIAN_60, BeamParams, beam_from_lab
+from synchrad.units import C_AU, FIAN_60, GAMMA_MAX, BeamParams, beam_from_lab
 
 
 def test_polarization_basis_orthonormal():
@@ -249,12 +250,9 @@ def test_angular_integrals_match_adaptive_quadrature(gamma):
         assert got[k] == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("gamma", np.geomspace(1.01, 1e4, 9).tolist())
-def test_totals_window_edges_pass_the_kapteyn_bound(gamma, monkeypatch):
-    # Kapteyn (DLMF 10.14.8): J_n(n z)^2 <= exp(-2n(atanh w - w)),
-    # w = sqrt(1 - z^2), z = beta sin(theta); at the edge u = cos(theta) the
-    # bound must be negligible next to the harmonic's whole integral
-    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
+def _totals_window(beam, monkeypatch):
+    # the tail harmonics, the window edges as the totals' table passes them
+    # to _emission_blocks, and the angular integrals over those windows
     n, _, _ = semiclassical._panel_grid(semiclassical._default_cap(beam), 512)
     # the window edges, as the totals' table passes them to _emission_blocks
     seen = []
@@ -268,17 +266,44 @@ def test_totals_window_edges_pass_the_kapteyn_bound(gamma, monkeypatch):
     semiclassical._angular_integrals.cache_clear()
     plain = semiclassical._angular_integrals(beam, n.tobytes())
     (umax,) = seen
+    return n, umax, plain
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(1.01, 1e4, 9).tolist())
+def test_totals_window_edges_pass_the_kapteyn_bound(gamma, monkeypatch):
+    # Kapteyn (DLMF 10.14.8): J_n(n z)^2 <= exp(-2n(atanh w - w)),
+    # w = sqrt(1 - z^2), z = beta sin(theta); at the edge u = cos(theta) the
+    # bound must be negligible next to the harmonic's whole integral
+    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
+    n, umax, plain = _totals_window(beam, monkeypatch)
     cut = umax < 1.0
     # 1 - z^2 = 1/gamma^2 + beta^2 u^2, without the cancellation
-    w = np.sqrt(1.0 / gamma**2 + beam.beta**2 * umax[cut] ** 2)
+    w = np.sqrt(beam.gamma_m2 + beam.beta**2 * umax[cut] ** 2)
     log_bound = -2.0 * n[cut] * (np.arctanh(w) - w)
     assert np.all(log_bound <= math.log(1e-20) + np.log(plain[cut]))
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(1e4, GAMMA_MAX, 17).tolist())
+def test_totals_window_edges_leave_a_negligible_tail(gamma, monkeypatch):
+    # Kapteyn's bound drops the ~n^(-2/3) Airy prefactor and stops certifying
+    # the 4-width window from gamma ~ 2e4 (log(bound/integral) is -44.2 at
+    # 3.2e4 and +42.2 at 1e12, against the log(1e-20) = -46.1 required); the
+    # bracket integrated beyond the edge, over [umax, 6 umax] on 64 Gauss
+    # nodes, is at most 1.1e-38 of each harmonic's integral
+    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
+    n, umax, plain = _totals_window(beam, monkeypatch)
+    cut = umax < 1.0
+    u, wt = gauss_nodes(umax[cut, None], np.minimum(6.0 * umax[cut, None], 1.0), 64)
+    s2 = 1.0 - u * u
+    bracket = semiclassical._schott_bracket(n[cut, None], u, np.sqrt(s2), s2, beam)
+    tail = 2.0 * np.sum(wt * bracket, axis=1)
+    assert cut.any() and np.all(tail <= 1e-30 * plain[cut])
 
 
 def _reference_integrals(beam, harmonics):
     # 128 nodes on the 8-width window, no Gaussian cap
     n = np.frombuffer(harmonics)
-    umax = semiclassical._beaming_windows(n, beam.gamma, 8.0)
+    umax = semiclassical._beaming_windows(n, beam, 8.0)
     out = np.empty(len(n))
     for rows, _, wt, _, bracket in semiclassical._emission_blocks(n, umax, beam, 128):
         out[rows] = 2.0 * np.sum(wt * bracket, axis=1)
@@ -433,14 +458,14 @@ def test_total_power_matches_classical_oracle():
 # (total_power, total_photon_rate, -momentum_loss_rate[0]) at R = 1000 bohr,
 # Z = 1, pinned bit for bit: Schott's closed form on harmonics 1..512, the
 # angular rule on the Gauss-Legendre panels of the tail; the momentum loss is
-# beta total_power / c.  Against Lienard's power: 4.4e-16, -1.1e-16, 3.9e-9,
-# -2.5e-8 and 1.2e-9
+# beta total_power / c.  Against Lienard's power: 4.4e-16, 2.2e-16, 3.9e-9,
+# 2.5e-9 and 1.7e-9
 _TOTALS = {
     1.01: (3.690927597066023e-08, 1.87346060537532e-06, 3.780746081509566e-11),
-    2.0: (0.0008222159939999997, 0.0012080433219814602, 5.196152422706629e-06),
-    10.0: (0.8953932209404493, 0.012851441958284861, 0.006501247939281847),
-    1e4: (913573285731.2806, 14.432235362235607, 6666666334.61339),
-    "FIAN_60": (2.0055838643163675e-07, 5.0780295054258065e-08, 1.4635448441791875e-09),
+    2.0: (0.0008222159939999999, 0.0012080433219814604, 5.19615242270663e-06),
+    10.0: (0.8953932209404492, 0.01285144195828486, 0.006501247939281846),
+    1e4: (913573310629.7885, 14.432235460579893, 6666666516.306579),
+    "FIAN_60": (2.0055838652241253e-07, 5.078029506000743e-08, 1.4635448448416103e-09),
 }
 
 
@@ -573,28 +598,30 @@ def test_schott_bracket_is_smooth_in_n_above_the_switch():
     n = 1e10 * (1.0 + 1e-10 * np.arange(-5.0, 6.0))[:, None]
     u = np.array([0.0, 1e-4, 3e-4])
     s2 = 1.0 - u * u
-    bracket = semiclassical._schott_bracket(n, u, np.sqrt(s2), s2, beam.beta)
+    bracket = semiclassical._schott_bracket(n, u, np.sqrt(s2), s2, beam)
     line = np.polynomial.polynomial.polyfit(n[:, 0] / 1e10 - 1.0, bracket, 1)
     fit = np.polynomial.polynomial.polyval(n / 1e10 - 1.0, line)
     assert np.all(np.abs(bracket - fit.T) <= 1e-12 * bracket[5])
 
 
 @settings(max_examples=25, deadline=None)
-@given(log_gamma=st.floats(math.log(1.01), math.log(semiclassical.TOTALS_GAMMA_MAX)))
+@given(log_gamma=st.floats(math.log(1.01), math.log(GAMMA_MAX)))
 def test_total_power_matches_lienard(log_gamma):
-    # exp(log(g)) can round one step above g; the worst of 150 drawn beams
-    # was 1.04e-7
-    gamma = min(math.exp(log_gamma), semiclassical.TOTALS_GAMMA_MAX)
+    # exp(log(g)) can round one step above g; the worst error found is
+    # 1.04e-7, near gamma = 5.18 (the switch from the sum to the integral at
+    # n = 512), and 3.9e-9 from gamma = 10 up
+    gamma = min(math.exp(log_gamma), GAMMA_MAX)
     beam = BeamParams.from_gamma_radius(gamma=gamma, R=1e5)
     assert total_power(beam) == pytest.approx(classical_power(beam), rel=1e-6)
 
 
-def test_totals_raise_above_the_certified_gamma_range():
-    # the totals are untested above TOTALS_GAMMA_MAX
-    beam = BeamParams.from_gamma_radius(gamma=5e4, R=1000.0)
-    for total in (total_power, total_photon_rate, momentum_loss_rate):
-        with pytest.raises(RangeError, match="gamma"):
-            total(beam)
+@pytest.mark.parametrize("gamma", [10.0, 1e2, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12])
+def test_total_power_matches_lienard_up_to_gamma_max(gamma):
+    # gamma^-2 from gamma, not from the rounded beta (1 - beta^2 is off by
+    # about gamma^2 times the double epsilon, and beta rounds to 1 above
+    # 1.35e8): 2.5e-9 from gamma = 1e2 to 1e12
+    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1e5)
+    assert abs(total_power(beam) / classical_power(beam) - 1.0) <= 1e-8
 
 
 def test_total_rate_positive_and_at_rest_zero():
