@@ -43,6 +43,9 @@ FAST_PHASE_THRESHOLD = 20.0
 # 100 bytes each); the oldest is dropped first.
 _P_MEMO_SIZE = 1024
 
+# Sphere rule (n_polar, n_azimuth) of p_const_velocity's angular integral
+_P_SPHERE = (48, 32)
+
 
 @dataclass(frozen=True)
 class PExponent:
@@ -172,7 +175,7 @@ def p_general(
 
 
 @lru_cache(maxsize=8)
-def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma, n_polar, n_azimuth):
+def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma):
     """The dt-independent part of p_const_velocity over the direction grid:
     (weights, [n' x v0]^2 / (1 - n'.v0/c)^2, w2, w2 + w1, w2 |w2 + w1|,
     memo), or None for v0 = 0; memo maps |dt| to the angular integral at
@@ -184,7 +187,7 @@ def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma, n_polar, n_azimuth):
         raise DomainError("speed must be below c")
     if np.allclose(v0, 0.0):
         return None
-    nvec, weights = sphere_rule(n_polar, n_azimuth)
+    nvec, weights = sphere_rule(*_P_SPHERE)
     ndotv = nvec @ v0
     cross2 = np.maximum(np.dot(v0, v0) - ndotv**2, 0.0)  # [n' x v0]^2
     w1 = q_c * (nvec @ q) / gamma
@@ -229,8 +232,6 @@ def p_const_velocity(
     Z: float = 1.0,
     t1: float = 0.0,
     t2: float = 0.0,
-    n_polar: int = 48,
-    n_azimuth: int = 32,
 ) -> PExponent:
     """Constant-velocity exponent with the radial q' integral done in closed
     form (Si/Ci/log bracket), leaving the angular integral over emission
@@ -240,17 +241,16 @@ def p_const_velocity(
             * ( i Si(w2 dt) + i Si((w2+w1) dt) + 2 C - Ci(w2 |dt|)
                 - Ci(|w2+w1| |dt|) + ln(w2 |w2+w1| dt^2) )
 
-    with w1 = q_c (n'.q)/(m gamma), w2 = (c - n'.v0) q_c, dt = t1 - t2.
-    The direction-grid geometry is cached per (v0, q, q_c, gamma, grid), so a
-    table over many lags evaluates it once, and with it the angular integral
-    per |dt|: P(-dt) = conj P(dt) holds bit for bit (Si is odd, Ci and the
-    log are even), so a table over symmetric lags does half the Si/Ci work.
+    with w1 = q_c (n'.q)/(m gamma), w2 = (c - n'.v0) q_c, dt = t1 - t2, on
+    the 48 x 32 sphere rule _P_SPHERE.  The direction-grid geometry is
+    cached per (v0, q, q_c, gamma), so a table over many lags evaluates it
+    once, and with it the angular integral per |dt|: P(-dt) = conj P(dt)
+    holds bit for bit (Si is odd, Ci and the log are even), so a table over
+    symmetric lags does half the Si/Ci work.
     """
     v0 = np.asarray(v0, dtype=float)
     q = np.asarray(q, dtype=float)
-    geometry = _const_velocity_geometry(
-        v0.tobytes(), q.tobytes(), float(q_c), float(gamma), n_polar, n_azimuth
-    )
+    geometry = _const_velocity_geometry(v0.tobytes(), q.tobytes(), float(q_c), float(gamma))
     dt = t1 - t2
     if dt == 0.0 or geometry is None:
         return PExponent(0.0 + 0.0j, t1, t2, context="const-velocity")

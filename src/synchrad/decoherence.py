@@ -8,8 +8,8 @@ profile s1 is computed once and rescaled for every elapsed time.  Two bounded
 caches hold it, both keyed by value, never by the identity of a mode table:
 
 - `s_averaged` keeps s1 on each separation grid it is asked for, keyed by
-  beam, resolution, theta0 and the grid itself: the 16 most recent grids of
-  at most 65,536 points (larger grids are evaluated and not kept).
+  beam, theta0 and the grid itself: the 16 most recent grids of at most
+  65,536 points (larger grids are evaluated and not kept).
 - `localization_width` keeps s1 at the nodes r_j = exp(j ln(10) / 100) of one
   fixed log lattice, per beam and axis at the width resolution: the 8 most
   recent (beam, axis) pairs.  Nodes are computed on first use, in aligned
@@ -82,7 +82,7 @@ class DecoherenceField:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.r.shape == self.theta0.shape == self.values.shape):
             raise DomainError("field arrays must share one shape")
-        if np.any(self.r < 0):
+        if not np.all(self.r >= 0):
             raise DomainError("separations must be nonnegative")
         if np.any(self.values < -1e-12 * max(1.0, float(np.max(self.values, initial=0.0)))):
             raise DomainError("decoherence exponent must be nonnegative")
@@ -181,26 +181,22 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     return out
 
 
+# Mode-table resolutions (n_exact, per_decade, n_theta) of _mode_table: S(r)
+# as s_averaged gives it, and the coarser table behind the widths
+_FIELD_RES = dict(n_exact=512, per_decade=48, n_theta=48)
+_WIDTH_RES = dict(n_exact=128, per_decade=16, n_theta=24)
 _FIELD_CACHE_POINTS = 1 << 16
 
 
 @lru_cache(maxsize=16)
-def _field_profile(beam: BeamParams, resolution: tuple, theta0: float, grid: bytes):
+def _field_profile(beam: BeamParams, theta0: float, grid: bytes):
     """s1 on the separation grid packed in `grid`, read-only."""
-    s1 = _profile(_mode_table(beam, *resolution), np.frombuffer(grid), theta0)
+    s1 = _profile(_mode_table(beam, **_FIELD_RES), np.frombuffer(grid), theta0)
     s1.setflags(write=False)
     return s1
 
 
-def s_averaged(
-    r,
-    theta0: float,
-    t: float,
-    beam: BeamParams,
-    n_exact: int = 512,
-    per_decade: int = 48,
-    n_theta: int = 48,
-):
+def s_averaged(r, theta0: float, t: float, beam: BeamParams):
     """Period-averaged decoherence exponent S(r, t).
 
     Sums, over harmonics and emission angles, the per-harmonic angular rate
@@ -208,38 +204,37 @@ def s_averaged(
     cos(theta)), times t.  The odd part of the phase factor cancels between
     mirror hemispheres, so the result is real with zero imaginary residual.
     Vanishes at r = 0 and approaches t * total_photon_rate as r grows.
-    The t-independent part is cached per beam, resolution, theta0 and grid
-    (see the module docstring) and scaled by t.
+    The mode table has the resolution _FIELD_RES; the t-independent part is
+    cached per beam, theta0 and grid (see the module docstring) and scaled
+    by t.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("elapsed time must be positive")
     grid = np.atleast_1d(np.asarray(r, dtype=float))
-    resolution = (n_exact, per_decade, n_theta)
     if grid.size <= _FIELD_CACHE_POINTS:
-        s1 = _field_profile(beam, resolution, float(theta0), grid.tobytes())
+        s1 = _field_profile(beam, float(theta0), grid.tobytes())
     else:
-        s1 = _profile(_mode_table(beam, *resolution), grid, theta0)
+        s1 = _profile(_mode_table(beam, **_FIELD_RES), grid, theta0)
     vals = t * s1.reshape(grid.shape)
     return float(vals[0]) if np.isscalar(r) else vals
 
 
-def s_ultrarel(
-    r,
-    theta0: float,
-    t: float,
-    beam: BeamParams,
-    epsilon: float = 0.1,
-    per_decade: int = 32,
-    n_theta: int = 32,
-):
+# s_ultrarel's rule: trapezoid nodes per decade of scaled harmonic number,
+# and Gauss nodes in cos(theta) per node
+_ULTRAREL_PER_DECADE = 32
+_ULTRAREL_N_THETA = 32
+
+
+def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.1):
     """Ultrarelativistic decoherence exponent: the harmonic sum replaced by a
     continuous integral with Airy-function kernels.
 
-    Integrates over scaled harmonic number from epsilon**-3 upward and polar
-    angles within epsilon of the orbital plane.  Valid for 1/gamma << epsilon
-    << 1 and gamma >~ 100.
+    Integrates over scaled harmonic number from epsilon**-3 upward, 32
+    trapezoid nodes per decade in its logarithm, and polar angles within
+    epsilon of the orbital plane, 32 Gauss nodes each.  Valid for
+    1/gamma << epsilon << 1 and gamma >~ 100.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("elapsed time must be positive")
     if epsilon <= 3.0 / beam.gamma or epsilon > 0.5:
         warnings.warn(
@@ -249,7 +244,7 @@ def s_ultrarel(
         )
     zeta0 = epsilon**-3.0
     zeta_cap = max(4.0 * zeta0, 180.0 * beam.gamma**3)
-    m = max(16, int(per_decade * math.log10(zeta_cap / zeta0)))
+    m = max(16, int(_ULTRAREL_PER_DECADE * math.log10(zeta_cap / zeta0)))
     grid = np.exp(np.linspace(math.log(zeta0), math.log(zeta_cap), m))
     h = math.log(zeta_cap / zeta0) / (m - 1)
     tw = np.full(m, h)
@@ -265,7 +260,7 @@ def s_ultrarel(
         # Ai argument (zeta/2)^(2/3) (1 - beta^2 sin^2) decays beyond ~20;
         # 1 - beta^2 sin^2 = gamma^-2 + beta^2 u^2, without the cancellation
         umax = min(math.sin(epsilon), math.sqrt(20.0) * (2.0 / zeta) ** (1.0 / 3.0))
-        u, wt = gauss_nodes(0.0, umax, n_theta)
+        u, wt = gauss_nodes(0.0, umax, _ULTRAREL_N_THETA)
         s2 = 1.0 - u**2
         s = np.sqrt(s2)
         arg = (zeta / 2.0) ** (2.0 / 3.0) * (beam.gamma_m2 + b2 * (u * u))
@@ -333,7 +328,6 @@ class Width(float):
         return self.rel_error <= _WIDTH_RTOL
 
 
-_WIDTH_RES = dict(n_exact=128, per_decade=16, n_theta=24)
 _WINDOW_BOHR = 1e7  # analysis span: separations beyond it count as decohered
 _LOG_STEP = math.log(10.0) / 100  # lattice spacing in log r: 100 nodes per decade
 _BLOCK = 8  # lattice nodes computed together
@@ -344,6 +338,8 @@ _Q_LO = 0.5  # lowest sampled wavenumber, in units of 1 / r_max
 _Q_HI = 40.0  # highest, in units of 1 / (radius where g falls to g(0)/e)
 _WIDTH_RTOL = 1e-3  # certification tolerance of a width
 _ONSET_RTOL = 1e-3  # relative tolerance in t of the localization onset
+_TIME_RTOL = 0.02  # relative tolerance of the width at the localization time
+_TIME_RANGE = (1.0, 1e20)  # elapsed times (a.u.) searched for it
 
 
 def _pchip_slopes(y: np.ndarray, h: float) -> np.ndarray:
@@ -601,7 +597,7 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
     or the kernel has not decayed at the window edge."""
     if axis not in _AXIS_ANGLE:
         raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
-    if t <= 0:
+    if not t > 0:
         raise DomainError("elapsed time must be positive")
     theta0 = _AXIS_ANGLE[axis]
     lattice = _width_lattice(beam, theta0)
@@ -653,24 +649,18 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
     return Width(width, rel_error)
 
 
-def localization_time(
-    beam: BeamParams,
-    target_width: float,
-    axis: str,
-    rel_tol: float = 0.02,
-    t_lo: float = 1.0,
-    t_hi: float = 1e20,
-) -> tuple[float, float]:
+def localization_time(beam: BeamParams, target_width: float, axis: str) -> tuple[float, float]:
     """Elapsed time at which the packet width along axis shrinks to
-    target_width.  Returns (t in a.u., t in seconds).
+    target_width, to 2% in the width.  Returns (t in a.u., t in seconds).
 
     Uses the near power-law scaling width ~ t**-1/2 for fast iteration with a
     bisection bracket as safeguard; RangeError if the target is unreachable
-    within [t_lo, t_hi], ConvergenceError (with the time whose width came
-    closest as best_estimate) if 40 iterations do not reach rel_tol.
+    for t in [1, 1e20], ConvergenceError (with the time whose width came
+    closest as best_estimate) if 40 iterations do not reach 2%.
     """
-    if target_width <= 0:
+    if not target_width > 0:
         raise DomainError("target width must be positive")
+    t_lo, t_hi = _TIME_RANGE
 
     def width_or_inf(t):
         # at the onset a kernel whose transform is not the spectrum of a
@@ -711,7 +701,7 @@ def localization_time(
             continue
         miss = abs(w - target_width) / target_width
         best = min(best, (miss, t))
-        if miss <= rel_tol:
+        if miss <= _TIME_RTOL:
             return t, t * AU_TIME_SECONDS
         if w > target_width:
             t_lo = max(t_lo, t)
@@ -720,7 +710,7 @@ def localization_time(
         t_scaled = t * (w / target_width) ** 2
         t = t_scaled if t_lo < t_scaled < t_hi else math.sqrt(t_lo * t_hi)
     raise ConvergenceError(
-        f"localization time not found to {rel_tol:g} in 40 iterations "
+        f"localization time not found to {_TIME_RTOL:g} in 40 iterations "
         f"(closest width off by {best[0]:.2e})",
         best_estimate=best[1],
         error_estimate=best[0],

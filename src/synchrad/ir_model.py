@@ -26,18 +26,21 @@ __all__ = [
 ]
 
 
+# Sphere rules (n_polar, n_azimuth): the level shift's angular integral and
+# the soft spectral density's direction sum
+_SHIFT_SPHERE = (64, 48)
+_DENSITY_SPHERE = (48, 32)
+# Log-frequency nodes per decade of total_soft_count's trapezoid rule
+_COUNT_PER_DECADE = 24
+
+
 @dataclass(frozen=True)
 class VelocityJump:
-    """A particle moving at v1 that suddenly switches to v2 at time t_jump.
-
-    tau_in is the adiabatic switch-on time of the interaction (must be short
-    compared to t_jump); q_c is the ultraviolet cutoff momentum.
-    """
+    """A particle moving at v1 that suddenly switches to v2; q_c is the
+    ultraviolet cutoff momentum."""
 
     v1: np.ndarray
     v2: np.ndarray
-    t_jump: float = 1.0
-    tau_in: float = 1e-3
     q_c: float = C_AU
     Z: float = 1.0
 
@@ -48,10 +51,6 @@ class VelocityJump:
             raise DomainError(f"velocities must be finite, got v1 = {self.v1}, v2 = {self.v2}")
         if np.linalg.norm(self.v1) >= C_AU or np.linalg.norm(self.v2) >= C_AU:
             raise DomainError("speeds must be below c")
-        if not (math.isfinite(self.t_jump) and self.t_jump > 0):
-            raise DomainError(f"jump time must be positive and finite, got {self.t_jump}")
-        if not math.isfinite(self.tau_in):
-            raise DomainError(f"switch-on time must be finite, got {self.tau_in}")
         if not (math.isfinite(self.q_c) and self.q_c > 0):
             raise DomainError(f"cutoff momentum must be positive and finite, got {self.q_c}")
         if not math.isfinite(self.Z):
@@ -62,11 +61,6 @@ class VelocityJump:
             warnings.warn(
                 f"velocity jump |dv|/|v1| = {dv / v1n:.2f} exceeds 0.3; the "
                 "small-jump expansion is unreliable",
-                stacklevel=2,
-            )
-        if self.tau_in >= self.t_jump:
-            warnings.warn(
-                "switch-on time should be short compared to the jump time",
                 stacklevel=2,
             )
 
@@ -83,9 +77,9 @@ class VelocityJump:
         return float(self.v1 @ self.delta_v) / v1sq
 
 
-def _angular_shift_integral(va, vb, v_denom, n_polar=64, n_azimuth=48) -> float:
-    """int dOmega [n' x va].[n' x vb] / (c - n'.v_denom)."""
-    nvec, weights = sphere_rule(n_polar, n_azimuth)
+def _angular_shift_integral(va, vb, v_denom) -> float:
+    """int dOmega [n' x va].[n' x vb] / (c - n'.v_denom) on _SHIFT_SPHERE."""
+    nvec, weights = sphere_rule(*_SHIFT_SPHERE)
     cross = float(np.dot(va, vb)) - (nvec @ va) * (nvec @ vb)
     denom = C_AU - nvec @ v_denom
     return float(np.sum(weights * cross / denom))
@@ -162,8 +156,6 @@ def soft_spectral_density(
     jump: VelocityJump,
     omega: float | np.ndarray,
     delta_override: float | None = None,
-    n_polar: int = 48,
-    n_azimuth: int = 32,
 ) -> float | np.ndarray:
     """Photon count per unit frequency, integrated over directions and
     summed over polarizations:
@@ -171,8 +163,8 @@ def soft_spectral_density(
         dN/domega = int dOmega sum_alpha q^2/((2 pi)^3 c) n_{alpha q}
 
     omega is a scalar (returns a float) or a 1-D array (returns an array of
-    the same length); the sphere rule and the polarization pair are built
-    once for all frequencies.
+    the same length); the sphere rule (_DENSITY_SPHERE) and the polarization
+    pair are built once for all frequencies.
     """
     omegas = np.asarray(omega, dtype=float)
     if omegas.ndim > 1:
@@ -180,7 +172,7 @@ def soft_spectral_density(
     if not np.all(omegas > 0):
         raise DomainError("soft_spectral_density requires omega > 0")
     delta = delta_shift(jump) if delta_override is None else delta_override
-    nvec, weights = sphere_rule(n_polar, n_azimuth)
+    nvec, weights = sphere_rule(*_DENSITY_SPHERE)
     # e.v for both polarizations on a leading axis of length 2
     pairs = np.stack(transverse_polarization_pairs(nvec))
     ev2, ev1 = pairs @ jump.v2, pairs @ jump.v1
@@ -202,15 +194,15 @@ def total_soft_count(
     omega_min: float,
     omega_max: float | None = None,
     delta_override: float | None = None,
-    points_per_decade: int = 24,
 ) -> float:
     """Integral of the spectral density from omega_min up to omega_max
-    (default c q_c), on a logarithmic frequency grid."""
+    (default c q_c), by the trapezoid rule on a logarithmic frequency grid of
+    24 nodes per decade (at least 16)."""
     if omega_max is None:
         omega_max = C_AU * jump.q_c
-    if not (0 < omega_min < omega_max):
-        raise DomainError("need 0 < omega_min < omega_max")
-    m = max(16, int(points_per_decade * math.log10(omega_max / omega_min)))
+    if not (0 < omega_min < omega_max < math.inf):
+        raise DomainError("need 0 < omega_min < omega_max < inf")
+    m = max(16, int(_COUNT_PER_DECADE * math.log10(omega_max / omega_min)))
     grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), m))
     delta = delta_shift(jump) if delta_override is None else delta_override
     vals = soft_spectral_density(jump, grid, delta_override=delta)

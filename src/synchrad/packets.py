@@ -49,18 +49,13 @@ class LandauLevelState:
 
 @dataclass(frozen=True)
 class WavePacketSpec:
-    """Gaussian superposition parameters: mean oscillator numbers, the
+    """Gaussian superposition parameters: mean oscillator numbers and the
     longitudinal width delta0 entering the momentum law
-    c_p = (2 pi delta0^2)^(1/4) exp(-p^2 delta0^2 / 4), phases, and the
-    transverse/longitudinal spatial widths shared with packet averaging."""
+    c_p = (2 pi delta0^2)^(1/4) exp(-p^2 delta0^2 / 4)."""
 
     n1_mean: float
     n2_mean: float
     delta0: float
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    delta_l: float = 0.0
-    delta_perp: float = 0.0
 
     def __post_init__(self):
         if self.n1_mean < 0 or self.n2_mean < 0:
@@ -139,27 +134,19 @@ def packet_width_estimate(beam: BeamParams) -> float:
 def spreading_time(beam: BeamParams, delta_n1: float) -> tuple[float, float]:
     """Time for a superposition spanning delta_n1 levels to spread over the
     orbit: gamma * R^2 / delta_n1.  Returns (a.u., seconds)."""
-    if delta_n1 <= 0:
+    if not delta_n1 > 0:
         raise DomainError("delta_n1 must be positive")
     tau = beam.gamma * beam.R**2 / delta_n1
     return tau, tau * AU_TIME_SECONDS
 
 
-def relative_fluctuation(
-    beam: BeamParams, poisson: bool = True, delta_n1: float | None = None
-) -> float:
-    """Relative level-number spread lambda = delta_n1 / n1_mean; under the
+def relative_fluctuation(beam: BeamParams) -> float:
+    """Relative level-number spread lambda = delta_n1 / n1_mean under the
     independent-emission (Poisson) assumption delta_n1 = sqrt(n1_mean)."""
     n1 = mean_principal_number(beam)
     if n1 <= 0:
         raise DomainError("fluctuation undefined for gamma = 1")
-    if poisson:
-        if delta_n1 is not None:
-            raise DomainError("delta_n1 override requires poisson=False")
-        delta_n1 = math.sqrt(n1)
-    elif delta_n1 is None or delta_n1 <= 0:
-        raise DomainError("poisson=False requires a positive delta_n1")
-    return delta_n1 / n1
+    return math.sqrt(n1) / n1
 
 
 def packet_report(beam: BeamParams) -> dict:

@@ -459,18 +459,14 @@ def _panel_grid(n_cap: int, n_exact: int):
     return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), w.ravel() * tail]), n_exact
 
 
-def spectral_sum(
-    per_n: Callable[[np.ndarray], np.ndarray],
-    n_cap: int,
-    n_exact: int = _N_EXACT,
-) -> float:
+def spectral_sum(per_n: Callable[[np.ndarray], np.ndarray], n_cap: int) -> float:
     """Sum per_n over harmonics n = 1..n_cap; per_n maps an array of
     harmonic numbers to the array of their terms and is called once.
 
-    Harmonics up to n_exact are summed exactly; the smooth tail is an
+    Harmonics up to 512 (_N_EXACT) are summed exactly; the smooth tail is an
     integral on Gauss-Legendre panels in log n, see _panel_grid.
     """
-    n, weights, n_exact = _panel_grid(n_cap, n_exact)
+    n, weights, n_exact = _panel_grid(n_cap, _N_EXACT)
     terms = per_n(n)
     return math.fsum(terms[:n_exact]) + float(terms[n_exact:] @ weights[n_exact:])
 

@@ -124,7 +124,7 @@ def test_p_const_velocity_diagonal_and_hermitian_bit_for_bit(
     # t1 - t2 and the rest is even, so the identity holds in floating point
     v0 = speed * C_AU * np.array(v_dir) / math.hypot(*v_dir)
     q = q_mag * np.array(q_dir) / math.hypot(*q_dir)
-    kw = dict(q_c=q_c, gamma=gamma, n_polar=12, n_azimuth=8)
+    kw = dict(q_c=q_c, gamma=gamma)
     assert p_const_velocity(v0, q, t1=t1, t2=t1, **kw).value == 0.0
     p12 = p_const_velocity(v0, q, t1=t1, t2=t2, **kw).value
     # drop the geometry and its per-|dt| memo, so p21 is computed, not recalled

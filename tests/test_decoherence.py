@@ -206,13 +206,13 @@ def test_s_averaged_cold_and_warm_calls_agree():
     assert np.array_equal(s_averaged(r, 0.4, 7.0, beam), warm)
 
 
-def test_s_averaged_does_not_keep_grids_above_the_cache_bound():
-    res = dict(n_exact=4, per_decade=8, n_theta=4)  # a small mode table
-    r = np.logspace(-1, 6, decoherence._FIELD_CACHE_POINTS + 1)
+def test_s_averaged_does_not_keep_grids_above_the_cache_bound(monkeypatch):
+    monkeypatch.setattr(decoherence, "_FIELD_CACHE_POINTS", 64)  # a small grid is "large"
+    r = np.logspace(-1, 6, 65)
     before = decoherence._field_profile.cache_info().currsize
-    big = s_averaged(r, 0.5, 3.0, BEAM2, **res)
+    big = s_averaged(r, 0.5, 3.0, BEAM2)
     assert decoherence._field_profile.cache_info().currsize == before
-    head = s_averaged(r[:64], 0.5, 3.0, BEAM2, **res)
+    head = s_averaged(r[:64], 0.5, 3.0, BEAM2)
     np.testing.assert_allclose(big[:64], head, rtol=1e-13)
 
 
@@ -227,15 +227,14 @@ def test_s_averaged_scales_cached_profile_by_t(t):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    t=st.floats(min_value=1e-6, max_value=1e16),
     log_gamma=st.floats(0.0, math.log(GAMMA_MAX)),
     log_radius=st.floats(math.log(1e-3), math.log(1e12)),
 )
-def test_s_vanishes_at_zero_separation_on_both_axes(t, log_gamma, log_radius):
+def test_s_vanishes_at_zero_separation_on_both_axes(log_gamma, log_radius):
     beam = BeamParams.from_gamma_radius(min(math.exp(log_gamma), GAMMA_MAX), math.exp(log_radius))
+    table = decoherence._mode_table(beam, 16, 8, 8)  # a small mode table
     for theta0 in (math.pi / 2.0, 0.0):
-        s0 = s_averaged(0.0, theta0, t, beam, n_exact=16, per_decade=8, n_theta=8)
-        assert s0 == 0.0
+        assert decoherence._profile(table, 0.0, theta0)[0] == 0.0
 
 
 def test_alternating_beams_keep_their_own_cache_entries():
@@ -253,7 +252,7 @@ def test_alternating_beams_keep_their_own_cache_entries():
     for t in times:
         for beam in beams:
             assert localization_width(beam, t, "transverse") == alone[beam][times.index(t)]
-            table = decoherence._mode_table(beam, 512, 48, 48)
+            table = decoherence._mode_table(beam, **decoherence._FIELD_RES)
             direct = t * decoherence._profile(table, r, 0.3)
             assert np.array_equal(s_averaged(r, 0.3, t, beam), direct)
     # every cached lattice node is the profile of its own beam's mode table

@@ -60,8 +60,6 @@ def test_jump_validation_and_smallness():
         VelocityJump(v1=np.array([C_AU, 0, 0]), v2=np.zeros(3))
     with pytest.warns(UserWarning, match="exceeds 0.3"):
         VelocityJump(v1=np.array([1.0, 0, 0]), v2=np.array([2.0, 0, 0]))
-    with pytest.warns(UserWarning, match="switch-on"):
-        VelocityJump(v1=np.array([1.0, 0, 0]), v2=np.array([1.1, 0, 0]), tau_in=2.0)
     jump = make_jump()
     assert jump.smallness == pytest.approx(0.2, rel=1e-12)
 
@@ -173,9 +171,6 @@ def test_total_soft_count_computes_the_level_shift_once(monkeypatch):
     [
         {"v1": np.array([math.nan, 0.0, 1.0])},
         {"v2": np.array([0.0, math.inf, 0.0])},
-        {"t_jump": math.nan},
-        {"t_jump": math.inf},
-        {"tau_in": math.nan},
         {"q_c": math.nan},
         {"q_c": math.inf},
         {"q_c": -1.0},

@@ -136,14 +136,6 @@ def test_spreading_time_scaling():
 
 
 def test_relative_fluctuation_contracts():
-    beam = FIAN
-    assert relative_fluctuation(beam, poisson=False, delta_n1=10.0) == pytest.approx(
-        10.0 / mean_principal_number(beam), rel=1e-14
-    )
-    with pytest.raises(DomainError):
-        relative_fluctuation(beam, poisson=True, delta_n1=5.0)
-    with pytest.raises(DomainError):
-        relative_fluctuation(beam, poisson=False)
     with pytest.raises(DomainError):
         relative_fluctuation(BeamParams.from_gamma_radius(1.0, 100.0))
 
