@@ -24,7 +24,6 @@ from .units import (
     LabInput,
     beam_from_lab,
     beam_to_lab,
-    critical_harmonic,
 )
 
 __version__ = "0.1.0"
@@ -40,7 +39,6 @@ __all__ = [
     "LabInput",
     "beam_from_lab",
     "beam_to_lab",
-    "critical_harmonic",
     "C_AU",
     "BOHR_PER_METER",
     "ELECTRON_REST_GEV",

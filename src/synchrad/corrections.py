@@ -28,7 +28,6 @@ __all__ = [
     "p_const_velocity",
     "p_nonrel_asymptotic",
     "PiecewiseConstantVelocity",
-    "GaussianPacket",
     "corrected_photon_number",
 ]
 
@@ -49,7 +48,7 @@ _P_SPHERE = (48, 32)
 
 @dataclass(frozen=True)
 class PExponent:
-    """Value of the photon-interaction exponent P(t1, t2) with its context.
+    """Value of the photon-interaction exponent P(t1, t2) at its two times.
 
     Satisfies P(t, t) = 0 and P(t1, t2) = conj(P(t2, t1)).
     """
@@ -57,7 +56,6 @@ class PExponent:
     value: complex
     t1: float
     t2: float
-    context: str = ""
     uv_sensitive: bool = False
 
 
@@ -169,9 +167,7 @@ def p_general(
             "of |P|; result is logarithmically sensitive to the cutoff q_c",
             stacklevel=2,
         )
-    return PExponent(
-        value=complex(total), t1=t1, t2=t2, context="mode-sum", uv_sensitive=uv_sensitive
-    )
+    return PExponent(value=complex(total), t1=t1, t2=t2, uv_sensitive=uv_sensitive)
 
 
 @lru_cache(maxsize=8)
@@ -253,7 +249,7 @@ def p_const_velocity(
     geometry = _const_velocity_geometry(v0.tobytes(), q.tobytes(), float(q_c), float(gamma))
     dt = t1 - t2
     if dt == 0.0 or geometry is None:
-        return PExponent(0.0 + 0.0j, t1, t2, context="const-velocity")
+        return PExponent(0.0 + 0.0j, t1, t2)
     *_, memo = geometry
     known = memo.get(abs(dt))
     if known is None:
@@ -264,7 +260,7 @@ def p_const_velocity(
     else:
         do_integral = known if dt > 0 else known.conjugate()
     value = Z**2 / (4.0 * math.pi**2 * C_AU**3) * do_integral
-    return PExponent(complex(value), t1, t2, context="const-velocity")
+    return PExponent(complex(value), t1, t2)
 
 
 def p_nonrel_asymptotic(
@@ -315,35 +311,6 @@ class PiecewiseConstantVelocity:
         if 0.0 < self.t_jump < t_end:
             return [0.0, self.t_jump, t_end]
         return [0.0, t_end]
-
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """Gaussian momentum distribution |C_k|^2 around k0 with longitudinal and
-    transverse position-space widths delta_l, delta_perp (z is longitudinal)."""
-
-    k0: np.ndarray
-    delta_l: float
-    delta_perp: float
-    n_nodes: int = 5
-
-    def momentum_nodes(self):
-        """Gauss-Hermite nodes/weights for the 3-D Gaussian |C_k|^2 with
-        momentum-space standard deviations 1/delta along each axis."""
-        x, w = np.polynomial.hermite.hermgauss(self.n_nodes)
-        w = w / math.sqrt(math.pi)
-        k0 = np.asarray(self.k0, dtype=float)
-        sig = np.array(
-            [1.0 / self.delta_perp, 1.0 / self.delta_perp, 1.0 / self.delta_l]
-        )
-        nodes, weights = [], []
-        for ix in range(self.n_nodes):
-            for iy in range(self.n_nodes):
-                for iz in range(self.n_nodes):
-                    dk = math.sqrt(2.0) * sig * np.array([x[ix], x[iy], x[iz]])
-                    nodes.append(k0 + dk)
-                    weights.append(w[ix] * w[iy] * w[iz])
-        return nodes, weights
 
 
 def _qdot(velocity_law, mode: PhotonMode, Z: float, times: np.ndarray) -> np.ndarray:
@@ -399,35 +366,16 @@ def corrected_photon_number(
     Z: float = 1.0,
     p_provider: Optional[Callable[[float, float], complex]] = None,
     nodes_per_piece: int = 64,
-    packet: Optional[GaussianPacket] = None,
-    velocity_law_factory: Optional[Callable[[np.ndarray], object]] = None,
 ) -> float:
     """Photon number with mutual photon interaction:
 
         n = int_0^t int_0^t Qdot*(t1) Qdot(t2) exp(-P(t1, t2)) dt1 dt2
 
     p_provider(t1, t2) supplies the exponent (None means semiclassical,
-    P = 0).  With a GaussianPacket and a velocity_law_factory, the result is
-    averaged over the packet's momentum distribution.  Each breakpoint piece
-    takes nodes_per_piece Gauss nodes, or more where the phase of Qdot needs
-    them (_time_nodes); ConvergenceError where that is too many.
+    P = 0).  Each breakpoint piece takes nodes_per_piece Gauss nodes, or more
+    where the phase of Qdot needs them (_time_nodes); ConvergenceError where
+    that is too many.
     """
-    if packet is not None:
-        if velocity_law_factory is None:
-            raise DomainError("packet averaging requires a velocity_law_factory")
-        nodes, weights = packet.momentum_nodes()
-        acc = 0.0
-        for k, w in zip(nodes, weights):
-            acc += w * corrected_photon_number(
-                velocity_law_factory(k),
-                mode,
-                t,
-                Z,
-                p_provider,
-                nodes_per_piece=nodes_per_piece,
-            )
-        return acc
-
     limit = _MAX_NODES if p_provider is None else _MAX_KERNEL_NODES
     times, weights = _time_nodes(velocity_law, mode, t, nodes_per_piece, limit)
     qdot = _qdot(velocity_law, mode, Z, times)

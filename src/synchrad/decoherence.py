@@ -57,7 +57,6 @@ __all__ = [
     "s_averaged",
     "s_ultrarel",
     "decoherence_field",
-    "coherence_kernel",
     "Width",
     "localization_width",
     "localization_time",
@@ -96,16 +95,13 @@ class DecoherenceField:
 
 @dataclass(frozen=True)
 class CoherenceKernel:
-    """exp(-S) on the same grid as the field it came from."""
+    """exp(-S) at the separations r of one axis and elapsed time."""
 
-    beam: BeamParams
-    t: float
     r: np.ndarray
-    theta0: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("r", "theta0", "values"):
+        for name in ("r", "values"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.values <= 0) or np.any(self.values > 1.0 + 1e-12):
             raise DomainError("coherence kernel values must lie in (0, 1]")
@@ -188,6 +184,17 @@ _WIDTH_RES = dict(n_exact=128, per_decade=16, n_theta=24)
 _FIELD_CACHE_POINTS = 1 << 16
 
 
+def _separations(r, theta0) -> np.ndarray:
+    """r as an array of at least one dimension; DomainError unless every
+    separation is a nonnegative number and every theta0 is finite."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all(r >= 0):
+        raise DomainError("separations must be nonnegative numbers")
+    if not np.all(np.isfinite(theta0)):
+        raise DomainError(f"theta0 must be finite, got {theta0}")
+    return r
+
+
 @lru_cache(maxsize=16)
 def _field_profile(beam: BeamParams, theta0: float, grid: bytes):
     """s1 on the separation grid packed in `grid`, read-only."""
@@ -210,7 +217,7 @@ def s_averaged(r, theta0: float, t: float, beam: BeamParams):
     """
     if not t > 0:
         raise DomainError("elapsed time must be positive")
-    grid = np.atleast_1d(np.asarray(r, dtype=float))
+    grid = _separations(r, theta0)
     if grid.size <= _FIELD_CACHE_POINTS:
         s1 = _field_profile(beam, float(theta0), grid.tobytes())
     else:
@@ -236,6 +243,8 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
     """
     if not t > 0:
         raise DomainError("elapsed time must be positive")
+    scalar = np.isscalar(r)
+    r = _separations(r, theta0)
     if epsilon <= 3.0 / beam.gamma or epsilon > 0.5:
         warnings.warn(
             f"epsilon = {epsilon} outside the validity window "
@@ -251,8 +260,6 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
     tw[0] = tw[-1] = h / 2.0
 
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     pref = t * 2.0 ** (2.0 / 3.0) * beam.Z**2 * beam.omega0 / C_AU
     total = np.zeros(r.shape)
     b2 = beam.beta**2
@@ -287,23 +294,13 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
 
 def decoherence_field(beam: BeamParams, t: float, r, theta0) -> DecoherenceField:
     """Evaluate S over paired (r, theta0) samples; scalars broadcast."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = _separations(r, theta0)
     theta0 = np.broadcast_to(np.asarray(theta0, dtype=float), r.shape).copy()
     values = np.empty(r.shape)
     for th in np.unique(theta0):
         mask = theta0 == th
         values[mask] = s_averaged(r[mask], float(th), t, beam)
     return DecoherenceField(beam=beam, t=t, r=r, theta0=theta0, values=values)
-
-
-def coherence_kernel(field: DecoherenceField) -> CoherenceKernel:
-    return CoherenceKernel(
-        beam=field.beam,
-        t=field.t,
-        r=field.r,
-        theta0=field.theta0,
-        values=np.exp(-field.values),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +625,7 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
     i_hi = math.ceil(math.log(r_max) / h) - 1
     nodes = np.exp(np.arange(i_lo, i_hi + 1) * h)
     r = np.concatenate([[0.0], nodes[nodes < r_max * (1.0 - 1e-9)], [r_max]])
-    kernel = CoherenceKernel(
-        beam=beam,
-        t=t,
-        r=r,
-        theta0=np.full(r.shape, theta0),
-        values=np.clip(np.exp(-s_of_r(r)), 1e-300, 1.0),
-    )
+    kernel = CoherenceKernel(r=r, values=np.clip(np.exp(-s_of_r(r)), 1e-300, 1.0))
     width, rel_error = _width_from_kernel(kernel)
     if rel_error > _WIDTH_RTOL:
         warnings.warn(

@@ -6,7 +6,6 @@ the spreading time of a superposition of neighboring levels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -14,13 +13,11 @@ from .units import AU_TIME_SECONDS, BOHR_PER_METER, C_AU, BeamParams
 
 __all__ = [
     "LandauLevelState",
-    "WavePacketSpec",
     "larmor_frequency",
     "energy_level",
     "level_spacing",
     "mean_principal_number",
     "packet_widths",
-    "packet_width_estimate",
     "spreading_time",
     "relative_fluctuation",
     "packet_report",
@@ -29,53 +26,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LandauLevelState:
-    """One transverse-motion eigenstate: principal oscillator number n1,
-    orbit-center oscillator number n2, spin projection sigma, longitudinal
-    momentum p (a.u.)."""
+    """One transverse-motion eigenstate: principal oscillator number n1, spin
+    projection sigma, longitudinal momentum p (a.u.).  The energy is
+    degenerate in the orbit-center oscillator number n2, so the state does
+    not carry it."""
 
     n1: int
-    n2: int
     sigma: float
     p: float = 0.0
 
     def __post_init__(self):
-        if self.n1 < 0 or self.n1 != int(self.n1):
+        if not (math.isfinite(self.n1) and self.n1 >= 0 and self.n1 == int(self.n1)):
             raise DomainError(f"n1 must be a nonnegative integer, got {self.n1}")
-        if self.n2 < 0 or self.n2 != int(self.n2):
-            raise DomainError(f"n2 must be a nonnegative integer, got {self.n2}")
         if self.sigma not in (-0.5, 0.5):
             raise DomainError(f"sigma must be +/- 1/2, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class WavePacketSpec:
-    """Gaussian superposition parameters: mean oscillator numbers and the
-    longitudinal width delta0 entering the momentum law
-    c_p = (2 pi delta0^2)^(1/4) exp(-p^2 delta0^2 / 4)."""
-
-    n1_mean: float
-    n2_mean: float
-    delta0: float
-
-    def __post_init__(self):
-        if self.n1_mean < 0 or self.n2_mean < 0:
-            raise DomainError("mean oscillator numbers must be nonnegative")
-        if self.delta0 <= 0:
-            raise DomainError("longitudinal width delta0 must be positive")
-        if self.n2_mean > 0.01 * self.n1_mean:
-            warnings.warn(
-                "packet construction assumes n2_mean << n1_mean", stacklevel=2
-            )
-
-    def momentum_amplitude(self, p: float) -> float:
-        return (2.0 * math.pi * self.delta0**2) ** 0.25 * math.exp(
-            -(p**2) * self.delta0**2 / 4.0
-        )
-
-
 def larmor_frequency(H0: float) -> float:
     """omega_L = H0 / (2 m c) in atomic units (m = |e| = 1)."""
-    if H0 <= 0:
+    if not H0 > 0:
         raise DomainError("field strength must be positive")
     return H0 / (2.0 * C_AU)
 
@@ -92,8 +61,8 @@ def energy_level(state: LandauLevelState, H0: float) -> float:
 def level_spacing(n1: int, H0: float, sigma: float = -0.5, p: float = 0.0) -> float:
     """E(n1 + 1) - E(n1) at fixed sigma and p; approaches 2 omega_L / gamma
     for highly excited levels."""
-    a = LandauLevelState(n1=n1, n2=0, sigma=sigma, p=p)
-    b = LandauLevelState(n1=n1 + 1, n2=0, sigma=sigma, p=p)
+    a = LandauLevelState(n1=n1, sigma=sigma, p=p)
+    b = LandauLevelState(n1=n1 + 1, sigma=sigma, p=p)
     ea, eb = energy_level(a, H0), energy_level(b, H0)
     # difference-of-squares form avoids the catastrophic cancellation of
     # eb - ea (the spacing is ~1e-16 of the energy for accelerator beams)
@@ -120,15 +89,6 @@ def packet_widths(beam: BeamParams) -> tuple[float, float, float]:
     drho = beam.R / math.sqrt(n1)
     dphi = 1.0 / math.sqrt(2.0 * n1)
     return drho, dphi, beam.R * dphi
-
-
-def packet_width_estimate(beam: BeamParams) -> float:
-    """Order-of-magnitude radial width sqrt(R / (gamma v0)); smaller than the
-    packet_widths value by sqrt(2 c / c) bookkeeping, kept as the rough
-    estimate variant."""
-    if beam.v0 <= 0:
-        raise DomainError("estimate undefined for a beam at rest")
-    return math.sqrt(beam.R / (beam.gamma * beam.v0))
 
 
 def spreading_time(beam: BeamParams, delta_n1: float) -> tuple[float, float]:

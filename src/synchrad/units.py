@@ -109,10 +109,4 @@ def beam_to_lab(beam: BeamParams) -> LabInput:
     )
 
 
-def critical_harmonic(beam: BeamParams) -> int:
-    """Spectral scale hint: the harmonic number round(gamma^3) where the
-    emitted spectrum peaks."""
-    return round(beam.gamma**3)
-
-
 FIAN_60 = LabInput(energy_GeV=0.68, radius_m=2.0, Z=1.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from synchrad import corrections
 from synchrad.corrections import (
-    GaussianPacket,
     ModeSum,
     PiecewiseConstantVelocity,
     UniformVelocityAmplitudes,
@@ -223,32 +222,6 @@ def test_jump_law_kinematics():
     assert np.allclose(law.position(2.5), [1.5, 2.0, 0.0])
     assert law.breakpoints(3.0) == [0.0, 1.5, 3.0]
     assert law.breakpoints(1.0) == [0.0, 1.0]
-
-
-def test_gaussian_packet_nodes_normalized():
-    packet = GaussianPacket(k0=np.array([0.0, 0.0, 5.0]), delta_l=2.0, delta_perp=1.0, n_nodes=4)
-    nodes, weights = packet.momentum_nodes()
-    assert len(nodes) == 64
-    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
-    mean = np.sum([w * k for w, k in zip(weights, nodes)], axis=0)
-    assert np.allclose(mean, packet.k0, atol=1e-12)
-
-
-def test_packet_averaging_reduces_to_plain_at_zero_width():
-    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
-    v = np.array([0.05 * C_AU, 0.0, 0.0])
-    plain = corrected_photon_number(steady(v), mode, 2.0)
-    packet = GaussianPacket(k0=v, delta_l=1e6, delta_perp=1e6, n_nodes=3)
-    averaged = corrected_photon_number(
-        steady(v),
-        mode,
-        2.0,
-        packet=packet,
-        velocity_law_factory=steady,
-    )
-    assert averaged == pytest.approx(plain, rel=1e-6)
-    with pytest.raises(DomainError):
-        corrected_photon_number(steady(v), mode, 2.0, packet=packet)
 
 
 # A criterion-06-like jump off the axes, with the values the per-call sphere

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from synchrad import decoherence, semiclassical
 from synchrad.decoherence import (
     CoherenceKernel,
-    coherence_kernel,
     decoherence_field,
     localization_time,
     localization_width,
@@ -117,9 +116,6 @@ def test_field_and_kernel_construction(tmp_path):
     field = decoherence_field(BEAM2, 5.0, r, math.pi / 2)
     assert field.values[0] == 0.0
     assert np.all(field.values >= 0.0)
-    kernel = coherence_kernel(field)
-    assert kernel.values[0] == 1.0
-    assert np.all(kernel.values <= 1.0) and np.all(kernel.values > 0.0)
 
     path = tmp_path / "field.csv"
     field.to_csv(path)
@@ -305,7 +301,7 @@ def _log_kernel(r_lo, r_max, values_of):
     nodes = np.exp(np.arange(math.floor(math.log(r_lo) / h), math.ceil(math.log(r_max) / h)) * h)
     r = np.concatenate([[0.0], nodes[nodes < r_max * (1.0 - 1e-9)], [r_max]])
     values = np.clip(values_of(r), 1e-300, 1.0)
-    return CoherenceKernel(beam=BEAM2, t=1.0, r=r, theta0=np.zeros(r.shape), values=values)
+    return CoherenceKernel(r=r, values=values)
 
 
 @pytest.mark.parametrize("a", [1e-4, 0.01, 0.3])
@@ -352,7 +348,7 @@ def test_width_from_kernel_contracts():
     with pytest.raises(DomainError):
         localization_width(BEAM2, 1e3, "sideways")
     r = np.linspace(0.0, 40.0, 64)
-    uniform = CoherenceKernel(beam=BEAM2, t=1.0, r=r, theta0=np.zeros(64), values=np.exp(-r / 2))
+    uniform = CoherenceKernel(r=r, values=np.exp(-r / 2))
     with pytest.raises(DomainError):
         decoherence._width_from_kernel(uniform)
     # heavily oscillatory kernel is not a valid autocorrelation

@@ -1,7 +1,10 @@
 """The package's public surface: every exported name resolves, every public
 function or class a module defines is exported, no public name takes a
-quadrature resolution the program owns, and domain checks reject NaN."""
+quadrature resolution the program owns or a deleted parameter, deleted names
+stay gone, domain checks reject NaN, and no module keeps an unused import or
+an unreferenced private name."""
 
+import ast
 import importlib
 import inspect
 import math
@@ -9,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,8 +61,8 @@ def test_cli_imports_no_scipy_integrate_or_optimize():
     assert out.stdout.strip() == "[]"
 
 
-# Quadrature rules and config fields that the program owns: none of these
-# names takes them as a parameter or field.
+# Quadrature rules and config fields that the program owns, and parameters
+# and fields that nothing read: none of these names takes them.
 _DELETED = {
     "synchrad.decoherence.s_averaged": {"n_exact", "per_decade", "n_theta"},
     "synchrad.decoherence.s_ultrarel": {"per_decade", "n_theta"},
@@ -69,7 +73,10 @@ _DELETED = {
     "synchrad.ir_model.VelocityJump": {"t_jump", "tau_in"},
     "synchrad.semiclassical.spectral_sum": {"n_exact"},
     "synchrad.packets.relative_fluctuation": {"poisson", "delta_n1"},
-    "synchrad.packets.WavePacketSpec": {"alpha1", "alpha2", "delta_l", "delta_perp"},
+    "synchrad.packets.LandauLevelState": {"n2"},
+    "synchrad.corrections.corrected_photon_number": {"packet", "velocity_law_factory"},
+    "synchrad.corrections.PExponent": {"context"},
+    "synchrad.decoherence.CoherenceKernel": {"beam", "t", "theta0"},
 }
 
 
@@ -80,11 +87,40 @@ def test_signatures_hold_no_deleted_parameter(qualname):
     assert not params & _DELETED[qualname]
 
 
+# Public names deleted because no command, module or workload reached them
+_GONE = [
+    "synchrad.corrections.GaussianPacket",
+    "synchrad.packets.WavePacketSpec",
+    "synchrad.packets.packet_width_estimate",
+    "synchrad.units.critical_harmonic",
+    "synchrad.critical_harmonic",
+    "synchrad.decoherence.coherence_kernel",
+]
+
+
+@pytest.mark.parametrize("qualname", _GONE)
+def test_deleted_names_are_gone(qualname):
+    module_name, _, name = qualname.rpartition(".")
+    assert not hasattr(importlib.import_module(module_name), name)
+
+
 _BEAM = BeamParams.from_gamma_radius(2.0, 1000.0)
 _JUMP = ir_model.VelocityJump(v1=np.array([0.1 * C_AU, 0.0, 0.0]), v2=np.array([0.12 * C_AU, 0.0, 0.0]))
 _NAN_CALLS = {
     "s_averaged-t": lambda: decoherence.s_averaged(1.0, 0.5, math.nan, _BEAM),
     "s_ultrarel-t": lambda: decoherence.s_ultrarel(1.0, 0.5, math.nan, _BEAM),
+    "s_averaged-r": lambda: decoherence.s_averaged(math.nan, 0.5, 1.0, _BEAM),
+    # S is even in r, so a negative separation would read as |r|
+    "s_averaged-r-negative": lambda: decoherence.s_averaged(-5.0, 0.5, 1.0, _BEAM),
+    "s_averaged-theta0": lambda: decoherence.s_averaged(5.0, math.nan, 1.0, _BEAM),
+    "s_averaged-theta0-inf": lambda: decoherence.s_averaged(5.0, math.inf, 1.0, _BEAM),
+    "s_ultrarel-r": lambda: decoherence.s_ultrarel(math.nan, 0.5, 1.0, _BEAM),
+    "s_ultrarel-r-negative": lambda: decoherence.s_ultrarel(-5.0, 0.5, 1.0, _BEAM),
+    "s_ultrarel-theta0": lambda: decoherence.s_ultrarel(5.0, math.nan, 1.0, _BEAM),
+    "s_ultrarel-theta0-inf": lambda: decoherence.s_ultrarel(5.0, math.inf, 1.0, _BEAM),
+    "larmor_frequency-H0": lambda: packets.larmor_frequency(math.nan),
+    "LandauLevelState-n1": lambda: packets.LandauLevelState(n1=math.nan, sigma=0.5),
+    "LandauLevelState-n1-inf": lambda: packets.LandauLevelState(n1=math.inf, sigma=0.5),
     "localization_width-t": lambda: decoherence.localization_width(_BEAM, math.nan, "transverse"),
     "localization_time-target": lambda: decoherence.localization_time(_BEAM, math.nan, "transverse"),
     "spreading_time-delta_n1": lambda: packets.spreading_time(_BEAM, math.nan),
@@ -98,3 +134,71 @@ def test_domain_checks_reject_nan_and_inf(case):
     # written as `not x > 0`, a domain check cannot let NaN through
     with pytest.raises(synchrad.DomainError):
         _NAN_CALLS[case]()
+
+
+# Static checks over the program's source, in place of a linter: what a
+# deletion leaves behind is an unused import or an orphaned private helper.
+_SOURCES = sorted(Path(synchrad.__file__).parent.glob("*.py"))
+_TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in _SOURCES}
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("filename", sorted(_TREES))
+def test_no_unused_module_imports(filename):
+    tree = _TREES[filename]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert not unused, f"{filename} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_referenced():
+    # references by name or attribute anywhere in the package, each with the
+    # module-level statement it sits in, so a definition's own body does not count
+    references = []
+    for filename, tree in _TREES.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    references.append((node.id, stmt))
+                elif isinstance(node, ast.Attribute):
+                    references.append((node.attr, stmt))
+                elif isinstance(node, ast.alias):
+                    references.append((node.name, stmt))
+    orphans = [
+        f"{filename}:{name}"
+        for filename, tree in _TREES.items()
+        for name, definition in _private_definitions(tree)
+        if not any(ref == name and stmt is not definition for ref, stmt in references)
+    ]
+    assert not orphans, f"private names that nothing references: {orphans}"

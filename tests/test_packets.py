@@ -2,19 +2,16 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from synchrad.errors import DomainError
 from synchrad.packets import (
     LandauLevelState,
-    WavePacketSpec,
     energy_level,
     larmor_frequency,
     level_spacing,
     mean_principal_number,
     packet_report,
-    packet_width_estimate,
     packet_widths,
     relative_fluctuation,
     spreading_time,
@@ -33,32 +30,30 @@ FIAN = beam_from_lab(FIAN_60)
 
 def test_ground_level_is_rest_energy():
     # n1 = 0, sigma = -1/2, p = 0: the oscillator term vanishes exactly
-    state = LandauLevelState(n1=0, n2=0, sigma=-0.5)
+    state = LandauLevelState(n1=0, sigma=-0.5)
     assert energy_level(state, H0=10.0) == C_AU**2
 
 
 def test_energy_monotone_in_quantum_numbers():
     H0 = 5.0
     energies = [
-        energy_level(LandauLevelState(n1=n, n2=0, sigma=-0.5), H0) for n in range(6)
+        energy_level(LandauLevelState(n1=n, sigma=-0.5), H0) for n in range(6)
     ]
     assert all(b > a for a, b in zip(energies, energies[1:]))
     ps = [0.0, 1.0, 5.0, 50.0]
-    with_p = [energy_level(LandauLevelState(n1=1, n2=0, sigma=0.5, p=p), H0) for p in ps]
+    with_p = [energy_level(LandauLevelState(n1=1, sigma=0.5, p=p), H0) for p in ps]
     assert all(b > a for a, b in zip(with_p, with_p[1:]))
     # spin raises the level by one oscillator quantum
-    up = energy_level(LandauLevelState(n1=3, n2=0, sigma=0.5), H0)
-    dn = energy_level(LandauLevelState(n1=4, n2=0, sigma=-0.5), H0)
+    up = energy_level(LandauLevelState(n1=3, sigma=0.5), H0)
+    dn = energy_level(LandauLevelState(n1=4, sigma=-0.5), H0)
     assert up == pytest.approx(dn, rel=1e-15)
 
 
 def test_level_state_validation():
     with pytest.raises(DomainError):
-        LandauLevelState(n1=-1, n2=0, sigma=0.5)
+        LandauLevelState(n1=-1, sigma=0.5)
     with pytest.raises(DomainError):
-        LandauLevelState(n1=0, n2=-2, sigma=0.5)
-    with pytest.raises(DomainError):
-        LandauLevelState(n1=0, n2=0, sigma=1.0)
+        LandauLevelState(n1=0, sigma=1.0)
     with pytest.raises(DomainError):
         larmor_frequency(0.0)
 
@@ -76,8 +71,8 @@ def test_spacing_matches_small_level_difference():
     # at modest n1 the direct difference is still representable: cross-check
     H0 = 2.0
     for n1 in (0, 1, 10):
-        ea = energy_level(LandauLevelState(n1=n1, n2=0, sigma=-0.5), H0)
-        eb = energy_level(LandauLevelState(n1=n1 + 1, n2=0, sigma=-0.5), H0)
+        ea = energy_level(LandauLevelState(n1=n1, sigma=-0.5), H0)
+        eb = energy_level(LandauLevelState(n1=n1 + 1, sigma=-0.5), H0)
         assert level_spacing(n1, H0) == pytest.approx(eb - ea, rel=1e-9)
 
 
@@ -106,12 +101,8 @@ def test_packet_width_identities():
     assert dphi == pytest.approx(1.0 / math.sqrt(2.0 * n1), rel=1e-14)
     # the azimuthal arc and radial width differ by exactly sqrt(2)
     assert arc == pytest.approx(drho / math.sqrt(2.0), rel=1e-12)
-    # rough estimate differs from the radial width by exactly sqrt(2) as well
-    assert drho / packet_width_estimate(beam) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     with pytest.raises(DomainError):
         packet_widths(BeamParams.from_gamma_radius(1.0, 100.0))
-    with pytest.raises(DomainError):
-        packet_width_estimate(BeamParams.from_gamma_radius(1.0, 100.0))
 
 
 def test_fian_benchmark_magnitudes():
@@ -138,20 +129,6 @@ def test_spreading_time_scaling():
 def test_relative_fluctuation_contracts():
     with pytest.raises(DomainError):
         relative_fluctuation(BeamParams.from_gamma_radius(1.0, 100.0))
-
-
-def test_wave_packet_spec():
-    spec = WavePacketSpec(n1_mean=1e6, n2_mean=0.0, delta0=2.0)
-    # momentum amplitude normalized as int |c_p|^2 dp / (2 pi) = 1
-    p = np.linspace(-10.0, 10.0, 20001)
-    cp = np.array([spec.momentum_amplitude(x) for x in p])
-    assert np.trapezoid(cp**2, p) / (2 * math.pi) == pytest.approx(1.0, rel=1e-8)
-    with pytest.warns(UserWarning, match="n2_mean"):
-        WavePacketSpec(n1_mean=100.0, n2_mean=50.0, delta0=1.0)
-    with pytest.raises(DomainError):
-        WavePacketSpec(n1_mean=1.0, n2_mean=0.0, delta0=0.0)
-    with pytest.raises(DomainError):
-        WavePacketSpec(n1_mean=-1.0, n2_mean=0.0, delta0=1.0)
 
 
 def test_packet_report_contents():

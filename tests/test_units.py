@@ -14,7 +14,6 @@ from synchrad.units import (
     LabInput,
     beam_from_lab,
     beam_to_lab,
-    critical_harmonic,
 )
 
 
@@ -45,11 +44,6 @@ def test_gamma_one_is_at_rest():
     beam = BeamParams.from_gamma_radius(gamma=1.0, R=10.0)
     assert beam.beta == 0.0
     assert beam.omega0 == 0.0
-
-
-def test_critical_harmonic_scale():
-    beam = BeamParams.from_gamma_radius(gamma=10.0, R=100.0)
-    assert critical_harmonic(beam) == 1000
 
 
 def test_validation_errors():
