@@ -9,6 +9,7 @@ localization widths), packet (Landau-level packet report).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -38,30 +39,9 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
 
-_KNOWN_KEYS = {
-    "command",
-    "beam.energy_gev",
-    "beam.radius_m",
-    "beam.gamma",
-    "beam.beta",
-    "beam.radius_bohr",
-    "beam.z",
-    "spectrum.harmonics",
-    "spectrum.thetas",
-    "ir.v1",
-    "ir.v2",
-    "ir.q_c",
-    "ir.omega_min",
-    "ir.omega_max",
-    "ir.points",
-    "ir.use_delta",
-    "decohere.t_au",
-    "decohere.r_min",
-    "decohere.r_max",
-    "decohere.r_points",
-}
-
-
+_BEAM_KEYS = (
+    "beam.energy_gev", "beam.radius_m", "beam.gamma", "beam.beta", "beam.radius_bohr", "beam.z"
+)
 _MAX_POINTS = 1 << 16  # longest grid, harmonic list or angle list a config may ask for
 _MAX_TABLE_ROWS = 1 << 21  # most (harmonic, angle) rows of spectrum.csv
 
@@ -82,8 +62,8 @@ def _parse_vector(raw: str, key: str, line: int) -> np.ndarray:
 
 def _parse_int(raw: str, key: str, line: int) -> int:
     number = _parse_float(raw, key, line)
-    if not math.isfinite(number):
-        raise ConfigError(f"line {line}: key {key!r} needs a finite number, got {raw!r}")
+    if not number.is_integer():  # NaN and the infinities included
+        raise ConfigError(f"line {line}: key {key!r} needs a whole number, got {raw!r}")
     return int(number)
 
 
@@ -112,9 +92,57 @@ def _parse_int_list(raw: str, key: str, line: int) -> list[int]:
     return out
 
 
+def _parse_float_list(raw: str, key: str, line: int) -> list[float]:
+    parts = raw.split(",")
+    if len(parts) > _MAX_POINTS:
+        raise ConfigError(f"line {line}: key {key!r} lists more than {_MAX_POINTS} values")
+    return [_parse_float(p, key, line) for p in parts]
+
+
+# acceptance tests, each with what it asks for in an error message
+_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a positive finite number")
+_COUNT = (lambda n: 1 <= n <= _MAX_POINTS, f"a count from 1 to {_MAX_POINTS}")
+_SUBLUMINAL = (
+    lambda v: np.all(np.isfinite(v)) and np.linalg.norm(v) < C_AU,
+    f"finite components with speed below c = {C_AU}",
+)
+
+# Every command key: (parser, default or None when required, acceptance test,
+# what it asks for).  parse_config applies the row to each key of the command.
+_KEYS = {
+    "spectrum.harmonics": (
+        _parse_int_list, tuple(range(1, 11)), lambda ns: min(ns) >= 1, "harmonics of at least 1"
+    ),
+    "spectrum.thetas": (
+        _parse_float_list,
+        tuple(np.linspace(0.0, math.pi, 19)),
+        lambda thetas: all(map(math.isfinite, thetas)),
+        "finite angles",
+    ),
+    "ir.v1": (_parse_vector, None, *_SUBLUMINAL),
+    "ir.v2": (_parse_vector, None, *_SUBLUMINAL),
+    "ir.q_c": (_parse_float, C_AU, *_POSITIVE),
+    "ir.omega_min": (_parse_float, 1e-8, *_POSITIVE),
+    "ir.omega_max": (
+        _parse_float, 1e-2, lambda w: w <= OMEGA_MAX_AU, f"a number at most {OMEGA_MAX_AU:g}"
+    ),
+    "ir.points": (_parse_int, 64, *_COUNT),
+    "ir.use_delta": (
+        lambda raw, key, line: raw.lower(), "true", lambda w: w in ("true", "false"),
+        "true or false",
+    ),
+    "decohere.t_au": (_parse_float, None, *_POSITIVE),
+    "decohere.r_min": (_parse_float, 1e-3, *_POSITIVE),
+    "decohere.r_max": (_parse_float, 1e7, *_POSITIVE),
+    "decohere.r_points": (_parse_int, 128, *_COUNT),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a flat key=value document (one pair per line, # comments) into a
-    validated RunConfig.  Errors name the offending key and line."""
+    RunConfig whose params hold the command's keys, by name, as typed and
+    checked values, defaults filled in.  Errors name the offending key and
+    line."""
     pairs: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -124,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key != "command" and key not in _KEYS and key not in _BEAM_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -139,16 +167,26 @@ def parse_config(text: str) -> RunConfig:
         )
 
     beam = _parse_beam(pairs)
-    params: dict = {}
-    for key, (value, lineno) in pairs.items():
-        section, _, name = key.partition(".")
-        if section == "beam":
-            continue
-        if section != command:
+    for key, (_, lineno) in pairs.items():
+        if key.partition(".")[0] not in ("beam", command):
             raise ConfigError(
                 f"line {lineno}: key {key!r} does not belong to command {command!r}"
             )
-        params[name] = (value, lineno)
+    params: dict = {}
+    for key, (parse, default, accept, needs) in _KEYS.items():
+        section, _, name = key.partition(".")
+        if section != command:
+            continue
+        if key not in pairs:
+            if default is None:
+                raise ConfigError(f"missing required key {key!r}")
+            params[name] = default
+            continue
+        raw, lineno = pairs[key]
+        value = parse(raw, key, lineno)
+        if not accept(value):
+            raise ConfigError(f"line {lineno}: key {key!r} needs {needs}, got {raw!r}")
+        params[name] = value
     return RunConfig(command=command, beam=beam, params=params)
 
 
@@ -200,22 +238,6 @@ def _parse_beam(pairs: dict) -> BeamParams:
 # ---------------------------------------------------------------------------
 
 
-def _param(params, name, default=None, kind=float):
-    if name not in params:
-        if default is None:
-            raise ConfigError(f"missing required key '{name}'")
-        return default
-    value, lineno = params[name]
-    if kind is float:
-        return _parse_float(value, name, lineno)
-    if kind is int:
-        number = _parse_int(value, name, lineno)
-        if number > _MAX_POINTS:
-            raise ConfigError(f"line {lineno}: key {name!r} is above {_MAX_POINTS}")
-        return number
-    return value
-
-
 def _inf_as_null(value: float):
     """JSON null for a valid +inf (an unlocalized packet's width, the smallness
     of a jump from rest); anything else, NaN included, goes to _write_json."""
@@ -231,29 +253,19 @@ def _write_json(path, payload) -> None:
         f.write(text + "\n")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """LF-terminated CSV of one or more rows: an int column as written, any
+    other column as %.16e."""
+    rows = iter(rows)
+    first = next(rows)
+    line = ",".join("%d" if isinstance(v, int) else "%.16e" for v in first) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(line % row for row in itertools.chain([first], rows))
+
+
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
-    params = config.params
-    if "harmonics" in params:
-        value, lineno = params["harmonics"]
-        harmonics = _parse_int_list(value, "spectrum.harmonics", lineno)
-        if min(harmonics) < 1:
-            raise ConfigError(
-                f"line {lineno}: spectrum.harmonics must be at least 1, got {min(harmonics)}"
-            )
-    else:
-        harmonics = list(range(1, 11))
-    if "thetas" in params:
-        value, lineno = params["thetas"]
-        parts = value.split(",")
-        if len(parts) > _MAX_POINTS:
-            raise ConfigError(
-                f"line {lineno}: key 'spectrum.thetas' lists more than {_MAX_POINTS} values"
-            )
-        thetas = [_parse_float(p, "spectrum.thetas", lineno) for p in parts]
-        if not all(math.isfinite(theta) for theta in thetas):
-            raise ConfigError(f"line {lineno}: spectrum.thetas must be finite, got {value!r}")
-    else:
-        thetas = list(np.linspace(0.0, math.pi, 19))
+    harmonics, thetas = config.params["harmonics"], config.params["thetas"]
     if len(harmonics) * len(thetas) > _MAX_TABLE_ROWS:
         raise ConfigError(
             f"spectrum: {len(harmonics)} harmonics x {len(thetas)} thetas is more than "
@@ -263,11 +275,12 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
         np.asarray(harmonics, dtype=float)[:, None], np.asarray(thetas, dtype=float), config.beam
     )
     csv_path = os.path.join(out_dir, "spectrum.csv")
-    with open(csv_path, "w", newline="\n") as f:
-        f.write("n,theta_rad,rate_au\n")
-        for n, row in zip(harmonics, rates.tolist()):
-            for theta, rate in zip(thetas, row):
-                f.write(f"{n},{theta:.16e},{rate:.16e}\n")
+    rows = (
+        (n, theta, rate)
+        for n, row in zip(harmonics, rates.tolist())
+        for theta, rate in zip(thetas, row)
+    )
+    _write_csv(csv_path, "n,theta_rad,rate_au", rows)
     json_path = os.path.join(out_dir, "spectrum.json")
     _write_json(
         json_path,
@@ -283,41 +296,20 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
 
 def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     params = config.params
-    if "v1" not in params or "v2" not in params:
-        raise ConfigError("ir command requires ir.v1 and ir.v2")
-    v1 = _parse_vector(params["v1"][0], "ir.v1", params["v1"][1])
-    v2 = _parse_vector(params["v2"][0], "ir.v2", params["v2"][1])
-    q_c = _param(params, "q_c", default=C_AU)
-    for name, v in (("v1", v1), ("v2", v2)):
-        if not (np.all(np.isfinite(v)) and np.linalg.norm(v) < C_AU):
-            raise ConfigError(
-                f"ir.{name} must be finite with speed below c = {C_AU}, got {params[name][0]!r}"
-            )
-    if not (math.isfinite(q_c) and q_c > 0):
-        raise ConfigError(f"ir.q_c must be positive and finite, got {q_c!r}")
-    jump = ir_model.VelocityJump(v1=v1, v2=v2, q_c=q_c, Z=config.beam.Z)
-    omega_min = _param(params, "omega_min", default=1e-8)
-    omega_max = _param(params, "omega_max", default=1e-2)
-    points = _param(params, "points", default=64, kind=int)
-    if not (math.isfinite(omega_min) and omega_min > 0):
-        raise ConfigError(f"ir.omega_min must be positive and finite, got {omega_min!r}")
-    if not (omega_min < omega_max <= OMEGA_MAX_AU):
+    omega_min, omega_max = params["omega_min"], params["omega_max"]
+    if not omega_min < omega_max:
         raise ConfigError(
-            f"ir.omega_max must be above omega_min = {omega_min!r} and at most "
-            f"{OMEGA_MAX_AU:g}, got {omega_max!r}"
+            f"ir.omega_max must be above omega_min = {omega_min!r}, got {omega_max!r}"
         )
-    if points < 1:
-        raise ConfigError(f"ir.points must be at least 1, got {points}")
-    use_delta = _param(params, "use_delta", default="true", kind=str).lower() != "false"
+    jump = ir_model.VelocityJump(
+        v1=params["v1"], v2=params["v2"], q_c=params["q_c"], Z=config.beam.Z
+    )
     delta = ir_model.delta_shift(jump)
-    shift = delta if use_delta else 0.0
-    grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), points))
+    shift = delta if params["use_delta"] == "true" else 0.0
+    grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), params["points"]))
     csv_path = os.path.join(out_dir, "ir.csv")
     density = ir_model.soft_spectral_density(jump, grid, delta_override=shift)
-    with open(csv_path, "w", newline="\n") as f:
-        f.write("omega_au,dN_domega\n")
-        for w, dens in zip(grid, density):
-            f.write(f"{w:.16e},{dens:.16e}\n")
+    _write_csv(csv_path, "omega_au,dN_domega", zip(grid.tolist(), density.tolist()))
     json_path = os.path.join(out_dir, "ir.json")
     _write_json(
         json_path,
@@ -335,33 +327,25 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
 
 def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
     params = config.params
-    t = _param(params, "t_au")
-    r_min = _param(params, "r_min", default=1e-3)
-    r_max = _param(params, "r_max", default=1e7)
-    r_points = _param(params, "r_points", default=128, kind=int)
-    if not (math.isfinite(t) and t > 0):
-        raise ConfigError(f"decohere.t_au must be positive and finite, got {t!r}")
-    if not (math.isfinite(r_min) and r_min > 0):
-        raise ConfigError(f"decohere.r_min must be positive and finite, got {r_min!r}")
-    if not (math.isfinite(r_max) and r_max > r_min):
-        raise ConfigError(
-            f"decohere.r_max must be finite and above r_min = {r_min!r}, got {r_max!r}"
-        )
-    if r_points < 1:
-        raise ConfigError(f"decohere.r_points must be at least 1, got {r_points}")
+    t, r_min, r_max = params["t_au"], params["r_min"], params["r_max"]
+    if not r_min < r_max:
+        raise ConfigError(f"decohere.r_max must be above r_min = {r_min!r}, got {r_max!r}")
     r = np.concatenate(
-        [[0.0], np.exp(np.linspace(math.log(r_min), math.log(r_max), r_points))]
+        [[0.0], np.exp(np.linspace(math.log(r_min), math.log(r_max), params["r_points"]))]
     )
+    axes = ("transverse", "longitudinal")
+    rows = []  # transverse rows first, then longitudinal
+    for axis in axes:
+        theta0 = decoherence._AXIS_ANGLE[axis]
+        s = decoherence.s_averaged(r, theta0, t, config.beam)
+        rows.extend(zip(r.tolist(), itertools.repeat(theta0), s.tolist()))
     csv_path = os.path.join(out_dir, "decohere.csv")
-    # both axes in one field: transverse rows first, then longitudinal
-    decoherence.decoherence_field(
-        config.beam, t, np.tile(r, 2), np.repeat([math.pi / 2.0, 0.0], len(r))
-    ).to_csv(csv_path)
+    _write_csv(csv_path, "r_bohr,theta0_rad,S", rows)
     payload = {"t_au": t}
     # an uncertified width is reported in the JSON rather than on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UncertifiedWidthWarning)
-        for axis in ("transverse", "longitudinal"):
+        for axis in axes:
             width = decoherence.localization_width(config.beam, t, axis)
             payload[f"width_{axis}_bohr"] = _inf_as_null(width)
             payload[f"width_{axis}_certified"] = width.certified

@@ -52,45 +52,15 @@ from .semiclassical import _beaming_windows, _default_cap, _emission_blocks, _ha
 from .units import AU_TIME_SECONDS, C_AU, BeamParams
 
 __all__ = [
-    "DecoherenceField",
     "CoherenceKernel",
     "s_averaged",
     "s_ultrarel",
-    "decoherence_field",
     "Width",
     "localization_width",
     "localization_time",
 ]
 
 _AXIS_ANGLE = {"transverse": math.pi / 2.0, "longitudinal": 0.0}
-
-
-@dataclass(frozen=True)
-class DecoherenceField:
-    """Samples of the decoherence exponent over separations r at polar angle
-    theta0 between the separation vector and the field axis."""
-
-    beam: BeamParams
-    t: float
-    r: np.ndarray
-    theta0: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("r", "theta0", "values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.r.shape == self.theta0.shape == self.values.shape):
-            raise DomainError("field arrays must share one shape")
-        if not np.all(self.r >= 0):
-            raise DomainError("separations must be nonnegative")
-        if np.any(self.values < -1e-12 * max(1.0, float(np.max(self.values, initial=0.0)))):
-            raise DomainError("decoherence exponent must be nonnegative")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            f.write("r_bohr,theta0_rad,S\n")
-            for r, th, s in zip(self.r, self.theta0, self.values):
-                f.write(f"{r:.16e},{th:.16e},{s:.16e}\n")
 
 
 @dataclass(frozen=True)
@@ -215,8 +185,8 @@ def s_averaged(r, theta0: float, t: float, beam: BeamParams):
     cached per beam, theta0 and grid (see the module docstring) and scaled
     by t.
     """
-    if not t > 0:
-        raise DomainError("elapsed time must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError(f"elapsed time must be positive and finite, got {t}")
     grid = _separations(r, theta0)
     if grid.size <= _FIELD_CACHE_POINTS:
         s1 = _field_profile(beam, float(theta0), grid.tobytes())
@@ -241,8 +211,8 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
     epsilon of the orbital plane, 32 Gauss nodes each.  Valid for
     1/gamma << epsilon << 1 and gamma >~ 100.
     """
-    if not t > 0:
-        raise DomainError("elapsed time must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError(f"elapsed time must be positive and finite, got {t}")
     scalar = np.isscalar(r)
     r = _separations(r, theta0)
     if epsilon <= 3.0 / beam.gamma or epsilon > 0.5:
@@ -285,22 +255,6 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
         total += 2.0 * wz * zeta ** (1.0 / 3.0) * ((1.0 - osc) @ (wt * kern))
     vals = pref * total
     return float(vals[0]) if scalar else vals
-
-
-# ---------------------------------------------------------------------------
-# Field / kernel construction
-# ---------------------------------------------------------------------------
-
-
-def decoherence_field(beam: BeamParams, t: float, r, theta0) -> DecoherenceField:
-    """Evaluate S over paired (r, theta0) samples; scalars broadcast."""
-    r = _separations(r, theta0)
-    theta0 = np.broadcast_to(np.asarray(theta0, dtype=float), r.shape).copy()
-    values = np.empty(r.shape)
-    for th in np.unique(theta0):
-        mask = theta0 == th
-        values[mask] = s_averaged(r[mask], float(th), t, beam)
-    return DecoherenceField(beam=beam, t=t, r=r, theta0=theta0, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +548,8 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
     or the kernel has not decayed at the window edge."""
     if axis not in _AXIS_ANGLE:
         raise DomainError(f"axis must be one of {sorted(_AXIS_ANGLE)}, got {axis!r}")
-    if not t > 0:
-        raise DomainError("elapsed time must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError(f"elapsed time must be positive and finite, got {t}")
     theta0 = _AXIS_ANGLE[axis]
     lattice = _width_lattice(beam, theta0)
     s_inf = t * lattice.rate

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchrad import ir_model
+from synchrad import cli, ir_model
 from synchrad.cli import ConfigError, _parse_int_list, main, parse_config, run
 from synchrad.decoherence import Width
 from synchrad.semiclassical import (
@@ -153,7 +154,8 @@ def test_decohere_run_artifacts(tmp_path):
         "decohere.t_au = 1e6\ndecohere.r_points = 16\n"
     )
     run(config, str(tmp_path))
-    rows = (tmp_path / "decohere.csv").read_text().strip().split("\n")[1:]
+    header, *rows = (tmp_path / "decohere.csv").read_text().strip().split("\n")
+    assert header == "r_bohr,theta0_rad,S"
     assert len(rows) == 2 * 17  # both axes, r = 0 prepended to the log grid
     first = rows[0].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == 0.0
@@ -252,6 +254,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "decohere.r_points = 0",
         "decohere.r_points = nan",
         "decohere.r_points = 1e300",
+        "decohere.r_points = 3.9",
         "decohere.t_au = 0",
         "decohere.t_au = -5",
         "decohere.t_au = nan",
@@ -285,6 +288,8 @@ def test_decohere_rejects_bad_input_as_config_error(tmp_path, capsys, line):
         ("spectrum", "spectrum.harmonics = nan"),
         ("spectrum", "spectrum.harmonics = 2, inf"),
         ("spectrum", "spectrum.harmonics = 1:1e300"),
+        ("spectrum", "spectrum.harmonics = 2.7, 3.2"),
+        ("spectrum", "spectrum.harmonics = 1:3.9"),
         ("ir", "ir.omega_min = 0"),
         ("ir", "ir.omega_min = -1e-8"),
         ("ir", "ir.omega_min = nan"),
@@ -297,6 +302,8 @@ def test_decohere_rejects_bad_input_as_config_error(tmp_path, capsys, line):
         ("ir", "ir.points = -3"),
         ("ir", "ir.points = 65537"),
         ("ir", "ir.points = 1e300"),
+        ("ir", "ir.points = 2.7"),
+        ("ir", "ir.use_delta = no"),
     ],
 )
 def test_spectrum_and_ir_reject_bad_input_as_config_error(tmp_path, capsys, command, line):
@@ -559,6 +566,19 @@ def test_ir_run_computes_the_level_shift_once(tmp_path, monkeypatch):
     )
     run(config, str(tmp_path))
     assert len(calls) == 1
+
+
+def test_readme_documents_the_config_keys():
+    # the README's CLI section names every key parse_config accepts, and no
+    # command.key (artifact names aside) that it rejects as unknown
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\b(?:beam|spectrum|ir|decohere|packet)\.(?!csv\b|json\b)\w+", section))
+    assert sorted({*cli._KEYS, *cli._BEAM_KEYS} - named) == []
+    for key in sorted(named):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = 1\n")
+        assert "unknown key" not in str(err.value), key
 
 
 def _reject_non_finite(name):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from synchrad import decoherence, semiclassical
 from synchrad.decoherence import (
     CoherenceKernel,
-    decoherence_field,
     localization_time,
     localization_width,
     s_averaged,
@@ -109,22 +108,6 @@ def test_ultrarel_validity_warning():
     beam = BeamParams.from_gamma_radius(1000.0, 3.78e10)
     with pytest.warns(UserWarning, match="validity"):
         s_ultrarel(1.0, 0.5, 1.0, beam, epsilon=0.001)
-
-
-def test_field_and_kernel_construction(tmp_path):
-    r = np.array([0.0, 1.0, 10.0, 100.0])
-    field = decoherence_field(BEAM2, 5.0, r, math.pi / 2)
-    assert field.values[0] == 0.0
-    assert np.all(field.values >= 0.0)
-
-    path = tmp_path / "field.csv"
-    field.to_csv(path)
-    lines = path.read_text().split("\n")
-    assert lines[0] == "r_bohr,theta0_rad,S"
-    assert len(lines) == 6 and lines[-1] == ""
-
-    with pytest.raises(DomainError):
-        decoherence_field(BEAM2, 5.0, np.array([-1.0, 1.0]), 0.0)
 
 
 def test_width_unbounded_for_tiny_time():

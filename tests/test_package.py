@@ -87,7 +87,8 @@ def test_signatures_hold_no_deleted_parameter(qualname):
     assert not params & _DELETED[qualname]
 
 
-# Public names deleted because no command, module or workload reached them
+# Deleted public names: nothing reached them, or their one caller (the CLI)
+# now does their work itself
 _GONE = [
     "synchrad.corrections.GaussianPacket",
     "synchrad.packets.WavePacketSpec",
@@ -95,6 +96,8 @@ _GONE = [
     "synchrad.units.critical_harmonic",
     "synchrad.critical_harmonic",
     "synchrad.decoherence.coherence_kernel",
+    "synchrad.decoherence.DecoherenceField",
+    "synchrad.decoherence.decoherence_field",
 ]
 
 
@@ -109,6 +112,8 @@ _JUMP = ir_model.VelocityJump(v1=np.array([0.1 * C_AU, 0.0, 0.0]), v2=np.array([
 _NAN_CALLS = {
     "s_averaged-t": lambda: decoherence.s_averaged(1.0, 0.5, math.nan, _BEAM),
     "s_ultrarel-t": lambda: decoherence.s_ultrarel(1.0, 0.5, math.nan, _BEAM),
+    "s_averaged-t-inf": lambda: decoherence.s_averaged([0.0, 1.0, 10.0], 0.5, math.inf, _BEAM),
+    "s_ultrarel-t-inf": lambda: decoherence.s_ultrarel(1.0, 0.5, math.inf, _BEAM),
     "s_averaged-r": lambda: decoherence.s_averaged(math.nan, 0.5, 1.0, _BEAM),
     # S is even in r, so a negative separation would read as |r|
     "s_averaged-r-negative": lambda: decoherence.s_averaged(-5.0, 0.5, 1.0, _BEAM),
@@ -122,9 +127,9 @@ _NAN_CALLS = {
     "LandauLevelState-n1": lambda: packets.LandauLevelState(n1=math.nan, sigma=0.5),
     "LandauLevelState-n1-inf": lambda: packets.LandauLevelState(n1=math.inf, sigma=0.5),
     "localization_width-t": lambda: decoherence.localization_width(_BEAM, math.nan, "transverse"),
+    "localization_width-t-inf": lambda: decoherence.localization_width(_BEAM, math.inf, "transverse"),
     "localization_time-target": lambda: decoherence.localization_time(_BEAM, math.nan, "transverse"),
     "spreading_time-delta_n1": lambda: packets.spreading_time(_BEAM, math.nan),
-    "decoherence_field-r": lambda: decoherence.decoherence_field(_BEAM, 1.0, [0.0, math.nan], 0.5),
     "total_soft_count-omega_max": lambda: ir_model.total_soft_count(_JUMP, 1e-6, math.inf),
 }
 
