@@ -39,9 +39,14 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
 
-_BEAM_KEYS = (
-    "beam.energy_gev", "beam.radius_m", "beam.gamma", "beam.beta", "beam.radius_bohr", "beam.z"
+# The three beam forms, each a value key and its radius key, in the order a
+# config's keys pick one: lab energy, then beta, then gamma.
+_BEAM_FORMS = (
+    ("beam.energy_gev", "beam.radius_m"),
+    ("beam.beta", "beam.radius_bohr"),
+    ("beam.gamma", "beam.radius_bohr"),
 )
+_BEAM_KEYS = {"beam.z"}.union(*_BEAM_FORMS)
 _MAX_POINTS = 1 << 16  # longest grid, harmonic list or angle list a config may ask for
 _MAX_TABLE_ROWS = 1 << 21  # most (harmonic, angle) rows of spectrum.csv
 
@@ -191,46 +196,39 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _parse_beam(pairs: dict) -> BeamParams:
-    def take(key):
-        return pairs.get(key, (None, 0))
-
-    z_raw, z_line = take("beam.z")
-    Z = _parse_float(z_raw, "beam.z", z_line) if z_raw is not None else 1.0
-    e_raw, e_line = take("beam.energy_gev")
-    g_raw, g_line = take("beam.gamma")
-    b_raw, b_line = take("beam.beta")
-    try:
-        if e_raw is not None:
-            r_raw, r_line = take("beam.radius_m")
-            if r_raw is None:
-                raise ConfigError("beam.energy_gev requires beam.radius_m")
-            return beam_from_lab(
-                LabInput(
-                    energy_GeV=_parse_float(e_raw, "beam.energy_gev", e_line),
-                    radius_m=_parse_float(r_raw, "beam.radius_m", r_line),
-                    Z=Z,
-                )
+    form = next((form for form in _BEAM_FORMS if form[0] in pairs), None)
+    if form is None:
+        raise ConfigError("missing beam block: set beam.energy_gev or beam.gamma/beam.beta")
+    lead, radius = form
+    for key, (_, lineno) in pairs.items():
+        if key in _BEAM_KEYS and key not in (*form, "beam.z"):
+            raise ConfigError(
+                f"line {lineno}: key {key!r} belongs to another beam form than {lead} + {radius}"
             )
-        if g_raw is not None or b_raw is not None:
-            r_raw, r_line = take("beam.radius_bohr")
-            if r_raw is None:
-                raise ConfigError("beam.gamma/beam.beta requires beam.radius_bohr")
-            R = _parse_float(r_raw, "beam.radius_bohr", r_line)
-            if b_raw is not None:
-                beta = _parse_float(b_raw, "beam.beta", b_line)
-                if not (0.0 <= beta < 1.0):
-                    raise ConfigError(
-                        f"line {b_line}: beam.beta must satisfy 0 <= beta < 1, got {beta}"
-                    )
-                gamma = 1.0 / math.sqrt(1.0 - beta**2)
-            else:
-                gamma = _parse_float(g_raw, "beam.gamma", g_line)
-            return BeamParams.from_gamma_radius(gamma=gamma, R=R, Z=Z)
-    except ConfigError:
-        raise
+    if radius not in pairs:
+        raise ConfigError(f"{lead} requires {radius}")
+
+    def value(key):
+        raw, lineno = pairs[key]
+        return _parse_float(raw, key, lineno)
+
+    Z = value("beam.z") if "beam.z" in pairs else 1.0
+    try:
+        if lead == "beam.energy_gev":
+            return beam_from_lab(LabInput(energy_GeV=value(lead), radius_m=value(radius), Z=Z))
+        R = value(radius)
+        if lead == "beam.beta":
+            beta = value(lead)
+            if not (0.0 <= beta < 1.0):
+                raise ConfigError(
+                    f"line {pairs[lead][1]}: beam.beta must satisfy 0 <= beta < 1, got {beta}"
+                )
+            gamma = 1.0 / math.sqrt(1.0 - beta**2)
+        else:
+            gamma = value(lead)
+        return BeamParams.from_gamma_radius(gamma=gamma, R=R, Z=Z)
     except ValueError as exc:  # DomainError of the beam record included
         raise ConfigError(f"invalid beam parameters: {exc}")
-    raise ConfigError("missing beam block: set beam.energy_gev or beam.gamma/beam.beta")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ caches hold it, both keyed by value, never by the identity of a mode table:
   blocks of 8, so a node's value never depends on which call needed it
   first; the widths reach at most the nodes between 1e-15 and 2e16 bohr.
 
+s1 is a weighted sum over the modes of one table.  `_profile` forms it as
+one `factor @ weights` product per block of about 500,000 (r, mode) pairs
+(`_BLOCK_PAIRS`, 4 MB of factor), and fills each block's factor in place, in
+tiles of whole rows of about 32,768 pairs (`_TILE`, 256 kB per array), so a
+tile's pieces stay in a core's cache.  The block size fixes each product's
+shape, and with it the rounding of every sum; the tile size changes no bit.
+
 A width is the rms of |chi(x)|^2, where chi^ = sqrt(G^) and G^ is the cosine
 transform of the plateau-free, tapered kernel.  G^ is computed directly on
 log-spaced separations, 400 per decade interpolated from the lattice, by
@@ -108,42 +115,72 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
     return out
 
 
-def _one_minus_j0(x: np.ndarray) -> np.ndarray:
-    """1 - J0(x) without cancellation at small x (series below 1e-3)."""
-    x2 = x * x
-    series = x2 / 4.0 * (1.0 - x2 / 16.0 + x2 * x2 / 576.0)
+# _profile's (r, mode) pairs per `factor @ W` product, and per tile of whole
+# rows of its in-place fill (see the module docstring)
+_BLOCK_PAIRS = 500_000
+_TILE = 32_768
+
+
+def _one_minus_j0(x: np.ndarray) -> None:
+    """x -> 1 - J0(x) in place, without cancellation at small x: the series
+    replaces the direct form where |x| < 1e-3."""
+    small = np.abs(x) < 1e-3
+    x2 = x[small]
     with np.errstate(invalid="ignore"):
-        direct = 1.0 - scipy.special.j0(x)
-    return np.where(np.abs(x) < 1e-3, series, direct)
+        scipy.special.j0(x, out=x)
+    np.subtract(1.0, x, out=x)
+    x2 *= x2
+    x[small] = x2 / 4.0 * (1.0 - x2 / 16.0 + x2 * x2 / 576.0)
 
 
-def _dephasing_factor(a_arg, b_arg) -> np.ndarray:
-    """1 - J0(a) cos(b), assembled from the cancellation-free pieces
-    m = 1 - J0(a) and h = 1 - cos(b) = 2 sin^2(b/2):  m + h - m h.  A None
-    argument stands for a = 0 or b = 0; sin(theta0) and cos(theta0) never
-    both vanish, so at most one is None."""
-    m = _one_minus_j0(a_arg) if a_arg is not None else 0.0
-    h = 2.0 * np.sin(b_arg / 2.0) ** 2 if b_arg is not None else 0.0
-    return m + h - m * h
+def _one_minus_cos(x: np.ndarray) -> None:
+    """x -> 1 - cos(x) = 2 sin^2(x/2) in place."""
+    x /= 2.0
+    np.sin(x, out=x)
+    np.square(x, out=x)
+    x *= 2.0
 
 
 def _profile(table, r, theta0: float) -> np.ndarray:
     """Per-unit-time exponent s1(r) = sum_modes W (1 - J0(r k sin(theta0) s)
-    cos(r k cos(theta0) u)), evaluated in blocks of about 500,000 (r, mode)
-    pairs, so each temporary stays near 4 MB."""
+    cos(r k cos(theta0) u)).
+
+    The factor 1 - J0(a) cos(b) is assembled from the cancellation-free
+    pieces m = 1 - J0(a) and h = 1 - cos(b) as m + h - m h, or as m or h
+    alone where cos(theta0) or sin(theta0) vanishes (they never both do).
+    Rows of r go through one `factor @ W` product per block of about
+    _BLOCK_PAIRS (r, mode) pairs; each block's factor is filled in place,
+    a tile of whole rows of about _TILE pairs at a time, with the series of
+    1 - J0 formed only where its argument is below 1e-3.  Returns s1 at r,
+    flattened."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
     a = None if abs(sin0) <= 1e-12 else k * s * sin0
     b = None if abs(cos0) <= 1e-12 else k * u * cos0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty(r.shape)
-    block = max(1, int(500_000 / max(1, len(k))))
+    r = np.asarray(r, dtype=float).ravel()
+    n = max(1, len(k))
+    block = max(1, int(_BLOCK_PAIRS / n))
+    tile = min(block, max(1, _TILE // n))
+    factor = np.empty((min(block, len(r)), len(k)))
+    if a is not None and b is not None:
+        h, mh = np.empty((2, tile, len(k)))
+    out = np.empty(len(r))
     for i in range(0, len(r), block):
-        rc = r[i : i + block, None]
-        factor = _dephasing_factor(
-            rc * a if a is not None else None, rc * b if b is not None else None
-        )
-        out[i : i + block] = factor @ W
+        rows = factor[: len(r) - i]
+        for j in range(0, len(rows), tile):
+            f = rows[j : j + tile]
+            rc = r[i + j : i + j + len(f), None]
+            if a is None:
+                _one_minus_cos(np.multiply(rc, b, out=f))
+                continue
+            _one_minus_j0(np.multiply(rc, a, out=f))
+            if b is not None:
+                ht, mht = h[: len(rc)], mh[: len(rc)]
+                _one_minus_cos(np.multiply(rc, b, out=ht))
+                np.multiply(f, ht, out=mht)
+                f += ht
+                f -= mht
+        out[i : i + len(rows)] = rows @ W
     return out
 
 

@@ -379,6 +379,30 @@ def test_non_finite_beam_is_config_error(tmp_path, capsys, beam):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "beam, key, line",
+    [
+        (
+            "beam.energy_gev = 0.68\nbeam.radius_m = 2.0\nbeam.gamma = abc\nbeam.beta = 7",
+            "beam.gamma",
+            4,
+        ),
+        ("beam.gamma = abc\nbeam.beta = 0.6\nbeam.radius_bohr = 1000.0", "beam.gamma", 2),
+        ("beam.gamma = 2.0\nbeam.radius_bohr = 1000.0\nbeam.radius_m = abc", "beam.radius_m", 4),
+    ],
+)
+def test_keys_of_another_beam_form_are_config_errors(tmp_path, capsys, beam, key, line):
+    # the first beam form set (energy, then beta, then gamma) is the beam;
+    # a key of another form is an error naming its key and line, never ignored
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"command = spectrum\n{beam}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError"
+    assert f"line {line}: key {key!r}" in diag["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_result_exits_3_without_writing_json(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("synchrad.semiclassical.total_power", lambda beam: math.nan)
     cfg = tmp_path / "cfg"

@@ -1,7 +1,9 @@
 """Decoherence exponent, coherence kernel, and localization widths."""
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,6 +216,70 @@ def test_s_vanishes_at_zero_separation_on_both_axes(log_gamma, log_radius):
     table = decoherence._mode_table(beam, 16, 8, 8)  # a small mode table
     for theta0 in (math.pi / 2.0, 0.0):
         assert decoherence._profile(table, 0.0, theta0)[0] == 0.0
+
+
+def _untiled_profile(table, r, theta0):
+    """s1 with each block's unit factor formed whole by one np.where
+    expression, one product per block of the kernel's shape."""
+    k, s, u, W = table
+    sin0, cos0 = math.sin(theta0), math.cos(theta0)
+    block = max(1, int(decoherence._BLOCK_PAIRS / len(k)))
+    out = []
+    for i in range(0, len(r), block):
+        rc = r[i : i + block, None]
+        m = h = 0.0
+        if abs(sin0) > 1e-12:
+            x = rc * (k * s * sin0)
+            x2 = x * x
+            series = x2 / 4.0 * (1.0 - x2 / 16.0 + x2 * x2 / 576.0)
+            m = np.where(np.abs(x) < 1e-3, series, 1.0 - scipy.special.j0(x))
+        if abs(cos0) > 1e-12:
+            h = 2.0 * np.sin(rc * (k * u * cos0) / 2.0) ** 2
+        out.append((m + h - m * h) @ W)
+    return np.concatenate(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta0=st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(-math.pi, math.pi)),
+    block_rows=st.integers(1, 6),
+    modes=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    stretch=st.floats(0.5, 2.0),
+    far=st.lists(st.floats(-4.0, 8.0), max_size=8),
+)
+def test_tiling_changes_no_bits(theta0, block_rows, modes, stretch, far):
+    # r holds 0, separations whose J0 arguments straddle the series switch at
+    # 1e-3 for a few modes, and log-uniform ones; tiles of one row and of a
+    # whole block give the same bits as the factor formed whole per block
+    table = decoherence._mode_table(BEAM2, 16, 8, 8)
+    k, s = table[0], table[1]
+    modes = np.array(modes) % len(k)
+    scale = abs(math.sin(theta0)) if abs(math.sin(theta0)) > 1e-12 else 1.0
+    switch = 1e-3 / (k[modes] * s[modes] * scale)
+    r = np.concatenate([[0.0], switch * stretch, switch / stretch, 10.0 ** np.array(far)])
+    pairs = block_rows * len(k)
+    with mock.patch.object(decoherence, "_BLOCK_PAIRS", pairs):
+        want = _untiled_profile(table, r, theta0)
+        for tile in (1, pairs):
+            with mock.patch.object(decoherence, "_TILE", tile):
+                assert np.array_equal(decoherence._profile(table, r, theta0), want)
+
+
+def test_profile_peak_memory_stays_under_8_mb():
+    # the kernel holds one block's factor (4 MB) and tile-sized pieces; with
+    # each block's factor formed whole, these three calls peaked at 28 MB
+    beam = beam_from_lab(FIAN_60)
+    r = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-3), math.log(1e7), 128))])
+    decoherence._mode_table(beam, **decoherence._FIELD_RES)
+    decoherence._field_profile.cache_clear()
+    tracemalloc.start()
+    try:
+        for theta0 in (math.pi / 2.0, 0.0, 0.3):
+            s_averaged(r, theta0, 1e10, beam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_alternating_beams_keep_their_own_cache_entries():

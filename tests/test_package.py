@@ -1,8 +1,9 @@
 """The package's public surface: every exported name resolves, every public
 function or class a module defines is exported, no public name takes a
 quadrature resolution the program owns or a deleted parameter, deleted names
-stay gone, domain checks reject NaN, and no module keeps an unused import or
-an unreferenced private name."""
+stay gone, domain checks reject NaN, the benchmark's tracer finds every name
+it wraps, and no module keeps an unused import or an unreferenced private
+name."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 import synchrad
 from synchrad import decoherence, ir_model, packets
@@ -139,6 +141,27 @@ def test_domain_checks_reject_nan_and_inf(case):
     # written as `not x > 0`, a domain check cannot let NaN through
     with pytest.raises(synchrad.DomainError):
         _NAN_CALLS[case]()
+
+
+def test_bench_tracer_finds_every_hook(monkeypatch):
+    # bench/tracing.py wraps program names by attribute and reads
+    # _profile's arguments; a rename or a new signature would leave the
+    # benchmark's per-layer metrics reading 0
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    profile, j0 = decoherence._profile, scipy.special.j0
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert tracer.absent == []
+        table = decoherence._mode_table(_BEAM, 16, 8, 8)
+        decoherence._profile(table, np.array([0.0, 1.0]), 0.3)
+        assert tracer.counts["decoherence.profile.evals"] == 2 * len(table[0])
+        assert tracer.counts["special.j0.elems"] == 2 * len(table[0])
+    finally:
+        tracer.uninstall()
+    assert decoherence._profile is profile and scipy.special.j0 is j0
 
 
 # Static checks over the program's source, in place of a linter: what a
