@@ -23,7 +23,6 @@ from .units import (
     BeamParams,
     LabInput,
     beam_from_lab,
-    beam_to_lab,
 )
 
 __version__ = "0.1.0"
@@ -38,7 +37,6 @@ __all__ = [
     "BeamParams",
     "LabInput",
     "beam_from_lab",
-    "beam_to_lab",
     "C_AU",
     "BOHR_PER_METER",
     "ELECTRON_REST_GEV",

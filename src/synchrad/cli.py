@@ -142,6 +142,18 @@ _KEYS = {
     "decohere.r_points": (_parse_int, 128, *_COUNT),
 }
 
+# Checks that span two keys of one command: the two keys, a test on their
+# values, and what the error says of the values.  parse_config applies them
+# after the single-key rows of _KEYS.
+_KEY_PAIRS = (
+    ("spectrum.harmonics", "spectrum.thetas", lambda ns, ts: len(ns) * len(ts) <= _MAX_TABLE_ROWS,
+     lambda ns, ts: f"at most {_MAX_TABLE_ROWS} rows, got {len(ns)} harmonics x {len(ts)} thetas"),
+    ("ir.omega_min", "ir.omega_max", lambda lo, hi: lo < hi,
+     lambda lo, hi: f"omega_min below omega_max, got {lo!r} and {hi!r}"),
+    ("decohere.r_min", "decohere.r_max", lambda lo, hi: lo < hi,
+     lambda lo, hi: f"r_min below r_max, got {lo!r} and {hi!r}"),
+)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse a flat key=value document (one pair per line, # comments) into a
@@ -192,6 +204,15 @@ def parse_config(text: str) -> RunConfig:
         if not accept(value):
             raise ConfigError(f"line {lineno}: key {key!r} needs {needs}, got {raw!r}")
         params[name] = value
+    for first, second, accept, got in _KEY_PAIRS:
+        if first.partition(".")[0] != command:
+            continue
+        values = [params[key.partition(".")[2]] for key in (first, second)]
+        if not accept(*values):
+            where = [f"line {pairs[key][1]}" if key in pairs else "default" for key in (first, second)]
+            raise ConfigError(
+                f"keys {first!r} ({where[0]}) and {second!r} ({where[1]}) need {got(*values)}"
+            )
     return RunConfig(command=command, beam=beam, params=params)
 
 
@@ -264,11 +285,6 @@ def _write_csv(path, header: str, rows) -> None:
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
     harmonics, thetas = config.params["harmonics"], config.params["thetas"]
-    if len(harmonics) * len(thetas) > _MAX_TABLE_ROWS:
-        raise ConfigError(
-            f"spectrum: {len(harmonics)} harmonics x {len(thetas)} thetas is more than "
-            f"{_MAX_TABLE_ROWS} rows"
-        )
     rates = semiclassical.schott_angular_rate(
         np.asarray(harmonics, dtype=float)[:, None], np.asarray(thetas, dtype=float), config.beam
     )
@@ -295,10 +311,6 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
 def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     params = config.params
     omega_min, omega_max = params["omega_min"], params["omega_max"]
-    if not omega_min < omega_max:
-        raise ConfigError(
-            f"ir.omega_max must be above omega_min = {omega_min!r}, got {omega_max!r}"
-        )
     jump = ir_model.VelocityJump(
         v1=params["v1"], v2=params["v2"], q_c=params["q_c"], Z=config.beam.Z
     )
@@ -326,8 +338,6 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
 def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
     params = config.params
     t, r_min, r_max = params["t_au"], params["r_min"], params["r_max"]
-    if not r_min < r_max:
-        raise ConfigError(f"decohere.r_max must be above r_min = {r_min!r}, got {r_max!r}")
     r = np.concatenate(
         [[0.0], np.exp(np.linspace(math.log(r_min), math.log(r_max), params["r_points"]))]
     )
@@ -407,8 +417,7 @@ def main(argv=None) -> int:
                 }
             )
         )
-        # a config the parser accepts can still be rejected by its command
-        return 2 if isinstance(exc, ConfigError) else 3
+        return 3
     print(json.dumps({"status": "ok", "artifacts": sorted(artifacts)}))
     return 0
 

@@ -48,15 +48,12 @@ _P_SPHERE = (48, 32)
 
 @dataclass(frozen=True)
 class PExponent:
-    """Value of the photon-interaction exponent P(t1, t2) at its two times.
+    """Value of the photon-interaction exponent P(t1, t2).
 
     Satisfies P(t, t) = 0 and P(t1, t2) = conj(P(t2, t1)).
     """
 
     value: complex
-    t1: float
-    t2: float
-    uv_sensitive: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,8 @@ class ModeSum:
     n_azimuth: int = 24
 
     def __post_init__(self):
-        if self.q_c <= 0:
-            raise DomainError("cutoff momentum must be positive")
+        if not self.q_c > 0:
+            raise DomainError(f"cutoff momentum must be positive, got {self.q_c}")
 
     def nodes(self):
         """Returns (q_vecs[N,3], weights[N], e1[N,3], e2[N,3]) with weights
@@ -102,8 +99,8 @@ class UniformVelocityAmplitudes:
 
     def __init__(self, v0: np.ndarray, Z: float = 1.0):
         self.v0 = np.asarray(v0, dtype=float)
-        if np.linalg.norm(self.v0) >= C_AU:
-            raise DomainError("speed must be below c")
+        if not np.linalg.norm(self.v0) < C_AU:
+            raise DomainError(f"velocity must be finite with speed below c, got {self.v0}")
         self.Z = Z
 
     def amplitude(self, q_vecs: np.ndarray, e_vecs: np.ndarray, t: float) -> np.ndarray:
@@ -160,14 +157,13 @@ def p_general(
         total += np.sum(weights * bracket)
         tail += np.sum(weights[tail_mask] * bracket[tail_mask])
 
-    uv_sensitive = abs(total) > 0 and abs(tail) > 0.1 * abs(total)
-    if uv_sensitive:
+    if abs(total) > 0 and abs(tail) > 0.1 * abs(total):
         warnings.warn(
             "p_general: outer 10% of the q' range contributes more than 10% "
             "of |P|; result is logarithmically sensitive to the cutoff q_c",
             stacklevel=2,
         )
-    return PExponent(value=complex(total), t1=t1, t2=t2, uv_sensitive=uv_sensitive)
+    return PExponent(complex(total))
 
 
 @lru_cache(maxsize=8)
@@ -176,11 +172,16 @@ def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma):
     (weights, [n' x v0]^2 / (1 - n'.v0/c)^2, w2, w2 + w1, w2 |w2 + w1|,
     memo), or None for v0 = 0; memo maps |dt| to the angular integral at
     +|dt|.  Keyed by the bytes of v0 and q, so the key tells -0.0 from 0.0
-    exactly as the arithmetic does."""
+    exactly as the arithmetic does.  The domain checks run here, once per
+    geometry."""
     v0 = np.frombuffer(v0_bytes)
     q = np.frombuffer(q_bytes)
-    if np.linalg.norm(v0) >= C_AU:
-        raise DomainError("speed must be below c")
+    if not np.linalg.norm(v0) < C_AU:
+        raise DomainError(f"velocity must be finite with speed below c, got {v0}")
+    if not 0 < q_c < math.inf:
+        raise DomainError(f"cutoff momentum must be positive and finite, got {q_c}")
+    if not gamma >= 1.0:
+        raise DomainError(f"gamma must be >= 1, got {gamma}")
     if np.allclose(v0, 0.0):
         return None
     nvec, weights = sphere_rule(*_P_SPHERE)
@@ -242,14 +243,17 @@ def p_const_velocity(
     cached per (v0, q, q_c, gamma), so a table over many lags evaluates it
     once, and with it the angular integral per |dt|: P(-dt) = conj P(dt)
     holds bit for bit (Si is odd, Ci and the log are even), so a table over
-    symmetric lags does half the Si/Ci work.
+    symmetric lags does half the Si/Ci work.  DomainError unless |v0| < c,
+    0 < q_c < inf, gamma >= 1 and t1 - t2 is finite.
     """
     v0 = np.asarray(v0, dtype=float)
     q = np.asarray(q, dtype=float)
     geometry = _const_velocity_geometry(v0.tobytes(), q.tobytes(), float(q_c), float(gamma))
     dt = t1 - t2
+    if not math.isfinite(dt):
+        raise DomainError(f"lag t1 - t2 must be finite, got t1 = {t1}, t2 = {t2}")
     if dt == 0.0 or geometry is None:
-        return PExponent(0.0 + 0.0j, t1, t2)
+        return PExponent(0.0 + 0.0j)
     *_, memo = geometry
     known = memo.get(abs(dt))
     if known is None:
@@ -260,7 +264,7 @@ def p_const_velocity(
     else:
         do_integral = known if dt > 0 else known.conjugate()
     value = Z**2 / (4.0 * math.pi**2 * C_AU**3) * do_integral
-    return PExponent(complex(value), t1, t2)
+    return PExponent(complex(value))
 
 
 def p_nonrel_asymptotic(
@@ -268,8 +272,10 @@ def p_nonrel_asymptotic(
 ) -> complex:
     """Nonrelativistic large-|dt| asymptote of the constant-velocity exponent:
     (2 Z^2 v0^2 / 3 pi c^3) [i pi sign(dt) + 2 (C + ln(c q_c) + ln|dt|)]."""
-    if dt == 0.0:
-        raise DomainError("asymptotic form invalid at dt = 0")
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise DomainError(f"asymptotic form needs a finite dt != 0, got {dt}")
+    if not q_c > 0:
+        raise DomainError(f"cutoff momentum must be positive, got {q_c}")
     if v0_mag == 0.0:
         return 0.0 + 0.0j
     pref = 2.0 * Z**2 * v0_mag**2 / (3.0 * math.pi * C_AU**3)

@@ -22,7 +22,6 @@ __all__ = [
     "soft_photon_number",
     "soft_spectral_density",
     "total_soft_count",
-    "shifted_pole_photon_number",
 ]
 
 
@@ -77,27 +76,20 @@ class VelocityJump:
         return float(self.v1 @ self.delta_v) / v1sq
 
 
-def _angular_shift_integral(va, vb, v_denom) -> float:
-    """int dOmega [n' x va].[n' x vb] / (c - n'.v_denom) on _SHIFT_SPHERE."""
-    nvec, weights = sphere_rule(*_SHIFT_SPHERE)
-    cross = float(np.dot(va, vb)) - (nvec @ va) * (nvec @ vb)
-    denom = C_AU - nvec @ v_denom
-    return float(np.sum(weights * cross / denom))
-
-
-def _delta(jump: VelocityJump, va, vb) -> float:
-    """Mode-sum level shift with [n' x va].[n' x vb] in the numerator and the
-    v1-pole in the denominator, integrated up to the cutoff q_c."""
-    if np.allclose(va, 0.0) or np.allclose(vb, 0.0):
-        return 0.0
-    ang = _angular_shift_integral(va, vb, jump.v1)
-    return jump.Z**2 * jump.q_c / (2.0 * math.pi**2 * C_AU) * ang
-
-
 def delta_shift(jump: VelocityJump) -> float:
-    """Radiative energy shift that displaces the soft-photon poles:
-    numeric evaluation of the mode sum up to q_c."""
-    return _delta(jump, jump.v1, jump.v1)
+    """Radiative energy shift that displaces the soft-photon poles: the mode
+    sum up to the cutoff q_c,
+
+        Z^2 q_c / (2 pi^2 c) int dOmega [n' x v1]^2 / (c - n'.v1),
+
+    with the angular integral on the sphere rule _SHIFT_SPHERE."""
+    v1 = jump.v1
+    if np.allclose(v1, 0.0):
+        return 0.0
+    nvec, weights = sphere_rule(*_SHIFT_SPHERE)
+    cross = float(np.dot(v1, v1)) - (nvec @ v1) * (nvec @ v1)
+    ang = float(np.sum(weights * cross / (C_AU - nvec @ v1)))
+    return jump.Z**2 * jump.q_c / (2.0 * math.pi**2 * C_AU) * ang
 
 
 def delta_shift_closed_form(jump: VelocityJump) -> float:
@@ -106,22 +98,14 @@ def delta_shift_closed_form(jump: VelocityJump) -> float:
     return 4.0 * jump.Z**2 * v1sq * jump.q_c / (3.0 * math.pi * C_AU**2)
 
 
-def _two_pole(ev2, ev1, qv2, qv1, omega, delta2, delta1):
+def _two_pole(ev2, ev1, qv2, qv1, omega, delta):
     """The two-pole bracket
 
-        | e.v2/(omega - q.v2 + delta2) - e.v1/(omega - q.v1 + delta1) |^2
+        | e.v2/(omega - q.v2 + Delta) - e.v1/(omega - q.v1 + Delta) |^2
 
     from the projections ev = e.v and qv = q.v of both velocities, without
     the Z^2 g_q^2 / c^2 prefactor; the arguments broadcast."""
-    return np.abs(ev2 / (omega - qv2 + delta2) - ev1 / (omega - qv1 + delta1)) ** 2
-
-
-def _mode_number(jump: VelocityJump, mode: PhotonMode, delta2: float, delta1: float) -> float:
-    """Per-mode photon number with the v2 pole displaced by delta2 and the v1
-    pole by delta1."""
-    v1, v2, e, q = jump.v1, jump.v2, mode.e_vec, mode.q
-    bracket = _two_pole(e @ v2, e @ v1, q @ v2, q @ v1, mode.omega, delta2, delta1)
-    return jump.Z**2 * mode.g_squared / C_AU**2 * float(bracket)
+    return np.abs(ev2 / (omega - qv2 + delta) - ev1 / (omega - qv1 + delta)) ** 2
 
 
 def soft_photon_number(
@@ -141,15 +125,9 @@ def soft_photon_number(
             "soft_photon_number: omega above the soft regime m|dv|c",
             stacklevel=2,
         )
-    return _mode_number(jump, mode, delta, delta)
-
-
-def shifted_pole_photon_number(jump: VelocityJump, mode: PhotonMode) -> float:
-    """Per-mode photon number with the full complex pole displacements: the
-    v2 term carries the mixed shift built from [n' x v1].[n' x v2], the v1
-    term the pure v1 shift.  Small-q corrections of first order in q are
-    dropped."""
-    return _mode_number(jump, mode, _delta(jump, jump.v1, jump.v2), _delta(jump, jump.v1, jump.v1))
+    v1, v2, e, q = jump.v1, jump.v2, mode.e_vec, mode.q
+    bracket = _two_pole(e @ v2, e @ v1, q @ v2, q @ v1, mode.omega, delta)
+    return jump.Z**2 * mode.g_squared / C_AU**2 * float(bracket)
 
 
 def soft_spectral_density(
@@ -182,7 +160,7 @@ def soft_spectral_density(
         qmag = w / C_AU
         qv = qmag * nvec
         g2 = 2.0 * math.pi * C_AU**2 / w
-        total = _two_pole(ev2, ev1, qv @ jump.v2, qv @ jump.v1, w, delta, delta).sum(axis=0)
+        total = _two_pole(ev2, ev1, qv @ jump.v2, qv @ jump.v1, w, delta).sum(axis=0)
         n_ang = jump.Z**2 * g2 / C_AU**2 * total
         dens = qmag**2 / ((2.0 * math.pi) ** 3 * C_AU)
         out.append(float(np.sum(weights * dens * n_ang)))

@@ -16,10 +16,7 @@ share one pass: 2,048 jv elements at gamma = 10 (6,592 on the earlier
 gamma = 1e4 (34,240 jv).  Every gamma^-2 the bracket and the closed form
 use is BeamParams.gamma_m2, taken from gamma, so the totals take one path
 for every accepted gamma and agree with Lienard's power to 1.1e-7 over
-[1.01, 1e12] (3.9e-9 from gamma = 10 up).  The momentum loss needs no pass
-of its own: the radiated four-momentum is parallel to the four-velocity
-(Landau & Lifshitz, Classical Theory of Fields, sec. 73), so momentum
-leaves along v at beta P / c.
+[1.01, 1e12] (3.9e-9 from gamma = 10 up).
 
 Motion is a velocity law: position(t) and velocity(t) on arrays of times and
 breakpoints(t_end); its photon number |Q(t)|^2 in a mode is
@@ -50,11 +47,9 @@ __all__ = [
     "transverse_polarization_pairs",
     "rate_integrand",
     "schott_angular_rate",
-    "schott_harmonic_rate",
     "spectral_sum",
     "total_power",
     "total_photon_rate",
-    "momentum_loss_rate",
     "classical_power",
 ]
 
@@ -426,19 +421,6 @@ def _schott_closed_form(beam: BeamParams, harmonics: bytes):
     return out
 
 
-def schott_harmonic_rate(n: int, beam: BeamParams) -> float:
-    """Photons per atomic time emitted into harmonic n, integrated over solid
-    angle: 2 pi int_0^pi sin(theta) dN_n/(dt dOmega) dtheta, from Schott's
-    closed form (_schott_closed_form).  Raises DomainError unless n is an
-    integer >= 1."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError(f"harmonic must be an integer >= 1, got {n:g}")
-    if beam.beta == 0.0:
-        return 0.0
-    plain = _schott_closed_form(beam, np.array([n], dtype=float).tobytes())
-    return beam.Z**2 * n * beam.omega0 / C_AU * float(plain[0])
-
-
 _N_EXACT = 512  # harmonics summed one by one, with unit weight
 
 
@@ -504,16 +486,4 @@ def total_photon_rate(beam: BeamParams) -> float:
         return 0.0
     pref = beam.Z**2 * beam.omega0 / C_AU
     return spectral_sum(lambda n: pref * n * _grid_integrals(beam, n), _default_cap(beam))
-
-
-def momentum_loss_rate(beam: BeamParams) -> np.ndarray:
-    """Rate of change of the charge's momentum from radiation, per atomic
-    time, in the co-rotating basis (longitudinal along the instantaneous
-    velocity, radial, field axis): (-beta total_power / c, 0, 0).
-
-    The four-momentum radiated per unit proper time is parallel to the
-    four-velocity (Landau & Lifshitz, Classical Theory of Fields, sec. 73;
-    Jackson, Classical Electrodynamics, sec. 14.2), so the momentum leaves
-    along v at beta/c times the power."""
-    return np.array([-(beam.beta * total_power(beam) / C_AU), 0.0, 0.0])
 

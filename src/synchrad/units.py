@@ -100,13 +100,4 @@ def beam_from_lab(inp: LabInput) -> BeamParams:
     return BeamParams.from_gamma_radius(gamma=gamma, R=R, Z=inp.Z)
 
 
-def beam_to_lab(beam: BeamParams) -> LabInput:
-    """Inverse of beam_from_lab (round trips to 1e-10 relative)."""
-    return LabInput(
-        energy_GeV=beam.gamma * ELECTRON_REST_GEV,
-        radius_m=beam.R / BOHR_PER_METER,
-        Z=beam.Z,
-    )
-
-
 FIAN_60 = LabInput(energy_GeV=0.68, radius_m=2.0, Z=1.0)

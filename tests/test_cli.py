@@ -350,6 +350,36 @@ def test_spectrum_rejects_lists_above_the_caps(tmp_path, capsys, harmonics, n_th
     assert not (out / "spectrum.csv").exists() and not (out / "spectrum.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, first, second, where",
+    [
+        # 48,771 x 43 = 2^21 + 1 rows of spectrum.csv
+        ("spectrum", "spectrum.harmonics = 1:48771", "spectrum.thetas = 0.5" + ", 0.5" * 42,
+         ("line 4", "line 5")),
+        ("ir", "ir.omega_min = 1e-3", "ir.omega_max = 1e-3", ("line 4", "line 7")),
+        ("ir", None, "ir.omega_max = 1e-9", ("default", "line 6")),
+        ("decohere", "decohere.r_min = 10", "decohere.r_max = 1", ("line 4", "line 6")),
+        ("decohere", "decohere.r_min = 1e8", None, ("line 4", "default")),
+    ],
+    ids=["spectrum-rows", "ir-omega", "ir-omega-default", "decohere-r", "decohere-r-default"],
+)
+def test_two_key_errors_name_both_keys_and_lines(tmp_path, capsys, command, first, second, where):
+    required = {"ir": ["ir.v1 = 13.7, 0, 0", "ir.v2 = 16.4, 0, 0"], "decohere": ["decohere.t_au = 1e6"]}
+    lines = ["command = " + command, "beam.gamma = 2.0", "beam.radius_bohr = 1000.0"]
+    lines += [line for line in [first, *required.get(command, []), second] if line is not None]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ConfigError"
+    keys = [k for k in cli._KEYS if k.startswith(command) and k in diag["message"]]
+    assert len(keys) == 2
+    for key, place in zip(keys, where):
+        assert f"{key!r} ({place})" in diag["message"]
+    assert not out.exists()
+
+
 def test_spectrum_harmonic_list_may_fill_its_cap():
     assert _parse_int_list("1:65536", "spectrum.harmonics", 1) == list(range(1, 65537))
     assert len(_parse_int_list("1:32768, 32769:65536", "spectrum.harmonics", 1)) == 65536

@@ -13,7 +13,6 @@ from synchrad.ir_model import (
     VelocityJump,
     delta_shift,
     delta_shift_closed_form,
-    shifted_pole_photon_number,
     soft_photon_number,
     soft_spectral_density,
     total_soft_count,
@@ -80,7 +79,6 @@ def test_equal_velocities_emit_nothing():
     jump = make_jump(beta1=0.1, beta2=0.1)
     assert soft_photon_number(jump, soft_mode(1e-5)) == 0.0
     assert soft_spectral_density(jump, 1e-5) == pytest.approx(0.0, abs=1e-300)
-    assert shifted_pole_photon_number(jump, soft_mode(1e-5)) == 0.0
 
 
 def test_spectrum_quadratic_in_jump_size():
@@ -145,16 +143,6 @@ def test_infrared_dichotomy():
         assert s == pytest.approx(slopes[0], rel=0.03)
     with pytest.raises(DomainError):
         total_soft_count(jump, 1.0, omega_max=0.5)
-
-
-def test_full_number_reductions():
-    jump = make_jump()
-    # mixed-shift and single-shift forms stay within the jump-size expansion
-    delta = delta_shift(jump)
-    for w in (delta / 10.0, delta, 10.0 * delta):
-        full = shifted_pole_photon_number(jump, soft_mode(w))
-        soft = soft_photon_number(jump, soft_mode(w))
-        assert full == pytest.approx(soft, rel=5 * abs(jump.smallness))
 
 
 def test_total_soft_count_computes_the_level_shift_once(monkeypatch):

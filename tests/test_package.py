@@ -2,8 +2,9 @@
 function or class a module defines is exported, no public name takes a
 quadrature resolution the program owns or a deleted parameter, deleted names
 stay gone, domain checks reject NaN, the benchmark's tracer finds every name
-it wraps, and no module keeps an unused import or an unreferenced private
-name."""
+it wraps, every exported name is reached by the program, the benchmark or
+the acceptance tests, and no module keeps an unused import or an
+unreferenced private name."""
 
 import ast
 import importlib
@@ -20,7 +21,7 @@ import pytest
 import scipy.special
 
 import synchrad
-from synchrad import decoherence, ir_model, packets
+from synchrad import corrections, decoherence, ir_model, packets
 from synchrad.units import C_AU, BeamParams
 
 MODULES = ["synchrad"] + [f"synchrad.{m.name}" for m in pkgutil.iter_modules(synchrad.__path__)]
@@ -77,7 +78,7 @@ _DELETED = {
     "synchrad.packets.relative_fluctuation": {"poisson", "delta_n1"},
     "synchrad.packets.LandauLevelState": {"n2"},
     "synchrad.corrections.corrected_photon_number": {"packet", "velocity_law_factory"},
-    "synchrad.corrections.PExponent": {"context"},
+    "synchrad.corrections.PExponent": {"context", "uv_sensitive", "t1", "t2"},
     "synchrad.decoherence.CoherenceKernel": {"beam", "t", "theta0"},
 }
 
@@ -100,6 +101,11 @@ _GONE = [
     "synchrad.decoherence.coherence_kernel",
     "synchrad.decoherence.DecoherenceField",
     "synchrad.decoherence.decoherence_field",
+    "synchrad.semiclassical.schott_harmonic_rate",
+    "synchrad.semiclassical.momentum_loss_rate",
+    "synchrad.ir_model.shifted_pole_photon_number",
+    "synchrad.units.beam_to_lab",
+    "synchrad.beam_to_lab",
 ]
 
 
@@ -111,6 +117,8 @@ def test_deleted_names_are_gone(qualname):
 
 _BEAM = BeamParams.from_gamma_radius(2.0, 1000.0)
 _JUMP = ir_model.VelocityJump(v1=np.array([0.1 * C_AU, 0.0, 0.0]), v2=np.array([0.12 * C_AU, 0.0, 0.0]))
+_V0, _V0_NAN = np.array([0.1 * C_AU, 0.0, 0.0]), np.array([math.nan, 0.0, 0.0])
+_Q = np.array([0.0, 0.0, 0.01])
 _NAN_CALLS = {
     "s_averaged-t": lambda: decoherence.s_averaged(1.0, 0.5, math.nan, _BEAM),
     "s_ultrarel-t": lambda: decoherence.s_ultrarel(1.0, 0.5, math.nan, _BEAM),
@@ -133,6 +141,20 @@ _NAN_CALLS = {
     "localization_time-target": lambda: decoherence.localization_time(_BEAM, math.nan, "transverse"),
     "spreading_time-delta_n1": lambda: packets.spreading_time(_BEAM, math.nan),
     "total_soft_count-omega_max": lambda: ir_model.total_soft_count(_JUMP, 1e-6, math.inf),
+    "ModeSum-q_c": lambda: corrections.ModeSum(q_c=math.nan),
+    "UniformVelocityAmplitudes-v0": lambda: corrections.UniformVelocityAmplitudes(_V0_NAN),
+    "p_const_velocity-v0": lambda: corrections.p_const_velocity(_V0_NAN, _Q, t1=1.0),
+    "p_const_velocity-q_c-zero": lambda: corrections.p_const_velocity(_V0, _Q, q_c=0.0, t1=1.0),
+    "p_const_velocity-q_c": lambda: corrections.p_const_velocity(_V0, _Q, q_c=math.nan, t1=1.0),
+    "p_const_velocity-gamma-below-one": lambda: corrections.p_const_velocity(_V0, _Q, gamma=0.5, t1=1.0),
+    "p_const_velocity-gamma": lambda: corrections.p_const_velocity(_V0, _Q, gamma=math.nan, t1=1.0),
+    "p_const_velocity-dt": lambda: corrections.p_const_velocity(_V0, _Q, t1=math.nan),
+    "p_const_velocity-dt-inf": lambda: corrections.p_const_velocity(_V0, _Q, t1=math.inf),
+    # at v0 = 0 the exponent is 0 without any geometry, but the lag is still checked
+    "p_const_velocity-dt-at-rest": lambda: corrections.p_const_velocity(np.zeros(3), _Q, t1=math.nan),
+    "p_nonrel_asymptotic-q_c-zero": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, 0.0, 1.0),
+    "p_nonrel_asymptotic-q_c": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, math.nan, 1.0),
+    "p_nonrel_asymptotic-dt": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, C_AU, math.nan),
 }
 
 
@@ -167,7 +189,22 @@ def test_bench_tracer_finds_every_hook(monkeypatch):
 # Static checks over the program's source, in place of a linter: what a
 # deletion leaves behind is an unused import or an orphaned private helper.
 _SOURCES = sorted(Path(synchrad.__file__).parent.glob("*.py"))
+_ROOT = Path(__file__).resolve().parents[1]
 _TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in _SOURCES}
+
+
+# Exported names that no command, benchmark workload or acceptance test
+# reaches, kept on purpose, each with its reason
+_KEPT = {
+    "synchrad.__version__": "the package's version attribute, a Python packaging convention",
+    "synchrad.semiclassical.rate_integrand": (
+        "the paper's coherent-state rate integrand; whether it stays is open with the owner"
+    ),
+    "synchrad.semiclassical.CircularOrbit": (
+        "the circular orbit as a velocity law, rate_integrand's test input; open with the owner"
+    ),
+}
+_CONSUMERS = [*sorted((_ROOT / "bench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]
 
 
 def _exported(tree) -> set[str]:
@@ -195,38 +232,64 @@ def test_no_unused_module_imports(filename):
     assert not unused, f"{filename} imports names it never uses: {unused}"
 
 
-def _private_definitions(tree):
-    """(name, node) of each module-level private function, class or constant."""
+def _definitions(tree):
+    """(name, node) of each module-level function, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
                 yield name, node
 
 
-def test_every_private_name_is_referenced():
-    # references by name or attribute anywhere in the package, each with the
-    # module-level statement it sits in, so a definition's own body does not count
-    references = []
-    for filename, tree in _TREES.items():
+def _references(imports: bool):
+    """(name, statement) of each reference in the package by name or
+    attribute, and by import if `imports`, with the module-level statement it
+    sits in, so a definition's own body does not count."""
+    for tree in _TREES.values():
         for stmt in tree.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    references.append((node.id, stmt))
+                    yield node.id, stmt
                 elif isinstance(node, ast.Attribute):
-                    references.append((node.attr, stmt))
-                elif isinstance(node, ast.alias):
-                    references.append((node.name, stmt))
+                    yield node.attr, stmt
+                elif imports and isinstance(node, ast.alias):
+                    yield node.name, stmt
+
+
+def _used(name, definition, references) -> bool:
+    return any(ref == name and stmt is not definition for ref, stmt in references)
+
+
+def test_every_exported_name_is_reached():
+    # reached: used by the program outside its own definition (a re-export is
+    # not a use), or named by the benchmark or an acceptance test; anything
+    # else is surface that only its own unit tests reach
+    outside = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for path in _CONSUMERS
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    references = list(_references(imports=False))
+    unreached = []
+    for filename, tree in _TREES.items():
+        module = "synchrad" if filename == "__init__.py" else f"synchrad.{filename[:-3]}"
+        definitions = dict(_definitions(tree))  # a re-exported name has none here
+        for name in sorted(_exported(tree) - outside):
+            if not _used(name, definitions.get(name), references):
+                unreached.append(f"{module}.{name}")
+    assert sorted(unreached) == sorted(_KEPT), "exported names nothing reaches, or a stale _KEPT"
+
+
+def test_every_private_name_is_referenced():
+    references = list(_references(imports=True))
     orphans = [
         f"{filename}:{name}"
         for filename, tree in _TREES.items()
-        for name, definition in _private_definitions(tree)
-        if not any(ref == name and stmt is not definition for ref, stmt in references)
+        for name, definition in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and not _used(name, definition, references)
     ]
     assert not orphans, f"private names that nothing references: {orphans}"

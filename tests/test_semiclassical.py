@@ -21,10 +21,8 @@ from synchrad.semiclassical import (
     CircularOrbit,
     PhotonMode,
     classical_power,
-    momentum_loss_rate,
     rate_integrand,
     schott_angular_rate,
-    schott_harmonic_rate,
     spectral_sum,
     total_photon_rate,
     total_power,
@@ -200,8 +198,9 @@ def test_schott_angular_rate_array_contract(ns, thetas, log_gamma, bad):
 
 
 def test_harmonic_rate_against_independent_quadrature():
-    # brute-force oracle: 2 pi int_0^pi sin(theta) dN/(dt dOmega) dtheta on a
-    # dense trapezoid grid, with the integrand written out from scratch
+    # brute-force oracle for the closed form behind the harmonic rate:
+    # int_0^pi sin(theta) [cot^2 J_n^2 + beta^2 J_n'^2] dtheta on a dense
+    # trapezoid grid, with the integrand written out from scratch
     beam = BeamParams.from_gamma_radius(gamma=1.0 / math.sqrt(1 - 0.25), R=400.0)
     assert beam.beta == pytest.approx(0.5, rel=1e-12)
     thetas = np.linspace(1e-6, math.pi - 1e-6, 20001)
@@ -212,23 +211,11 @@ def test_harmonic_rate_against_independent_quadrature():
         integrand = (
             (np.cos(thetas) ** 2 / np.sin(thetas) ** 2) * jn**2 + beam.beta**2 * jnp**2
         ) * np.sin(thetas)
-        oracle = (
-            2 * math.pi
-            * beam.Z**2 * n * beam.omega0 / (2 * math.pi * C_AU)
-            * np.trapezoid(integrand, thetas)
-        )
-        assert schott_harmonic_rate(n, beam) == pytest.approx(oracle, rel=1e-6)
+        closed = semiclassical._schott_closed_form(beam, np.array([n], dtype=float).tobytes())
+        assert float(closed[0]) == pytest.approx(np.trapezoid(integrand, thetas), rel=1e-6)
     # at 2^51 the closed form's orders 2n -/+ 1 round to one float
     with pytest.raises(RangeError, match="harmonic"):
-        schott_harmonic_rate(2.0**51, beam)
-
-
-@pytest.mark.parametrize("n", [0, -2, 0.5, 2.5])
-def test_schott_harmonic_rate_rejects_harmonics_below_one(n):
-    # below one or between integers: harmonics are whole numbers >= 1
-    beam = BeamParams.from_gamma_radius(gamma=3.0, R=1000.0)
-    with pytest.raises(DomainError, match="harmonic"):
-        schott_harmonic_rate(n, beam)
+        semiclassical._schott_closed_form(beam, np.array([2.0**51]).tobytes())
 
 
 @pytest.mark.parametrize("gamma", [1.01, 5.0, 1e3])
@@ -457,17 +444,16 @@ def test_total_power_matches_classical_oracle():
         assert total_power(beam) == pytest.approx(classical_power(beam), rel=1e-6)
 
 
-# (total_power, total_photon_rate, -momentum_loss_rate[0]) at R = 1000 bohr,
-# Z = 1, pinned bit for bit: Schott's closed form on harmonics 1..512, the
-# angular rule on the Gauss-Legendre panels of the tail; the momentum loss is
-# beta total_power / c.  Against Lienard's power: 4.4e-16, 2.2e-16, 3.9e-9,
+# (total_power, total_photon_rate) at R = 1000 bohr, Z = 1, pinned bit for
+# bit: Schott's closed form on harmonics 1..512, the angular rule on the
+# Gauss-Legendre panels of the tail.  Against Lienard's power: 4.4e-16, 2.2e-16, 3.9e-9,
 # 2.5e-9 and 1.7e-9
 _TOTALS = {
-    1.01: (3.690927597066023e-08, 1.87346060537532e-06, 3.780746081509566e-11),
-    2.0: (0.0008222159939999999, 0.0012080433219814604, 5.19615242270663e-06),
-    10.0: (0.8953932209404492, 0.01285144195828486, 0.006501247939281846),
-    1e4: (913573310629.7885, 14.432235460579893, 6666666516.306579),
-    "FIAN_60": (2.0055838652241253e-07, 5.078029506000743e-08, 1.4635448448416103e-09),
+    1.01: (3.690927597066023e-08, 1.87346060537532e-06),
+    2.0: (0.0008222159939999999, 0.0012080433219814604),
+    10.0: (0.8953932209404492, 0.01285144195828486),
+    1e4: (913573310629.7885, 14.432235460579893),
+    "FIAN_60": (2.0055838652241253e-07, 5.078029506000743e-08),
 }
 
 
@@ -477,7 +463,7 @@ def test_totals_equal_scalar_quadrature(gamma):
         beam = beam_from_lab(FIAN_60)
     else:
         beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
-    got = (total_power(beam), total_photon_rate(beam), -momentum_loss_rate(beam)[0])
+    got = (total_power(beam), total_photon_rate(beam))
     assert got == _TOTALS[gamma]
 
 
@@ -504,14 +490,12 @@ def test_totals_share_one_bessel_pass(gamma, monkeypatch):
     calls = _count_bessel_elements(monkeypatch)
     total_power(beam)
     total_photon_rate(beam)
-    momentum_loss_rate(beam)
     n, _, n_exact = semiclassical._panel_grid(semiclassical._default_cap(beam), 512)
     olver = np.count_nonzero(n[n_exact:] >= semiclassical._OLVER_N)
     assert (olver > 0) == (gamma > 100.0)
     # one jv element per exact harmonic in the closed form; the rule's 32
     # nodes per tail harmonic take 2 jv elements each below the switch to
-    # Olver's expansion and 1 airy element at and above it; the momentum
-    # loss adds none
+    # Olver's expansion and 1 airy element at and above it
     assert calls == {"jv": n_exact + 64 * (len(n) - n_exact - olver), "jvp": 0, "airy": 32 * olver}
 
 
@@ -632,46 +616,3 @@ def test_total_rate_positive_and_at_rest_zero():
     rest = BeamParams.from_gamma_radius(gamma=1.0, R=1000.0)
     assert total_photon_rate(rest) == 0.0
     assert total_power(rest) == 0.0
-
-
-def test_momentum_loss_beamed_limit():
-    # forward beaming: longitudinal momentum loss -> power / c as gamma grows
-    beam = BeamParams.from_gamma_radius(gamma=10.0, R=1000.0)
-    loss = momentum_loss_rate(beam)
-    assert loss[1] == 0.0 and loss[2] == 0.0
-    assert -loss[0] == pytest.approx(total_power(beam) / C_AU, rel=2e-2)
-    assert -loss[0] <= total_power(beam) / C_AU
-
-
-
-def _jackson_momentum_over_power(beta):
-    # c dp/dt / P on a circular orbit from the instantaneous distribution
-    # (Jackson, Classical Electrodynamics, eq. 14.38)
-    #   dP(t')/dOmega ~ |n x ((n - beta) x beta_dot)|^2 / (1 - n.beta)^5,
-    # each photon direction n carrying momentum along n: the moment n.v_hat
-    # over the sphere, with v along z and the acceleration along x.  Gauss
-    # nodes in the polar angle from v, split at min(20/gamma, pi/2), and in
-    # azimuth
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    split = min(20.0 / gamma, math.pi / 2)
-    x, w = np.polynomial.legendre.leggauss(96)
-    theta = np.concatenate([(x + 1) * split / 2, split + (x + 1) * (math.pi - split) / 2])
-    w_theta = np.concatenate([w * split / 2, w * (math.pi - split) / 2]) * np.sin(theta)
-    x, w = np.polynomial.legendre.leggauss(64)
-    phi, w_phi = (x + 1) * math.pi, w * math.pi
-    t, p = np.meshgrid(theta, phi, indexing="ij")
-    n = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
-    b = np.array([0.0, 0.0, beta])
-    bdot = np.array([1.0, 0.0, 0.0])
-    power = np.sum(np.cross(n, np.cross(n - b, bdot)) ** 2, axis=-1) / (1.0 - n @ b) ** 5
-    weights = w_theta[:, None] * w_phi[None, :]
-    return np.sum(weights * power * n[..., 2]) / np.sum(weights * power)
-
-
-@pytest.mark.parametrize("gamma", [1.01, 2.0, 10.0, 100.0, 1000.0])
-def test_momentum_loss_matches_the_instantaneous_distribution(gamma):
-    beam = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0)
-    loss = momentum_loss_rate(beam)
-    assert loss[1] == 0.0 and loss[2] == 0.0
-    oracle = _jackson_momentum_over_power(beam.beta)
-    assert C_AU * -loss[0] / total_power(beam) == pytest.approx(oracle, rel=1e-12)

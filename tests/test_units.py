@@ -13,16 +13,7 @@ from synchrad.units import (
     BeamParams,
     LabInput,
     beam_from_lab,
-    beam_to_lab,
 )
-
-
-def test_lab_round_trip():
-    beam = beam_from_lab(LabInput(energy_GeV=1.3, radius_m=5.5, Z=2.0))
-    back = beam_to_lab(beam)
-    assert back.energy_GeV == pytest.approx(1.3, rel=1e-10)
-    assert back.radius_m == pytest.approx(5.5, rel=1e-10)
-    assert back.Z == 2.0
 
 
 def test_fian_reference_gamma():
