@@ -101,6 +101,8 @@ class UniformVelocityAmplitudes:
         self.v0 = np.asarray(v0, dtype=float)
         if not np.linalg.norm(self.v0) < C_AU:
             raise DomainError(f"velocity must be finite with speed below c, got {self.v0}")
+        if not math.isfinite(Z):
+            raise DomainError(f"charge number must be finite, got {Z}")
         self.Z = Z
 
     def amplitude(self, q_vecs: np.ndarray, e_vecs: np.ndarray, t: float) -> np.ndarray:
@@ -178,6 +180,8 @@ def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma):
     q = np.frombuffer(q_bytes)
     if not np.linalg.norm(v0) < C_AU:
         raise DomainError(f"velocity must be finite with speed below c, got {v0}")
+    if not np.all(np.isfinite(q)):
+        raise DomainError(f"soft-mode momentum must be finite, got {q}")
     if not 0 < q_c < math.inf:
         raise DomainError(f"cutoff momentum must be positive and finite, got {q_c}")
     if not gamma >= 1.0:
@@ -244,7 +248,7 @@ def p_const_velocity(
     once, and with it the angular integral per |dt|: P(-dt) = conj P(dt)
     holds bit for bit (Si is odd, Ci and the log are even), so a table over
     symmetric lags does half the Si/Ci work.  DomainError unless |v0| < c,
-    0 < q_c < inf, gamma >= 1 and t1 - t2 is finite.
+    q is finite, 0 < q_c < inf, gamma >= 1, and Z and t1 - t2 are finite.
     """
     v0 = np.asarray(v0, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -252,6 +256,8 @@ def p_const_velocity(
     dt = t1 - t2
     if not math.isfinite(dt):
         raise DomainError(f"lag t1 - t2 must be finite, got t1 = {t1}, t2 = {t2}")
+    if not math.isfinite(Z):
+        raise DomainError(f"charge number must be finite, got {Z}")
     if dt == 0.0 or geometry is None:
         return PExponent(0.0 + 0.0j)
     *_, memo = geometry
@@ -274,8 +280,10 @@ def p_nonrel_asymptotic(
     (2 Z^2 v0^2 / 3 pi c^3) [i pi sign(dt) + 2 (C + ln(c q_c) + ln|dt|)]."""
     if not (math.isfinite(dt) and dt != 0.0):
         raise DomainError(f"asymptotic form needs a finite dt != 0, got {dt}")
-    if not q_c > 0:
-        raise DomainError(f"cutoff momentum must be positive, got {q_c}")
+    if not 0 < q_c < math.inf:
+        raise DomainError(f"cutoff momentum must be positive and finite, got {q_c}")
+    if not (math.isfinite(v0_mag) and math.isfinite(Z)):
+        raise DomainError(f"speed and charge number must be finite, got {v0_mag} and {Z}")
     if v0_mag == 0.0:
         return 0.0 + 0.0j
     pref = 2.0 * Z**2 * v0_mag**2 / (3.0 * math.pi * C_AU**3)
@@ -301,6 +309,8 @@ class PiecewiseConstantVelocity:
     def __post_init__(self):
         object.__setattr__(self, "v1", np.asarray(self.v1, dtype=float))
         object.__setattr__(self, "v2", np.asarray(self.v2, dtype=float))
+        if not np.all(np.isfinite(np.r_[self.v1, self.v2, self.t_jump])):
+            raise DomainError(f"velocities and jump time must be finite, got {self}")
 
     def velocity(self, t) -> np.ndarray:
         """Velocity at a time or an array of times, shape (..., 3)."""
@@ -380,8 +390,13 @@ def corrected_photon_number(
     p_provider(t1, t2) supplies the exponent (None means semiclassical,
     P = 0).  Each breakpoint piece takes nodes_per_piece Gauss nodes, or more
     where the phase of Qdot needs them (_time_nodes); ConvergenceError where
-    that is too many.
+    that is too many.  DomainError unless Z is finite and nodes_per_piece is
+    an integer >= 1.
     """
+    if not math.isfinite(Z):
+        raise DomainError(f"charge number must be finite, got {Z}")
+    if not (isinstance(nodes_per_piece, (int, np.integer)) and nodes_per_piece >= 1):
+        raise DomainError(f"nodes_per_piece must be an integer >= 1, got {nodes_per_piece!r}")
     limit = _MAX_NODES if p_provider is None else _MAX_KERNEL_NODES
     times, weights = _time_nodes(velocity_law, mode, t, nodes_per_piece, limit)
     qdot = _qdot(velocity_law, mode, Z, times)

@@ -22,6 +22,10 @@ one `factor @ weights` product per block of about 500,000 (r, mode) pairs
 tiles of whole rows of about 32,768 pairs (`_TILE`, 256 kB per array), so a
 tile's pieces stay in a core's cache.  The block size fixes each product's
 shape, and with it the rounding of every sum; the tile size changes no bit.
+`s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
+an uncached table of Airy-kernel modes, built in one array pass; its grid in
+scaled harmonic number and `_mode_table`'s harmonic tail are one trapezoid
+rule in log n, `numerics.log_trapezoid`.
 
 A width is the rms of |chi(x)|^2, where chi^ = sqrt(G^) and G^ is the cosine
 transform of the plateau-free, tapered kernel.  G^ is computed directly on
@@ -54,7 +58,7 @@ from .errors import (
     RangeError,
     UncertifiedWidthWarning,
 )
-from .numerics import gauss_nodes
+from .numerics import gauss_nodes, log_trapezoid
 from .semiclassical import _beaming_windows, _default_cap, _emission_blocks, _harmonic_grid
 from .units import AU_TIME_SECONDS, C_AU, BeamParams
 
@@ -243,15 +247,18 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
     """Ultrarelativistic decoherence exponent: the harmonic sum replaced by a
     continuous integral with Airy-function kernels.
 
-    Integrates over scaled harmonic number from epsilon**-3 upward, 32
+    Integrates over scaled harmonic number zeta from epsilon**-3 upward, 32
     trapezoid nodes per decade in its logarithm, and polar angles within
-    epsilon of the orbital plane, 32 Gauss nodes each.  Valid for
-    1/gamma << epsilon << 1 and gamma >~ 100.
+    epsilon of the orbital plane, 32 Gauss nodes each: one Airy mode table,
+    summed by s_averaged's _profile.  Valid for 1/gamma << epsilon << 1 and
+    gamma >~ 100; DomainError unless 0 < epsilon <= pi/2 (sin epsilon is the
+    window edge in cos(theta)).
     """
     if not 0 < t < math.inf:
         raise DomainError(f"elapsed time must be positive and finite, got {t}")
-    scalar = np.isscalar(r)
-    r = _separations(r, theta0)
+    if not 0 < epsilon <= math.pi / 2:
+        raise DomainError(f"epsilon must lie in (0, pi/2], got {epsilon}")
+    grid = _separations(r, theta0)
     if epsilon <= 3.0 / beam.gamma or epsilon > 0.5:
         warnings.warn(
             f"epsilon = {epsilon} outside the validity window "
@@ -260,38 +267,23 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
         )
     zeta0 = epsilon**-3.0
     zeta_cap = max(4.0 * zeta0, 180.0 * beam.gamma**3)
-    m = max(16, int(_ULTRAREL_PER_DECADE * math.log10(zeta_cap / zeta0)))
-    grid = np.exp(np.linspace(math.log(zeta0), math.log(zeta_cap), m))
-    h = math.log(zeta_cap / zeta0) / (m - 1)
-    tw = np.full(m, h)
-    tw[0] = tw[-1] = h / 2.0
-
-    sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    pref = t * 2.0 ** (2.0 / 3.0) * beam.Z**2 * beam.omega0 / C_AU
-    total = np.zeros(r.shape)
+    zeta, wz = (a[:, None] for a in log_trapezoid(zeta0, zeta_cap, _ULTRAREL_PER_DECADE, 16))
+    # Ai argument (zeta/2)^(2/3) (1 - beta^2 sin^2) decays beyond ~20;
+    # 1 - beta^2 sin^2 = gamma^-2 + beta^2 u^2, without the cancellation
+    umax = np.minimum(math.sin(epsilon), math.sqrt(20.0) * (2.0 / zeta) ** (1.0 / 3.0))
+    u, wt = gauss_nodes(0.0, umax, _ULTRAREL_N_THETA)
+    s2 = 1.0 - u**2
     b2 = beam.beta**2
-    for zeta, wz in zip(grid, tw * grid):
-        # Ai argument (zeta/2)^(2/3) (1 - beta^2 sin^2) decays beyond ~20;
-        # 1 - beta^2 sin^2 = gamma^-2 + beta^2 u^2, without the cancellation
-        umax = min(math.sin(epsilon), math.sqrt(20.0) * (2.0 / zeta) ** (1.0 / 3.0))
-        u, wt = gauss_nodes(0.0, umax, _ULTRAREL_N_THETA)
-        s2 = 1.0 - u**2
-        s = np.sqrt(s2)
-        arg = (zeta / 2.0) ** (2.0 / 3.0) * (beam.gamma_m2 + b2 * (u * u))
-        ai, aip, _, _ = scipy.special.airy(np.clip(arg, -20.0, 200.0))
-        kern = (u**2 / s2) * ai**2 + (
-            b2**2 * 2.0 ** (2.0 / 3.0) * s2 / zeta ** (2.0 / 3.0)
-        ) * aip**2
-        q = zeta * beam.omega0 / C_AU
-        osc = np.ones((len(r), len(u)))
-        if abs(sin0) > 1e-12:
-            osc *= scipy.special.j0(np.outer(r, q * s * sin0))
-        if abs(cos0) > 1e-12:
-            osc *= np.cos(np.outer(r, q * u * cos0))
-        # factor 2: mirror hemisphere
-        total += 2.0 * wz * zeta ** (1.0 / 3.0) * ((1.0 - osc) @ (wt * kern))
-    vals = pref * total
-    return float(vals[0]) if scalar else vals
+    arg = (zeta / 2.0) ** (2.0 / 3.0) * (beam.gamma_m2 + b2 * (u * u))
+    ai, aip, _, _ = scipy.special.airy(np.clip(arg, -20.0, 200.0))
+    kern = (u**2 / s2) * ai**2 + (b2**2 * 2.0 ** (2.0 / 3.0) * s2 / zeta ** (2.0 / 3.0)) * aip**2
+    pref = 2.0 ** (2.0 / 3.0) * beam.Z**2 * beam.omega0 / C_AU
+    # factor 2: mirror hemisphere
+    W = pref * 2.0 * wz * zeta ** (1.0 / 3.0) * wt * kern
+    k = np.broadcast_to(zeta * beam.omega0 / C_AU, u.shape)
+    table = tuple(a.ravel() for a in (k, np.sqrt(s2), u, W))
+    vals = t * _profile(table, grid, theta0).reshape(grid.shape)
+    return float(vals[0]) if np.isscalar(r) else vals
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Quadrature primitives shared by the physics modules: cached Gauss-Legendre
-rules and the cached unit-sphere rule.
+rules, the trapezoid rule in log x for smooth spectral integrals, and the
+cached unit-sphere rule.
 
 Special functions are evaluated directly with vectorized scipy.special calls
 where the physics needs them.  All functions are pure and reentrant.
@@ -28,6 +29,18 @@ def gauss_nodes(a: float, b: float, n: int):
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def log_trapezoid(lo: float, hi: float, per_decade: int, min_nodes: int):
+    """Trapezoid rule in log x for an integral over x in [lo, hi]: m =
+    max(min_nodes, int(per_decade log10(hi / lo))) nodes uniform in log x,
+    and weights that include dx = x d(log x)."""
+    m = max(min_nodes, int(per_decade * math.log10(hi / lo)))
+    x = np.exp(np.linspace(math.log(lo), math.log(hi), m))
+    h = math.log(hi / lo) / (m - 1)
+    w = np.full(m, h)
+    w[0] = w[-1] = h / 2.0
+    return x, w * x
 
 
 @lru_cache(maxsize=8)

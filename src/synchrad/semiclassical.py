@@ -38,7 +38,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .numerics import gauss_nodes
+from .numerics import gauss_nodes, log_trapezoid
 from .units import C_AU, BeamParams
 
 __all__ = [
@@ -251,8 +251,8 @@ _BLOCK = 16  # harmonics per Bessel evaluation: keeps the node arrays small
 def _harmonic_grid(n_cap: int, n_exact: int, per_decade: int):
     """(n, weights, n_exact) for the decoherence mode table's sums over
     harmonics 1..n_cap: the harmonics up to n_exact with unit weight, then
-    the smooth tail on a log grid from n_exact + 1/2 to n_cap + 1/2 with
-    trapezoid weights in log n.  The totals use _panel_grid instead: on
+    the smooth tail from n_exact + 1/2 to n_cap + 1/2 by the trapezoid rule
+    in log n (log_trapezoid).  The totals use _panel_grid instead: on
     FIAN_60 its 6-point half-decade panels (12 nodes per decade) alias the
     J0 and cos factors of the decoherence exponent, and put S 3-6 times
     further from a 3,200-per-decade reference (transverse 3.8e-3 -> 2.2e-2
@@ -261,13 +261,8 @@ def _harmonic_grid(n_cap: int, n_exact: int, per_decade: int):
     exact = np.arange(1.0, n_exact + 1.0)
     if n_cap <= n_exact:
         return exact, np.ones(n_exact), n_exact
-    lo, hi = n_exact + 0.5, n_cap + 0.5
-    m = max(8, int(per_decade * math.log10(hi / lo)))
-    tail = np.exp(np.linspace(math.log(lo), math.log(hi), m))
-    h = math.log(hi / lo) / (m - 1)
-    tw = np.full(m, h)
-    tw[0] = tw[-1] = h / 2.0
-    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), tw * tail]), n_exact
+    tail, tw = log_trapezoid(n_exact + 0.5, n_cap + 0.5, per_decade, 8)
+    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), tw]), n_exact
 
 
 def _beaming_windows(n: np.ndarray, beam: BeamParams, widths: float) -> np.ndarray:

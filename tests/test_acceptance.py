@@ -345,7 +345,7 @@ def test_criterion_10_special_function_oracles(capsys):
             gp.append(tg * (3 * k + 1) / x if x != 0 else 0.0)
         return c1 * math.fsum(fp) - c2 * math.fsum(gp)
 
-    # as s_ultrarel calls it: one array in, Ai and Ai' out
+    # as s_ultrarel calls it: one array of all its nodes in, Ai and Ai' out
     ai, aip, _, _ = scipy.special.airy(np.array([0.0, 0.9, 2.5]))
     for i, x in enumerate((0.0, 0.9, 2.5)):
         worst = max(worst, abs(ai[i] - airy_series(x)))

@@ -104,12 +104,33 @@ def test_ultrarel_and_averaged_share_the_scalar_contract():
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         scalar = s_of(5.0, 0.8, 1.0, beam)
         assert isinstance(scalar, float) and scalar == one[0]
+        assert s_of(np.array([[5.0, 6.0], [7.0, 8.0]]), 0.8, 1.0, beam).shape == (2, 2)
 
 
 def test_ultrarel_validity_warning():
     beam = BeamParams.from_gamma_radius(1000.0, 3.78e10)
     with pytest.warns(UserWarning, match="validity"):
         s_ultrarel(1.0, 0.5, 1.0, beam, epsilon=0.001)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mults=st.lists(st.floats(1e-12, 1e-7), min_size=1, max_size=4),
+    theta0=st.one_of(st.sampled_from([math.pi / 2, 0.0, 0.7]), st.floats(0.0, math.pi)),
+)
+def test_small_separation_law_is_quadratic(mults, theta0):
+    # far below the shortest emitted wavelength S is sum W (k r)^2 (...), so
+    # S / r^2 is constant; a kernel that forms 1 - J0 cos directly cancels
+    # there and reads 0 or orders of magnitude off
+    beam = BeamParams.from_gamma_radius(1000.0, 3.78e10)
+    r_scale = C_AU / (beam.omega0 * beam.gamma**3)
+    r = np.array([0.0, 1e-12, *mults]) * r_scale
+    for s_of in (s_averaged, s_ultrarel):
+        s = s_of(r, theta0, 1.0, beam)
+        assert s[0] == 0.0
+        law = s[1:] / r[1:] ** 2
+        assert law[0] > 0.0
+        np.testing.assert_allclose(law, law[0], rtol=1e-9, atol=0.0)
 
 
 def test_width_unbounded_for_tiny_time():

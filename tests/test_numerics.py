@@ -106,7 +106,7 @@ def test_bessel_recurrence_invariant():
 
 
 def test_airy_matches_maclaurin_series():
-    # as s_ultrarel calls it: one array in, Ai and Ai' out
+    # as s_ultrarel calls it: one array of all its nodes in, Ai and Ai' out
     xs = [-4.0, -1.5, 0.0, 0.5, 2.0, 4.0]
     ai, aip, _, _ = scipy.special.airy(np.array(xs))
     for i, x in enumerate(xs):

@@ -22,6 +22,7 @@ import scipy.special
 
 import synchrad
 from synchrad import corrections, decoherence, ir_model, packets
+from synchrad.semiclassical import PhotonMode
 from synchrad.units import C_AU, BeamParams
 
 MODULES = ["synchrad"] + [f"synchrad.{m.name}" for m in pkgutil.iter_modules(synchrad.__path__)]
@@ -119,6 +120,8 @@ _BEAM = BeamParams.from_gamma_radius(2.0, 1000.0)
 _JUMP = ir_model.VelocityJump(v1=np.array([0.1 * C_AU, 0.0, 0.0]), v2=np.array([0.12 * C_AU, 0.0, 0.0]))
 _V0, _V0_NAN = np.array([0.1 * C_AU, 0.0, 0.0]), np.array([math.nan, 0.0, 0.0])
 _Q = np.array([0.0, 0.0, 0.01])
+_LAW = corrections.PiecewiseConstantVelocity(_V0, _V0, t_jump=0.0)
+_MODE = PhotonMode(alpha=1, q=_Q)
 _NAN_CALLS = {
     "s_averaged-t": lambda: decoherence.s_averaged(1.0, 0.5, math.nan, _BEAM),
     "s_ultrarel-t": lambda: decoherence.s_ultrarel(1.0, 0.5, math.nan, _BEAM),
@@ -133,6 +136,12 @@ _NAN_CALLS = {
     "s_ultrarel-r-negative": lambda: decoherence.s_ultrarel(-5.0, 0.5, 1.0, _BEAM),
     "s_ultrarel-theta0": lambda: decoherence.s_ultrarel(5.0, math.nan, 1.0, _BEAM),
     "s_ultrarel-theta0-inf": lambda: decoherence.s_ultrarel(5.0, math.inf, 1.0, _BEAM),
+    # sin(epsilon) is the window edge in cos(theta), so epsilon lies in (0, pi/2]
+    "s_ultrarel-epsilon": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=math.nan),
+    "s_ultrarel-epsilon-zero": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=0.0),
+    "s_ultrarel-epsilon-negative": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=-0.1),
+    "s_ultrarel-epsilon-above-half-pi": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=2.0),
+    "s_ultrarel-epsilon-inf": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=math.inf),
     "larmor_frequency-H0": lambda: packets.larmor_frequency(math.nan),
     "LandauLevelState-n1": lambda: packets.LandauLevelState(n1=math.nan, sigma=0.5),
     "LandauLevelState-n1-inf": lambda: packets.LandauLevelState(n1=math.inf, sigma=0.5),
@@ -143,6 +152,9 @@ _NAN_CALLS = {
     "total_soft_count-omega_max": lambda: ir_model.total_soft_count(_JUMP, 1e-6, math.inf),
     "ModeSum-q_c": lambda: corrections.ModeSum(q_c=math.nan),
     "UniformVelocityAmplitudes-v0": lambda: corrections.UniformVelocityAmplitudes(_V0_NAN),
+    "UniformVelocityAmplitudes-Z": lambda: corrections.UniformVelocityAmplitudes(_V0, Z=math.nan),
+    "p_const_velocity-q": lambda: corrections.p_const_velocity(_V0, np.array([math.nan, 0.0, 0.0]), t1=1.0),
+    "p_const_velocity-Z": lambda: corrections.p_const_velocity(_V0, _Q, Z=math.nan, t1=1.0),
     "p_const_velocity-v0": lambda: corrections.p_const_velocity(_V0_NAN, _Q, t1=1.0),
     "p_const_velocity-q_c-zero": lambda: corrections.p_const_velocity(_V0, _Q, q_c=0.0, t1=1.0),
     "p_const_velocity-q_c": lambda: corrections.p_const_velocity(_V0, _Q, q_c=math.nan, t1=1.0),
@@ -155,6 +167,21 @@ _NAN_CALLS = {
     "p_nonrel_asymptotic-q_c-zero": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, 0.0, 1.0),
     "p_nonrel_asymptotic-q_c": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, math.nan, 1.0),
     "p_nonrel_asymptotic-dt": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, C_AU, math.nan),
+    "p_nonrel_asymptotic-q_c-inf": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, 1.0, math.inf, 1.0),
+    "p_nonrel_asymptotic-v0_mag": lambda: corrections.p_nonrel_asymptotic(math.nan, 1.0, C_AU, 1.0),
+    "p_nonrel_asymptotic-Z": lambda: corrections.p_nonrel_asymptotic(0.1 * C_AU, math.nan, C_AU, 1.0),
+    "PiecewiseConstantVelocity-v1": lambda: corrections.PiecewiseConstantVelocity(_V0_NAN, _V0, 0.5),
+    "PiecewiseConstantVelocity-v2": lambda: corrections.PiecewiseConstantVelocity(_V0, _V0_NAN, 0.5),
+    "PiecewiseConstantVelocity-v2-inf": lambda: corrections.PiecewiseConstantVelocity(_V0, np.array([math.inf, 0.0, 0.0]), 0.5),
+    "PiecewiseConstantVelocity-t_jump": lambda: corrections.PiecewiseConstantVelocity(_V0, _V0, math.nan),
+    "PiecewiseConstantVelocity-t_jump-inf": lambda: corrections.PiecewiseConstantVelocity(_V0, _V0, math.inf),
+    "corrected_photon_number-Z": lambda: corrections.corrected_photon_number(_LAW, _MODE, 1.0, Z=math.nan),
+    "corrected_photon_number-nodes-zero": lambda: corrections.corrected_photon_number(
+        _LAW, _MODE, 1.0, nodes_per_piece=0
+    ),
+    "corrected_photon_number-nodes-fraction": lambda: corrections.corrected_photon_number(
+        _LAW, _MODE, 1.0, nodes_per_piece=2.5
+    ),
 }
 
 
