@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import decoherence, ir_model, packets, semiclassical
 from .errors import DomainError, SynchradError, UncertifiedWidthWarning
 from .units import C_AU, OMEGA_MAX_AU, BeamParams, LabInput, beam_from_lab
 
@@ -284,6 +283,8 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
+    from . import semiclassical
+
     harmonics, thetas = config.params["harmonics"], config.params["thetas"]
     rates = semiclassical.schott_angular_rate(
         np.asarray(harmonics, dtype=float)[:, None], np.asarray(thetas, dtype=float), config.beam
@@ -309,6 +310,8 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
 
 
 def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
+    from . import ir_model
+
     params = config.params
     omega_min, omega_max = params["omega_min"], params["omega_max"]
     jump = ir_model.VelocityJump(
@@ -336,6 +339,8 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
 
 
 def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
+    from . import decoherence
+
     params = config.params
     t, r_min, r_max = params["t_au"], params["r_min"], params["r_max"]
     r = np.concatenate(
@@ -364,11 +369,15 @@ def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
 
 
 def _run_packet(config: RunConfig, out_dir: str) -> list[str]:
+    from . import packets
+
     json_path = os.path.join(out_dir, "packet.json")
     _write_json(json_path, packets.packet_report(config.beam))
     return [json_path]
 
 
+# Each runner imports its own command module, so a command starts without
+# the scipy import that only the others need (packet needs none).
 _RUNNERS = {
     "spectrum": _run_spectrum,
     "ir": _run_ir,

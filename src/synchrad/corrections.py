@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -67,8 +68,8 @@ class ModeSum:
     n_azimuth: int = 24
 
     def __post_init__(self):
-        if not self.q_c > 0:
-            raise DomainError(f"cutoff momentum must be positive, got {self.q_c}")
+        if not 0 < self.q_c < math.inf:
+            raise DomainError(f"cutoff momentum must be positive and finite, got {self.q_c}")
 
     def nodes(self):
         """Returns (q_vecs[N,3], weights[N], e1[N,3], e2[N,3]) with weights
@@ -130,9 +131,14 @@ def p_general(
 
     with mu = mu_coupling(mode_q, q').  The single-time exponentials are
     zeroed where |mu| * t exceeds the stationary-phase threshold, and mu is
-    capped at its large-q' saturation value at q' = q_c.
+    capped at its large-q' saturation value at q' = q_c.  DomainError
+    before any evaluation unless t1, t2 and mode_q are finite.
     """
     mode_q = np.asarray(mode_q, dtype=float)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise DomainError(f"times must be finite, got t1 = {t1}, t2 = {t2}")
+    if not np.all(np.isfinite(mode_q)):
+        raise DomainError(f"soft-mode momentum must be finite, got {mode_q}")
     ms = mode_sum or ModeSum()
     q_vecs, weights, e1, e2 = ms.nodes()
 
@@ -375,6 +381,51 @@ def _time_nodes(velocity_law, mode: PhotonMode, t: float, n: int, max_nodes: int
     return x.ravel(), w.ravel()
 
 
+# The last exp(-P) matrix built: (weak reference to its provider,
+# times.tobytes(), the read-only matrix), or None.  The reference's callback
+# empties it when the provider dies.
+_damping_slot = None
+
+
+def _forget_damping(ref):
+    global _damping_slot
+    if _damping_slot is not None and _damping_slot[0] is ref:
+        _damping_slot = None
+
+
+def _damping(p_provider, times: np.ndarray) -> np.ndarray:
+    """exp(-P) on the quadrature grid: P from p_provider on the upper
+    triangle, diagonal included, in row order, and the lower triangle by
+    Hermiticity P(t2, t1) = P*(t1, t2).  The read-only result is kept for
+    the next call with the same provider object on the same grid, unless the
+    provider cannot be weakly referenced; a fill that raises is not kept."""
+    global _damping_slot
+    key = times.tobytes()
+    slot = _damping_slot
+    if slot is not None and slot[0]() is p_provider and slot[1] == key:
+        return slot[2]
+    ts = times.tolist()
+    upper = np.triu_indices(len(ts))
+    P = np.empty((len(ts), len(ts)), dtype=complex)
+    P[upper] = [p_provider(t1, t2) for i, t1 in enumerate(ts) for t2 in ts[i:]]
+    bad = np.flatnonzero(~np.isfinite(P[upper]))
+    if bad.size:
+        i, j = upper[0][bad[0]], upper[1][bad[0]]
+        raise DomainError(
+            f"p_provider returned a non-finite exponent {P[i, j]} at (t1, t2) = ({ts[i]!r}, {ts[j]!r})"
+        )
+    lower = np.tril_indices(len(ts), -1)
+    P[lower] = np.conj(P.T[lower])
+    damping = np.exp(-P)
+    damping.setflags(write=False)
+    try:
+        ref = weakref.ref(p_provider, _forget_damping)
+    except TypeError:  # not weakly referenceable: never kept
+        return damping
+    _damping_slot = (ref, key, damping)
+    return damping
+
+
 def corrected_photon_number(
     velocity_law,
     mode: PhotonMode,
@@ -388,10 +439,13 @@ def corrected_photon_number(
         n = int_0^t int_0^t Qdot*(t1) Qdot(t2) exp(-P(t1, t2)) dt1 dt2
 
     p_provider(t1, t2) supplies the exponent (None means semiclassical,
-    P = 0).  Each breakpoint piece takes nodes_per_piece Gauss nodes, or more
-    where the phase of Qdot needs them (_time_nodes); ConvergenceError where
-    that is too many.  DomainError unless Z is finite and nodes_per_piece is
-    an integer >= 1.
+    P = 0).  It must be a function of (t1, t2) alone: a later call with the
+    same provider object on the same time grid, such as the other
+    polarization of the mode, reuses the first call's exp(-P) matrix
+    instead of calling the provider again.  Each breakpoint piece takes
+    nodes_per_piece Gauss nodes, or more where the phase of Qdot needs them
+    (_time_nodes); ConvergenceError where that is too many.  DomainError
+    unless Z is finite and nodes_per_piece is an integer >= 1.
     """
     if not math.isfinite(Z):
         raise DomainError(f"charge number must be finite, got {Z}")
@@ -404,20 +458,7 @@ def corrected_photon_number(
         amp = np.sum(weights * qdot)
         return float(abs(amp) ** 2)
 
-    # upper triangle from the provider, lower by Hermiticity P(t2, t1) = P*(t1, t2)
-    ts = times.tolist()
-    upper = np.triu_indices(len(ts))
-    P = np.empty((len(ts), len(ts)), dtype=complex)
-    P[upper] = [p_provider(t1, t2) for i, t1 in enumerate(ts) for t2 in ts[i:]]
-    bad = np.flatnonzero(~np.isfinite(P[upper]))
-    if bad.size:
-        i, j = upper[0][bad[0]], upper[1][bad[0]]
-        raise DomainError(
-            f"p_provider returned a non-finite exponent {P[i, j]} at (t1, t2) = ({ts[i]!r}, {ts[j]!r})"
-        )
-    lower = np.tril_indices(len(ts), -1)
-    P[lower] = np.conj(P.T[lower])
-    kern = np.conj(qdot)[:, None] * qdot[None, :] * np.exp(-P)
+    kern = np.conj(qdot)[:, None] * qdot[None, :] * _damping(p_provider, times)
     val = complex(weights @ kern @ weights)
     if abs(val.imag) > _IMAG_TOL * max(abs(val.real), 1e-300):
         warnings.warn(

@@ -197,6 +197,26 @@ def test_thread_environment_is_ignored(tmp_path):
     assert json.loads(proc.stdout)["status"] == "ok"
 
 
+def test_packet_starts_without_scipy(tmp_path):
+    # each runner imports its own command module, and packets needs no scipy
+    cfg = tmp_path / "cfg"
+    cfg.write_text("command = packet\nbeam.gamma = 2.0\nbeam.radius_bohr = 100.0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; from synchrad import cli; status = cli.main(sys.argv[1:]); "
+        "print(status, 'scipy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--config", str(cfg), "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stderr.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "packet.json").exists()
+
+
 def test_run_is_deterministic(tmp_path):
     text = (
         "command = spectrum\nbeam.gamma = 3.0\nbeam.radius_bohr = 500.0\n"

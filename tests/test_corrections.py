@@ -1,5 +1,6 @@
 """Photon-interaction exponent P and the exp(-P)-damped photon number."""
 
+import gc
 import math
 import warnings
 
@@ -266,13 +267,21 @@ def test_p_table_equals_the_per_call_values():
     assert math.fsum(table.imag * (1 + LAGS)) == 0.01005933396051814
 
 
-def test_corrected_numbers_equal_the_per_entry_fill():
+def jump_lag_provider(calls):
+    """P(t1, t2) interpolated in the lag from jump_p_table, appending one
+    entry to calls per call."""
     table = jump_p_table()
 
     def provider(t1, t2):
+        calls.append(None)
         d = t1 - t2
         return complex(np.interp(d, LAGS, table.real), np.interp(d, LAGS, table.imag))
 
+    return provider
+
+
+def test_corrected_numbers_equal_the_per_entry_fill():
+    provider = jump_lag_provider([])
     law = PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5)
     want = {1: (0.4932751500102361, 0.4936536489129677), 2: (0.019731006000409442, 0.019746145956518725)}
     for alpha, (plain, damped) in want.items():
@@ -321,6 +330,97 @@ def test_hermitian_fill_calls_the_provider_on_the_upper_triangle_in_order():
     assert len(times) == 12
     assert calls == [(a, b) for i, a in enumerate(times) for b in times[i:]]
     assert all(isinstance(t, float) for pair in calls for t in pair)
+
+
+def counting_provider(calls):
+    """A P(t1, t2) that appends each call's pair to calls."""
+
+    def provider(t1, t2):
+        calls.append((t1, t2))
+        return 1e-3 * (t1 - t2) * (1.0 + 2.0j) + 2e-4 * (t1 + t2) ** 2
+
+    return provider
+
+
+def test_both_polarizations_share_one_exponent_fill():
+    # exp(-P) depends on the provider and the time grid, not on the polarization
+    law = PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5)
+    modes = [PhotonMode(alpha=alpha, q=JUMP_Q) for alpha in (1, 2)]
+    fresh = [
+        corrected_photon_number(law, mode, 1.0, p_provider=jump_lag_provider([]), nodes_per_piece=48)
+        for mode in modes
+    ]
+    calls = []
+    provider = jump_lag_provider(calls)
+    shared = [
+        corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=48) for mode in modes
+    ]
+    # two pieces of 48 nodes: one upper triangle of the 96 x 96 grid
+    assert len(calls) == 96 * 97 // 2 == 4656
+    assert shared == fresh
+
+
+def test_another_grid_or_provider_fills_again():
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
+    calls = []
+    provider = counting_provider(calls)
+    # 8 nodes resolve 3.6 rad: omega = 3 takes one piece of 8, omega = 6 two
+    for omega, nodes in ((3.0, 8), (6.0, 16), (3.0, 8)):
+        mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, omega / C_AU]))
+        del calls[:]
+        corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
+        assert len(calls) == nodes * (nodes + 1) // 2
+    other = []
+    corrected_photon_number(law, mode, 1.0, p_provider=counting_provider(other), nodes_per_piece=8)
+    assert len(other) == 36
+
+
+def test_a_failed_fill_is_not_kept():
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
+    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
+    calls = []
+
+    def provider(t1, t2):
+        calls.append((t1, t2))
+        return complex(math.nan, 0.0)
+
+    for attempt in (1, 2):
+        with pytest.raises(DomainError, match="non-finite"):
+            corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
+        assert len(calls) == 36 * attempt
+
+
+def test_the_kept_exponent_dies_with_its_provider_and_is_read_only():
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
+    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
+    provider = counting_provider([])
+    corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
+    ref, _, damping = corrections._damping_slot
+    assert ref() is provider and damping.shape == (8, 8)
+    with pytest.raises(ValueError):
+        damping[0, 0] = 0.0
+    del provider, ref
+    gc.collect()
+    assert corrections._damping_slot is None
+
+
+def test_a_provider_without_weak_references_is_never_kept():
+    class Provider:
+        __slots__ = ("calls",)
+
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, t1, t2):
+            self.calls += 1
+            return 0.1 + 0.0j
+
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
+    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
+    provider = Provider()
+    for attempt in (1, 2):
+        corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
+        assert provider.calls == 36 * attempt
 
 
 def test_non_finite_exponent_raises_with_the_first_bad_pair():

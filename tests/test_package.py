@@ -122,6 +122,7 @@ _V0, _V0_NAN = np.array([0.1 * C_AU, 0.0, 0.0]), np.array([math.nan, 0.0, 0.0])
 _Q = np.array([0.0, 0.0, 0.01])
 _LAW = corrections.PiecewiseConstantVelocity(_V0, _V0, t_jump=0.0)
 _MODE = PhotonMode(alpha=1, q=_Q)
+_MODE_SUM = corrections.ModeSum(n_radial=6, n_polar=6, n_azimuth=6)
 _NAN_CALLS = {
     "s_averaged-t": lambda: decoherence.s_averaged(1.0, 0.5, math.nan, _BEAM),
     "s_ultrarel-t": lambda: decoherence.s_ultrarel(1.0, 0.5, math.nan, _BEAM),
@@ -151,6 +152,13 @@ _NAN_CALLS = {
     "spreading_time-delta_n1": lambda: packets.spreading_time(_BEAM, math.nan),
     "total_soft_count-omega_max": lambda: ir_model.total_soft_count(_JUMP, 1e-6, math.inf),
     "ModeSum-q_c": lambda: corrections.ModeSum(q_c=math.nan),
+    "ModeSum-q_c-inf": lambda: corrections.ModeSum(q_c=math.inf),
+    "p_general-t1": lambda: corrections.p_general(
+        _Q, corrections.UniformVelocityAmplitudes(_V0), 1.005, math.nan, 2.0, _MODE_SUM
+    ),
+    "p_general-mode_q": lambda: corrections.p_general(
+        np.array([math.nan, 0.0, 0.0]), corrections.UniformVelocityAmplitudes(_V0), 1.005, 1.0, 2.0, _MODE_SUM
+    ),
     "UniformVelocityAmplitudes-v0": lambda: corrections.UniformVelocityAmplitudes(_V0_NAN),
     "UniformVelocityAmplitudes-Z": lambda: corrections.UniformVelocityAmplitudes(_V0, Z=math.nan),
     "p_const_velocity-q": lambda: corrections.p_const_velocity(_V0, np.array([math.nan, 0.0, 0.0]), t1=1.0),
