@@ -107,7 +107,7 @@ def _parse_float_list(raw: str, key: str, line: int) -> list[float]:
 _POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a positive finite number")
 _COUNT = (lambda n: 1 <= n <= _MAX_POINTS, f"a count from 1 to {_MAX_POINTS}")
 _SUBLUMINAL = (
-    lambda v: np.all(np.isfinite(v)) and np.linalg.norm(v) < C_AU,
+    lambda v: math.hypot(*v) < C_AU,  # ir_model.VelocityJump's test; NaN and inf fail it
     f"finite components with speed below c = {C_AU}",
 )
 
@@ -377,7 +377,7 @@ def _run_packet(config: RunConfig, out_dir: str) -> list[str]:
 
 
 # Each runner imports its own command module, so a command starts without
-# the scipy import that only the others need (packet needs none).
+# the scipy import that only the others need (packet and ir need none).
 _RUNNERS = {
     "spectrum": _run_spectrum,
     "ir": _run_ir,

@@ -1,6 +1,7 @@
 """Quadrature primitives shared by the physics modules: cached Gauss-Legendre
-rules, the trapezoid rule in log x for smooth spectral integrals, and the
-cached unit-sphere rule.
+rules, the trapezoid rule and Gauss-Legendre panels in log x for smooth
+spectral integrals, the cached unit-sphere rule, and atanh(w) - w without
+cancellation.
 
 Special functions are evaluated directly with vectorized scipy.special calls
 where the physics needs them.  All functions are pure and reentrant.
@@ -43,6 +44,16 @@ def log_trapezoid(lo: float, hi: float, per_decade: int, min_nodes: int):
     return x, w * x
 
 
+def _log_panels(lo: float, hi: float, per_decade: int):
+    """6-point Gauss-Legendre panels in log x for an integral over x in
+    [lo, hi]: ceil(per_decade log10(hi / lo)) panels of equal width in log x,
+    and weights that include dx = x d(log x)."""
+    edges = np.linspace(math.log(lo), math.log(hi), math.ceil(per_decade * math.log10(hi / lo)) + 1)
+    log_x, w = gauss_nodes(edges[:-1, None], edges[1:, None], 6)
+    x = np.exp(log_x.ravel())
+    return x, w.ravel() * x
+
+
 @lru_cache(maxsize=8)
 def sphere_rule(n_polar: int, n_azimuth: int):
     """Unit-sphere rule: Gauss-Legendre in cos(theta) times the midpoint rule
@@ -57,3 +68,14 @@ def sphere_rule(n_polar: int, n_azimuth: int):
     for arr in (nvec, weights):
         arr.setflags(write=False)
     return nvec, weights
+
+
+def _atanh_minus_identity(w):
+    """atanh(w) - w for 0 <= w < 1, without the cancellation at small w: the
+    Maclaurin series w^3 sum_k w^2k / (2k + 3) below w = 1/2, whose 29 terms
+    leave under 1e-18 of the sum there."""
+    w2 = w * w
+    series = np.zeros_like(w)
+    for k in range(28, -1, -1):
+        series = series * w2 + 1.0 / (2 * k + 3)
+    return np.where(w < 0.5, w * w2 * series, np.arctanh(w) - w)

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .numerics import gauss_nodes, log_trapezoid
+from .numerics import _atanh_minus_identity, _log_panels, gauss_nodes, log_trapezoid
 from .units import C_AU, BeamParams
 
 __all__ = [
@@ -163,17 +163,6 @@ def _bessel_pair(n, x):
 # within 1.3e-10 (J_n) and 7e-15 (J_n') of the peak values, while jv at
 # large orders carries noise that the difference for J_n' amplifies.
 _OLVER_N = 1e6
-
-
-def _atanh_minus_identity(w):
-    """atanh(w) - w for 0 < w < 1, without the cancellation at small w: the
-    Maclaurin series w^3 sum_k w^2k / (2k + 3) below w = 1/2, whose 29 terms
-    leave under 1e-18 of the sum there."""
-    w2 = w * w
-    series = np.zeros_like(w)
-    for k in range(28, -1, -1):
-        series = series * w2 + 1.0 / (2 * k + 3)
-    return np.where(w < 0.5, w * w2 * series, np.arctanh(w) - w)
 
 
 def _olver_pair(n, w, z):
@@ -424,16 +413,13 @@ def _panel_grid(n_cap: int, n_exact: int):
     the harmonics up to n_exact with unit weight, then the smooth tail as an
     integral over n from n_exact + 1/2 to n_cap + 1/2 (the sum-to-integral
     midpoint match) on 6-point Gauss-Legendre panels of half a decade in
-    log n, ceil(2 log10(hi / lo)) of them; the weights carry dn = n dlog n."""
+    log n (_log_panels)."""
     n_exact = min(n_exact, n_cap)
     exact = np.arange(1.0, n_exact + 1.0)
     if n_cap <= n_exact:
         return exact, np.ones(n_exact), n_exact
-    lo, hi = n_exact + 0.5, n_cap + 0.5
-    edges = np.linspace(math.log(lo), math.log(hi), math.ceil(2.0 * math.log10(hi / lo)) + 1)
-    log_n, w = gauss_nodes(edges[:-1, None], edges[1:, None], 6)
-    tail = np.exp(log_n.ravel())
-    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), w.ravel() * tail]), n_exact
+    tail, tw = _log_panels(n_exact + 0.5, n_cap + 0.5, 2)
+    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), tw]), n_exact
 
 
 def spectral_sum(per_n: Callable[[np.ndarray], np.ndarray], n_cap: int) -> float:

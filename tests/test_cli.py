@@ -197,10 +197,16 @@ def test_thread_environment_is_ignored(tmp_path):
     assert json.loads(proc.stdout)["status"] == "ok"
 
 
-def test_packet_starts_without_scipy(tmp_path):
-    # each runner imports its own command module, and packets needs no scipy
+@pytest.mark.parametrize(
+    "command, lines",
+    [("packet", []), ("ir", ["ir.v1 = 10.0, 0.0, 0.0", "ir.v2 = 12.0, 0.0, 0.0"])],
+    ids=["packet", "ir"],
+)
+def test_packet_starts_without_scipy(tmp_path, command, lines):
+    # each runner imports its own command module, and neither packets nor
+    # ir_model needs scipy
     cfg = tmp_path / "cfg"
-    cfg.write_text("command = packet\nbeam.gamma = 2.0\nbeam.radius_bohr = 100.0\n")
+    cfg.write_text("\n".join([f"command = {command}", "beam.gamma = 2.0", "beam.radius_bohr = 100.0", *lines]))
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; from synchrad import cli; status = cli.main(sys.argv[1:]); "
@@ -214,7 +220,7 @@ def test_packet_starts_without_scipy(tmp_path):
         timeout=120,
     )
     assert proc.stderr.split()[-2:] == ["0", "False"]
-    assert (tmp_path / "packet.json").exists()
+    assert (tmp_path / f"{command}.json").exists()
 
 
 def test_run_is_deterministic(tmp_path):

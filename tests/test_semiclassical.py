@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synchrad import semiclassical
+from synchrad import numerics, semiclassical
 
 from synchrad.corrections import PiecewiseConstantVelocity, corrected_photon_number
 from synchrad.cli import main
@@ -570,7 +570,7 @@ def test_olver_pair_matches_bessel_pair(log_nu):
 
 def test_atanh_minus_identity_matches_mpmath():
     w = np.geomspace(1e-8, 0.99, 500)
-    got = semiclassical._atanh_minus_identity(w)
+    got = numerics._atanh_minus_identity(w)
     with mpmath.workdps(50):
         want = [mpmath.atanh(mpmath.mpf(x)) - mpmath.mpf(x) for x in w.tolist()]
     assert max(abs(float(g / v) - 1.0) for g, v in zip(got.tolist(), want)) <= 2e-15
