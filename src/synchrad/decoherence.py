@@ -16,16 +16,17 @@ caches hold it, both keyed by value, never by the identity of a mode table:
   blocks of 8, so a node's value never depends on which call needed it
   first; the widths reach at most the nodes between 1e-15 and 2e16 bohr.
 
-s1 is a weighted sum over the modes of one table.  `_profile` forms it as
+s1 is a weighted sum over the modes of one emission table,
+`semiclassical._mode_table`, built beside the totals' table on the same
+harmonic grid builder and Bessel pass.  `_profile` forms it as
 one `factor @ weights` product per block of about 500,000 (r, mode) pairs
 (`_BLOCK_PAIRS`, 4 MB of factor), and fills each block's factor in place, in
 tiles of whole rows of about 32,768 pairs (`_TILE`, 256 kB per array), so a
 tile's pieces stay in a core's cache.  The block size fixes each product's
 shape, and with it the rounding of every sum; the tile size changes no bit.
 `s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
-an uncached table of Airy-kernel modes, built in one array pass; its grid in
-scaled harmonic number and `_mode_table`'s harmonic tail are one trapezoid
-rule in log n, `numerics.log_trapezoid`.
+an uncached table of Airy-kernel modes, on the mode table's trapezoid rule
+in log n (`numerics.log_trapezoid`) in scaled harmonic number.
 
 A width is the rms of |chi(x)|^2, where chi^ = sqrt(G^) and G^ is the cosine
 transform of the plateau-free, tapered kernel.  G^ is computed directly on
@@ -59,7 +60,7 @@ from .errors import (
     UncertifiedWidthWarning,
 )
 from .numerics import gauss_nodes, log_trapezoid
-from .semiclassical import _beaming_windows, _default_cap, _emission_blocks, _harmonic_grid
+from .semiclassical import _mode_table
 from .units import AU_TIME_SECONDS, C_AU, BeamParams
 
 __all__ = [
@@ -86,37 +87,6 @@ class CoherenceKernel:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.values <= 0) or np.any(self.values > 1.0 + 1e-12):
             raise DomainError("coherence kernel values must lie in (0, 1]")
-
-
-# ---------------------------------------------------------------------------
-# Spectral mode table
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
-    """Flattened (k, sin theta, cos theta, weight) arrays whose weighted sum
-    over the unit factor reproduces the total photon rate.
-
-    Harmonics up to n_exact enter with unit weight; the smooth tail up to
-    50 gamma^3 is carried on a log grid with trapezoid weights.  Polar nodes
-    are Gauss points confined to 8 beaming widths of each harmonic
-    (_beaming_windows), with the lower-hemisphere mirror folded into the
-    weight.
-    """
-    n, wn, _ = _harmonic_grid(_default_cap(beam), n_exact, per_decade)
-    pref = beam.Z**2 * beam.omega0 / C_AU
-    k = np.repeat(n * beam.omega0 / C_AU, n_theta)
-    s, u, W = (np.empty((len(n), n_theta)) for _ in range(3))
-    umax = _beaming_windows(n, beam, 8.0)
-    for rows, u_rows, wt, s_rows, bracket in _emission_blocks(n, umax, beam, n_theta):
-        u[rows], s[rows] = u_rows, s_rows
-        # factor 2 folds in the mirror hemisphere (integrand even in cos theta)
-        W[rows] = 2.0 * pref * n[rows, None] * wn[rows, None] * wt * bracket
-    out = (k, s.ravel(), u.ravel(), W.ravel())
-    for arr in out:
-        arr.setflags(write=False)
-    return out
 
 
 # _profile's (r, mode) pairs per `factor @ W` product, and per tile of whole

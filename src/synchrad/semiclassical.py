@@ -1,7 +1,12 @@
 """Photon modes and rates from the exact coherent-state solution for a
 classical current: the photon mode and its polarization basis, the circular
 orbit as a velocity law, the correlation-integral rate, the Schott
-per-harmonic angular distribution, and radiated totals.
+per-harmonic angular distribution, and the two emission tables built on it.
+
+Both tables take their harmonics from one grid builder, _harmonic_grid, and
+the bracket from one array pass over all of them, _emission: the radiated
+totals' angular integrals (_angular_integrals) and the decoherence
+exponent's mode table (_mode_table), which decoherence sums over separations.
 
 The radiated totals sum the angle-integrated Schott bracket over harmonics.
 The unit-weight harmonics 1..512 take it from Schott's closed form (Schott
@@ -11,11 +16,10 @@ over n on 6-point Gauss-Legendre panels of half a decade in log n, and each
 of its nodes takes the bracket from a 32-node angular rule: two jv elements
 per angular node below harmonic 1e6, and one airy element (Olver's uniform
 expansion, DLMF 10.20) at and above it.  Power and photon rate of one beam
-share one pass: 2,048 jv elements at gamma = 10 (6,592 on the earlier
-48-per-decade trapezoid), and 3,008 jv and 2,976 airy elements at
-gamma = 1e4 (34,240 jv).  Every gamma^-2 the bracket and the closed form
-use is BeamParams.gamma_m2, taken from gamma, so the totals take one path
-for every accepted gamma and agree with Lienard's power to 1.1e-7 over
+share one pass: 2,048 jv elements at gamma = 10, and 3,008 jv and 2,976
+airy elements at gamma = 1e4.  Every gamma^-2 the bracket and the closed
+form use is BeamParams.gamma_m2, taken from gamma, so the totals take one
+path for every accepted gamma and agree with Lienard's power to 1.1e-7 over
 [1.01, 1e12] (3.9e-9 from gamma = 10 up).
 
 Motion is a velocity law: position(t) and velocity(t) on arrays of times and
@@ -234,24 +238,19 @@ def schott_angular_rate(n, theta, beam: BeamParams):
     return float(rate) if rate.ndim == 0 else rate
 
 
-_BLOCK = 16  # harmonics per Bessel evaluation: keeps the node arrays small
-
-
-def _harmonic_grid(n_cap: int, n_exact: int, per_decade: int):
-    """(n, weights, n_exact) for the decoherence mode table's sums over
-    harmonics 1..n_cap: the harmonics up to n_exact with unit weight, then
-    the smooth tail from n_exact + 1/2 to n_cap + 1/2 by the trapezoid rule
-    in log n (log_trapezoid).  The totals use _panel_grid instead: on
-    FIAN_60 its 6-point half-decade panels (12 nodes per decade) alias the
-    J0 and cos factors of the decoherence exponent, and put S 3-6 times
-    further from a 3,200-per-decade reference (transverse 3.8e-3 -> 2.2e-2
-    of the rate, longitudinal 1.8e-2 -> 4.4e-2) than this grid does."""
+def _harmonic_grid(n_cap: int, n_exact: int, tail: Callable):
+    """(n, weights, n_exact) for a sum over harmonics 1..n_cap: the harmonics
+    up to n_exact with unit weight, then the smooth tail as an integral over
+    n from n_exact + 1/2 to n_cap + 1/2 (the sum-to-integral midpoint match)
+    on the rule tail(lo, hi) -> (nodes, weights).  spectral_sum's rule is
+    6-point Gauss-Legendre panels of half a decade in log n (_log_panels),
+    _mode_table's the trapezoid rule in log n (log_trapezoid)."""
     n_exact = min(n_exact, n_cap)
     exact = np.arange(1.0, n_exact + 1.0)
     if n_cap <= n_exact:
         return exact, np.ones(n_exact), n_exact
-    tail, tw = log_trapezoid(n_exact + 0.5, n_cap + 0.5, per_decade, 8)
-    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), tw]), n_exact
+    nodes, weights = tail(n_exact + 0.5, n_cap + 0.5)
+    return np.concatenate([exact, nodes]), np.concatenate([np.ones(n_exact), weights]), n_exact
 
 
 def _beaming_windows(n: np.ndarray, beam: BeamParams, widths: float) -> np.ndarray:
@@ -265,22 +264,19 @@ def _beaming_windows(n: np.ndarray, beam: BeamParams, widths: float) -> np.ndarr
     )
 
 
-def _emission_blocks(n: np.ndarray, umax: np.ndarray, beam: BeamParams, n_theta: int):
-    """Yields (rows, u, wt, s, bracket) per block of up to _BLOCK harmonics
-    n[rows]: the Schott bracket cot^2 J_n^2 + beta^2 J_n'^2 at n_theta Gauss
-    nodes u = cos(theta) (weights wt, s = sin(theta)) over the window
-    [0, umax] of each harmonic, one row per harmonic.  n may be continuous
-    (the smooth spectral envelope); umax holds one window edge per harmonic,
-    from _beaming_windows.  The window may cut only where J_n is negligible:
+def _emission(n: np.ndarray, umax: np.ndarray, beam: BeamParams, n_theta: int):
+    """(u, wt, s, bracket), one row per harmonic in n (continuous n is the
+    smooth spectral envelope): the Schott bracket cot^2 J_n^2 + beta^2 J_n'^2
+    at n_theta Gauss nodes u = cos(theta), weights wt, s = sin(theta), over
+    the window [0, umax] of each harmonic, from one gauss_nodes call and one
+    _schott_bracket call.  The window may cut only where J_n is negligible:
     by Kapteyn's inequality (DLMF 10.14.8) J_n(n z)^2 <= exp(-2n(atanh w - w))
     with w = sqrt(1 - z^2), z = beta sin(theta), and the bound falls as theta
     leaves the plane, so its value at the edge bounds the whole cut."""
-    for i in range(0, len(n), _BLOCK):
-        nb = n[i : i + _BLOCK, None]
-        u, wt = gauss_nodes(0.0, umax[i : i + _BLOCK, None], n_theta)
-        s2 = 1.0 - u**2
-        s = np.sqrt(s2)
-        yield slice(i, i + len(nb)), u, wt, s, _schott_bracket(nb, u, s, s2, beam)
+    u, wt = gauss_nodes(0.0, umax[:, None], n_theta)
+    s2 = 1.0 - u**2
+    s = np.sqrt(s2)
+    return u, wt, s, _schott_bracket(n[:, None], u, s, s2, beam)
 
 
 @lru_cache(maxsize=8)
@@ -292,7 +288,7 @@ def _angular_integrals(beam: BeamParams, harmonics: bytes):
     beam share one Bessel pass.
 
     32 Gauss nodes per harmonic on the window min(4 beaming widths,
-    10 sqrt(gamma/n)) of _emission_blocks, two jv elements per node below
+    10 sqrt(gamma/n)) of _emission, two jv elements per node below
     _OLVER_N and one airy element at and above it.  At 4
     widths the Kapteyn bound is below 1e-20 of every harmonic's integral for
     gamma in [1.01, 1e4].  Above that the bound, which drops the n^(-2/3)
@@ -303,11 +299,35 @@ def _angular_integrals(beam: BeamParams, harmonics: bytes):
     deviation sqrt(gamma/2n) and the edge lies e^-100 below its peak."""
     n = np.frombuffer(harmonics)
     umax = np.minimum(_beaming_windows(n, beam, 4.0), 10.0 * np.sqrt(beam.gamma / n))
-    out = np.empty(len(n))
-    for rows, _, wt, _, bracket in _emission_blocks(n, umax, beam, 32):
-        # symmetric in u -> 2x half-range
-        out[rows] = 2.0 * np.sum(wt * bracket, axis=1)
+    _, wt, _, bracket = _emission(n, umax, beam, 32)
+    out = 2.0 * np.sum(wt * bracket, axis=1)  # symmetric in u -> 2x half-range
     out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
+    """The decoherence exponent's emission table: read-only flattened
+    (k, sin theta, cos theta, weight) arrays whose weights sum to the total
+    photon rate.  Harmonics up to n_exact enter with unit weight, the tail up
+    to 50 gamma^3 by the trapezoid rule in log n, per_decade nodes a decade;
+    n_theta Gauss nodes in cos theta span 8 beaming widths (_beaming_windows),
+    and the weights fold in the lower-hemisphere mirror.
+
+    The trapezoid, not the totals' panels: on FIAN_60 the 6-point half-decade
+    panels (12 nodes per decade) alias the J0 and cos factors of the
+    exponent, and put S 3-6 times further from a 3,200-per-decade reference
+    (transverse 3.8e-3 -> 2.2e-2 of the rate, longitudinal
+    1.8e-2 -> 4.4e-2) than the trapezoid does."""
+    rule = lambda lo, hi: log_trapezoid(lo, hi, per_decade, 8)
+    n, wn, _ = _harmonic_grid(_default_cap(beam), n_exact, rule)
+    u, wt, s, bracket = _emission(n, _beaming_windows(n, beam, 8.0), beam, n_theta)
+    pref = beam.Z**2 * beam.omega0 / C_AU
+    k = np.repeat(n * beam.omega0 / C_AU, n_theta)
+    W = 2.0 * pref * n[:, None] * wn[:, None] * wt * bracket  # 2: the mirror
+    out = (k, s.ravel(), u.ravel(), W.ravel())
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 
@@ -408,30 +428,17 @@ def _schott_closed_form(beam: BeamParams, harmonics: bytes):
 _N_EXACT = 512  # harmonics summed one by one, with unit weight
 
 
-def _panel_grid(n_cap: int, n_exact: int):
-    """(n, weights, n_exact) for the totals' sums over harmonics 1..n_cap:
-    the harmonics up to n_exact with unit weight, then the smooth tail as an
-    integral over n from n_exact + 1/2 to n_cap + 1/2 (the sum-to-integral
-    midpoint match) on 6-point Gauss-Legendre panels of half a decade in
-    log n (_log_panels)."""
-    n_exact = min(n_exact, n_cap)
-    exact = np.arange(1.0, n_exact + 1.0)
-    if n_cap <= n_exact:
-        return exact, np.ones(n_exact), n_exact
-    tail, tw = _log_panels(n_exact + 0.5, n_cap + 0.5, 2)
-    return np.concatenate([exact, tail]), np.concatenate([np.ones(n_exact), tw]), n_exact
-
-
 def spectral_sum(per_n: Callable[[np.ndarray], np.ndarray], n_cap: int) -> float:
     """Sum per_n over harmonics n = 1..n_cap; per_n maps an array of
     harmonic numbers to the array of their terms and is called once.
 
     Harmonics up to 512 (_N_EXACT) are summed exactly; the smooth tail is an
-    integral on Gauss-Legendre panels in log n, see _panel_grid.
+    integral on Gauss-Legendre panels in log n, see _harmonic_grid.  Both
+    parts are math.fsum sums, so no BLAS kernel's summation order enters.
     """
-    n, weights, n_exact = _panel_grid(n_cap, _N_EXACT)
+    n, weights, n_exact = _harmonic_grid(n_cap, _N_EXACT, lambda lo, hi: _log_panels(lo, hi, 2))
     terms = per_n(n)
-    return math.fsum(terms[:n_exact]) + float(terms[n_exact:] @ weights[n_exact:])
+    return math.fsum(terms[:n_exact]) + math.fsum(terms[n_exact:] * weights[n_exact:])
 
 
 def _default_cap(beam: BeamParams) -> int:

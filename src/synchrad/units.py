@@ -55,25 +55,22 @@ class LabInput:
 
 @dataclass(frozen=True)
 class BeamParams:
-    """Beam and orbit parameters in atomic units.
+    """Beam and orbit parameters in atomic units: charge number Z, Lorentz
+    factor gamma and orbit radius R, checked on construction.
 
-    Derived fields (beta, v0, omega0, H0) satisfy
-    beta = sqrt(1 - 1/gamma^2), v0 = beta*c, omega0 = v0/R, H0 = gamma*c*omega0,
-    so omega0 = H0/(gamma*m*c) holds identically (e = m = 1).  gamma_m2 is
-    1/gamma^2 from gamma: 1 - beta^2 from the rounded beta is off by about
-    gamma^2 times the double epsilon, and beta rounds to 1 above 1.35e8.
+    The derived beta = sqrt(1 - 1/gamma^2), v0 = beta*c, omega0 = v0/R and
+    H0 = gamma*c*omega0 are computed from them, so omega0 = H0/(gamma*m*c)
+    holds identically (e = m = 1).  gamma_m2 is 1/gamma^2 from gamma:
+    1 - beta^2 from the rounded beta is off by about gamma^2 times the double
+    epsilon, and beta rounds to 1 above 1.35e8.
     """
 
     Z: float
     gamma: float
     R: float
-    beta: float
-    v0: float
-    omega0: float
-    H0: float
 
-    @classmethod
-    def from_gamma_radius(cls, gamma: float, R: float, Z: float = 1.0) -> "BeamParams":
+    def __post_init__(self):
+        gamma, R, Z = self.gamma, self.R, self.Z
         if not (1.0 <= gamma <= GAMMA_MAX):
             raise DomainError(f"gamma must satisfy 1 <= gamma <= {GAMMA_MAX:g}, got {gamma}")
         if not (R_MIN_BOHR <= R <= R_MAX_BOHR):
@@ -82,15 +79,16 @@ class BeamParams:
             )
         if not abs(Z) <= Z_MAX:
             raise DomainError(f"charge number must satisfy |Z| <= {Z_MAX:g}, got {Z}")
-        beta = math.sqrt(max(0.0, 1.0 - 1.0 / gamma**2))
-        v0 = beta * C_AU
-        omega0 = v0 / R
-        H0 = gamma * C_AU * omega0
-        return cls(Z=Z, gamma=gamma, R=R, beta=beta, v0=v0, omega0=omega0, H0=H0)
 
-    @property
-    def gamma_m2(self) -> float:
-        return 1.0 / self.gamma**2
+    @classmethod
+    def from_gamma_radius(cls, gamma: float, R: float, Z: float = 1.0) -> "BeamParams":
+        return cls(Z=Z, gamma=gamma, R=R)
+
+    beta = property(lambda self: math.sqrt(max(0.0, 1.0 - 1.0 / self.gamma**2)))
+    v0 = property(lambda self: self.beta * C_AU)
+    omega0 = property(lambda self: self.v0 / self.R)
+    H0 = property(lambda self: self.gamma * C_AU * self.omega0)
+    gamma_m2 = property(lambda self: 1.0 / self.gamma**2)
 
 
 def beam_from_lab(inp: LabInput) -> BeamParams:

@@ -313,7 +313,7 @@ def test_criterion_10_special_function_oracles(capsys):
                 )
         return total
 
-    # as _emission_blocks calls them: harmonic column against argument rows
+    # as _emission calls them: harmonic column against argument rows
     orders, args = np.array([[0.0], [1.0], [5.0]]), np.array([[0.3, 1.7, 6.0]])
     jn = scipy.special.jv(orders, args)
     jnp = scipy.special.jvp(orders, args, 1)

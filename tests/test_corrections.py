@@ -41,7 +41,7 @@ def test_mode_sum_weights_integrate_momentum_ball():
     # sum of weights = int q^2 dq dOmega / (2 pi)^3 = q_c^3 / (6 pi^2)
     ms = small_mode_sum()
     _, weights, e1, e2 = ms.nodes()
-    assert float(np.sum(weights)) == pytest.approx(ms.q_c**3 / (6 * math.pi**2), rel=1e-10)
+    assert float(np.sum(weights)) == pytest.approx(ms.q_c**3 / (6 * math.pi**2), rel=1e-10, abs=0.0)
     q_vecs = ms.nodes()[0]
     n = q_vecs / np.linalg.norm(q_vecs, axis=1, keepdims=True)
     assert np.max(np.abs(np.sum(e1 * n, axis=1))) < 1e-12
@@ -97,7 +97,7 @@ def test_p_diagonal_and_hermitian():
     assert abs(p12 - np.conj(p21)) <= 1e-12
     const = p_const_velocity(v0, q, t1=1.0, t2=2.0)
     const_swap = p_const_velocity(v0, q, t1=2.0, t2=1.0)
-    assert const.value == pytest.approx(np.conj(const_swap.value), rel=1e-13)
+    assert const.value == pytest.approx(np.conj(const_swap.value), rel=1e-13, abs=0.0)
     assert p_const_velocity(v0, q, t1=3.0, t2=3.0).value == 0.0
 
 
@@ -161,13 +161,13 @@ def test_nonrel_asymptote_properties():
     pref = 2 * V01**2 / (3 * math.pi * C_AU**3)
     p1 = p_nonrel_asymptotic(V01, 1.0, C_AU, 1.0)
     p2 = p_nonrel_asymptotic(V01, 1.0, C_AU, math.e)
-    assert p2.real - p1.real == pytest.approx(2 * pref, rel=1e-12)
-    assert p1.imag == pytest.approx(math.pi * pref, rel=1e-12)
+    assert p2.real - p1.real == pytest.approx(2 * pref, rel=1e-12, abs=0.0)
+    assert p1.imag == pytest.approx(math.pi * pref, rel=1e-12, abs=0.0)
     assert p_nonrel_asymptotic(V01, 1.0, C_AU, -1.0).imag == pytest.approx(
-        -math.pi * pref, rel=1e-12
+        -math.pi * pref, rel=1e-12, abs=0.0
     )
     assert p1.real == pytest.approx(
-        2 * pref * (EULER_GAMMA + math.log(C_AU * C_AU)), rel=1e-12
+        2 * pref * (EULER_GAMMA + math.log(C_AU * C_AU)), rel=1e-12, abs=0.0
     )
     with pytest.raises(DomainError):
         p_nonrel_asymptotic(V01, 1.0, C_AU, 0.0)

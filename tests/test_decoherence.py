@@ -12,7 +12,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from synchrad import decoherence, semiclassical
+from synchrad import decoherence, numerics, semiclassical
 from synchrad.decoherence import (
     CoherenceKernel,
     localization_time,
@@ -75,7 +75,7 @@ def test_ultrarel_matches_harmonic_sum_at_high_gamma():
             r = mult * r_scale
             ref = s_averaged(r, theta0, 1.0, beam)
             got = s_ultrarel(r, theta0, 1.0, beam, epsilon=0.1)
-            assert got == pytest.approx(ref, rel=0.05)
+            assert got == pytest.approx(ref, rel=0.05, abs=0.0)
 
 
 def test_ultrarel_matches_harmonic_sum_at_gamma_1e8():
@@ -155,7 +155,7 @@ def test_localization_time_fixed_point():
     w_star = localization_width(beam, t_star, "transverse")
     t_au, t_s = localization_time(beam, w_star, "transverse")
     assert t_au == pytest.approx(t_star, rel=0.2)
-    assert t_s == pytest.approx(t_au * 2.4188843265857e-17, rel=1e-12)
+    assert t_s == pytest.approx(t_au * 2.4188843265857e-17, rel=1e-12, abs=0.0)
     with pytest.raises(RangeError):
         localization_time(beam, 1e30, "transverse")
     with pytest.raises(DomainError):
@@ -486,8 +486,8 @@ def test_window_limited_width_is_flagged(monkeypatch):
 
 
 def _mode_table_loop(beam, n_exact, per_decade, n_theta):
-    """The mode table built one harmonic at a time: the reference the blocked
-    array evaluation must reproduce bit for bit."""
+    """The mode table built one harmonic at a time: the reference the
+    one-pass array evaluation must reproduce bit for bit."""
     n_cap = max(64, int(50 * beam.gamma**3))
     n_exact = min(n_exact, n_cap)
     n_vals = [float(k) for k in range(1, n_exact + 1)]
@@ -532,11 +532,15 @@ def _mode_table_loop(beam, n_exact, per_decade, n_theta):
     [(512, 48, 48), tuple(decoherence._WIDTH_RES[k] for k in ("n_exact", "per_decade", "n_theta"))],
 )
 def test_mode_table_equals_per_harmonic_loop(resolution):
-    beam = beam_from_lab(FIAN_60)
-    got = decoherence._mode_table(beam, *resolution)
-    want = _mode_table_loop(beam, *resolution)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    # FIAN_60, and beams at R = 1000 bohr from a tail-free field table
+    # (gamma = 2) to tails that mix Olver's expansion in (1e4, 1e8)
+    beams = [beam_from_lab(FIAN_60)]
+    beams += [BeamParams.from_gamma_radius(gamma, 1000.0) for gamma in (2.0, 1e4, 1e8)]
+    for beam in beams:
+        got = decoherence._mode_table(beam, *resolution)
+        want = _mode_table_loop(beam, *resolution)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("gamma", [1e4, 1e6, 1e8, 1e10, 1e12])
@@ -570,7 +574,8 @@ def test_mode_table_makes_one_bessel_pass_at_the_width_resolution(monkeypatch):
     for name in calls:
         monkeypatch.setattr(scipy.special, name, counted(name, getattr(scipy.special, name)))
     decoherence._mode_table.__wrapped__(beam, **res)
-    n, _, _ = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 128, 16)
+    tail = lambda lo, hi: numerics.log_trapezoid(lo, hi, 16, 8)
+    n, _, _ = semiclassical._harmonic_grid(semiclassical._default_cap(beam), 128, tail)
     olver = np.count_nonzero(n >= semiclassical._OLVER_N)
     assert olver > 0
     assert calls == {"jv": 2 * (len(n) - olver) * 24, "jvp": 0, "airy": olver * 24}

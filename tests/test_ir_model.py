@@ -63,7 +63,7 @@ def test_jump_validation_and_smallness():
     with pytest.warns(UserWarning, match="exceeds 0.3"):
         VelocityJump(v1=np.array([1.0, 0, 0]), v2=np.array([2.0, 0, 0]))
     jump = make_jump()
-    assert jump.smallness == pytest.approx(0.2, rel=1e-12)
+    assert jump.smallness == pytest.approx(0.2, rel=1e-12, abs=0.0)
 
 
 def test_soft_number_nonnegative_and_regular_across_delta():
@@ -122,7 +122,7 @@ def test_spectral_density_rotation_invariant():
         jrot = VelocityJump(v1=rot @ jump.v1, v2=rot @ jump.v2)
     for w in (1e-6, 1e-4):
         assert soft_spectral_density(jrot, w) == pytest.approx(
-            soft_spectral_density(jump, w), rel=1e-9
+            soft_spectral_density(jump, w), rel=1e-9, abs=0.0
         )
     with pytest.raises(DomainError):
         soft_spectral_density(jump, 0.0)

@@ -82,7 +82,7 @@ ARGS = np.array([0.3, 0.9, 1.0, 3.0, 4.2, 8.0])
 
 
 def test_bessel_matches_ascending_series():
-    # as _emission_blocks calls it: a column of orders against rows of arguments
+    # as _emission calls it: a column of orders against rows of arguments
     got = scipy.special.jv(ORDERS[:, None], ARGS[None, :])
     for i, n in enumerate(ORDERS.tolist()):
         for j, x in enumerate(ARGS.tolist()):
@@ -127,8 +127,8 @@ def test_sin_cos_integrals_match_series():
 
 def test_gauss_nodes_polynomial_exactness():
     x, w = gauss_nodes(0.0, 1.0, 8)
-    assert float(np.sum(w * x**5)) == pytest.approx(1.0 / 6.0, rel=1e-13)
-    assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-13)
+    assert float(np.sum(w * x**5)) == pytest.approx(1.0 / 6.0, rel=1e-13, abs=0.0)
+    assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
 def test_euler_gamma_against_independent_limit():
@@ -143,7 +143,7 @@ def test_sphere_rule_is_cached_and_read_only():
     nvec, weights = sphere_rule(12, 8)
     assert sphere_rule(12, 8)[0] is nvec
     assert nvec.shape == (12, 8, 3) and weights.shape == (12, 8)
-    assert math.fsum(weights.ravel()) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert math.fsum(weights.ravel()) == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0.0)
     assert np.allclose(np.linalg.norm(nvec, axis=-1), 1.0, rtol=0, atol=1e-15)
     for arr in (nvec, weights):
         with pytest.raises(ValueError):

@@ -63,8 +63,8 @@ def test_spacing_approaches_rotation_frequency():
     beam = FIAN
     n1 = int(mean_principal_number(beam))
     spacing = level_spacing(n1, beam.H0)
-    assert spacing == pytest.approx(2.0 * larmor_frequency(beam.H0) / beam.gamma, rel=1e-6)
-    assert spacing == pytest.approx(beam.omega0, rel=1e-6)
+    assert spacing == pytest.approx(2.0 * larmor_frequency(beam.H0) / beam.gamma, rel=1e-6, abs=0.0)
+    assert spacing == pytest.approx(beam.omega0, rel=1e-6, abs=0.0)
 
 
 def test_spacing_matches_small_level_difference():
@@ -98,7 +98,7 @@ def test_packet_width_identities():
     n1 = mean_principal_number(beam)
     drho, dphi, arc = packet_widths(beam)
     assert drho == pytest.approx(beam.R / math.sqrt(n1), rel=1e-14)
-    assert dphi == pytest.approx(1.0 / math.sqrt(2.0 * n1), rel=1e-14)
+    assert dphi == pytest.approx(1.0 / math.sqrt(2.0 * n1), rel=1e-14, abs=0.0)
     # the azimuthal arc and radial width differ by exactly sqrt(2)
     assert arc == pytest.approx(drho / math.sqrt(2.0), rel=1e-12)
     with pytest.raises(DomainError):
@@ -112,7 +112,7 @@ def test_fian_benchmark_magnitudes():
     assert n1 == pytest.approx(3.446e15, rel=1e-3)
     drho, _, _ = packet_widths(FIAN)
     assert drho / BOHR_PER_METER == pytest.approx(3.41e-8, rel=0.01)
-    assert relative_fluctuation(FIAN) == pytest.approx(1.0 / math.sqrt(n1), rel=1e-12)
+    assert relative_fluctuation(FIAN) == pytest.approx(1.0 / math.sqrt(n1), rel=1e-12, abs=0.0)
 
 
 def test_spreading_time_scaling():
@@ -143,6 +143,6 @@ def test_packet_report_contents():
         "lambda",
     }
     assert report["gamma"] == pytest.approx(FIAN.gamma)
-    assert report["arc_m"] == pytest.approx(report["drho_m"] / math.sqrt(2.0), rel=1e-12)
-    assert report["lambda"] == pytest.approx(1.0 / math.sqrt(report["n1_mean"]), rel=1e-12)
+    assert report["arc_m"] == pytest.approx(report["drho_m"] / math.sqrt(2.0), rel=1e-12, abs=0.0)
+    assert report["lambda"] == pytest.approx(1.0 / math.sqrt(report["n1_mean"]), rel=1e-12, abs=0.0)
     assert report["tau1_s"] > 0.0

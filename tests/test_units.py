@@ -1,5 +1,6 @@
 """Unit-system boundary: conversions, beam parameter derivation, validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -24,11 +25,29 @@ def test_fian_reference_gamma():
 
 def test_derived_fields_consistent():
     beam = BeamParams.from_gamma_radius(gamma=3.0, R=100.0)
-    assert beam.beta == pytest.approx(math.sqrt(1 - 1 / 9), rel=1e-14)
+    assert beam.beta == pytest.approx(math.sqrt(1 - 1 / 9), rel=1e-14, abs=0.0)
     assert beam.v0 == pytest.approx(beam.beta * C_AU, rel=1e-14)
-    assert beam.omega0 == pytest.approx(beam.v0 / beam.R, rel=1e-14)
+    assert beam.omega0 == pytest.approx(beam.v0 / beam.R, rel=1e-14, abs=0.0)
     # orbital frequency = field strength / (gamma m c), with m = |e| = 1
-    assert beam.omega0 == pytest.approx(beam.H0 / (beam.gamma * C_AU), rel=1e-14)
+    assert beam.omega0 == pytest.approx(beam.H0 / (beam.gamma * C_AU), rel=1e-14, abs=0.0)
+
+
+def test_beam_stores_only_its_inputs():
+    # the derived quantities follow from Z, gamma and R by the formulas the
+    # record once stored, bit for bit
+    beam = BeamParams.from_gamma_radius(gamma=3.7, R=123.0, Z=2.0)
+    assert [f.name for f in dataclasses.fields(beam)] == ["Z", "gamma", "R"]
+    beta = math.sqrt(max(0.0, 1.0 - 1.0 / 3.7**2))
+    omega0 = beta * C_AU / 123.0
+    assert (beam.beta, beam.v0, beam.omega0) == (beta, beta * C_AU, omega0)
+    assert (beam.H0, beam.gamma_m2) == (3.7 * C_AU * omega0, 1.0 / 3.7**2)
+
+
+def test_direct_construction_is_checked():
+    with pytest.raises(DomainError):
+        BeamParams(Z=1.0, gamma=math.nan, R=1.0)
+    with pytest.raises(DomainError):
+        BeamParams(Z=1.0, gamma=2.0, R=0.0)
 
 
 def test_gamma_one_is_at_rest():
