@@ -4,8 +4,10 @@ import gc
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +136,179 @@ def test_p_const_velocity_diagonal_and_hermitian_bit_for_bit(
     assert (p21.real, p21.imag) == (p12.real, -p12.imag)
 
 
+def test_p_const_velocity_raises_where_w2_plus_w1_vanishes_on_the_sphere():
+    # w2 + w1 = q_c (c - n'.w) with w = v0 - q/gamma has a zero on the sphere
+    # unless |w| < c, and the bracket's logarithm is singular there
+    v0 = np.array([0.5 * C_AU, 0.0, 0.0])
+    for q, gamma in (([-0.5 * C_AU, 0.0, 0.0], 1.0), ([0.0, 2.0 * C_AU, 0.0], 2.0)):
+        with pytest.raises(DomainError, match="v0 - q/gamma"):
+            p_const_velocity(v0, np.array(q), gamma=gamma, t1=1.0)
+    with pytest.raises(DomainError, match="v0 - q/gamma"):
+        p_const_velocity(np.zeros(3), np.array([0.0, 0.0, 1.5 * C_AU]), t1=1.0)
+    # |w| = 0.9 c is inside
+    assert math.isfinite(abs(p_const_velocity(v0, np.array([-0.4 * C_AU, 0.0, 0.0]), t1=1.0).value))
+
+
+def test_p_const_velocity_raises_where_its_rule_cannot_converge():
+    # 1e-13 below c, F's pole at u = c/|v0| is 1e-13 past the end of the
+    # range: 512 nodes do not resolve it, and no value is returned
+    v0 = np.array([0.0, 0.0, (1.0 - 1e-13) * C_AU])
+    with pytest.raises(ConvergenceError, match="512-node"):
+        p_const_velocity(v0, np.zeros(3), t1=1.0)
+
+
+def test_p_rule_doubles_its_nodes_while_its_legendre_tail_is_too_large():
+    # from 4 nodes, the error estimate relative to the scale is 1.5e-5 at 4,
+    # 2.6e-6 at 8 and 6.4e-10 at 16 nodes, and 1.5e-17 at 32, where it stops
+    v0, q = np.array([0.0, 0.5 * C_AU, 0.0]), np.array([0.01, 0.0, 0.02])
+    geometry = corrections._ConstVelocityGeometry(v0.tolist(), (v0 - q).tolist(), C_AU)
+    want = geometry.integral(0.3)
+    assert sorted(geometry.rules) == [35]
+    geometry.nodes = 4
+    got = geometry.integral(0.3)
+    assert sorted(geometry.rules) == [4, 8, 16, 32, 35]
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_spherical_bessel_recurrences_match_scipy():
+    # series below 1/2, Miller's recurrence up to n - 1, upward past it; at
+    # n = 512 near b = n both this and scipy are off by up to 3e-13 relative
+    for n in (16, 64, 512):
+        for b in (0.0, 1e-300, 1e-8, 0.3, 0.5, 2.0, math.pi, 15.0, n / 3, n - 1.5, n - 1.0, 1e3, 1e8):
+            got = np.array(corrections._spherical_bessel(n, b))
+            want = scipy.special.spherical_jn(np.arange(n), b)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14 * np.max(np.abs(want))), (n, b)
+
+
+def test_cone_average_of_the_weight_matches_the_azimuthal_midpoint_rule():
+    # <F>(u') = F averaged over the cone n'.w = |w| u', F = [n' x v0]^2 /
+    # (1 - n'.v0/c)^2; its closed form has beta^2 factored out, so it keeps
+    # its relative accuracy at small speeds
+    u, _ = gauss_nodes(-1.0, 1.0, 16)
+    phi = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
+    for speed in (1e-6, 0.1, 0.9):
+        v0 = np.array([0.0, 0.0, speed * C_AU])
+        for alpha in (0.0, 0.3, 1.9, math.pi):
+            axis = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+            e1 = np.array([math.cos(alpha), 0.0, -math.sin(alpha)])
+            e2 = np.cross(axis, e1)
+            s = np.sqrt((1.0 - u) * (1.0 + u))[:, None, None]
+            n = u[:, None, None] * axis + s * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+            F = np.sum(np.cross(n, v0) ** 2, axis=-1) / (1.0 - n @ v0 / C_AU) ** 2
+            geometry = corrections._ConstVelocityGeometry(v0.tolist(), (0.5 * C_AU * axis).tolist(), 1.0)
+            weight = geometry._rule(16)[1]
+            np.testing.assert_allclose(weight[16:], F.mean(axis=1), rtol=1e-13, atol=0.0)
+
+
+def sphere_reference(v0, q, q_c, gamma, dt):
+    """p_const_velocity's angular integral at lag dt, with the docstring's
+    bracket evaluated as written, on Gauss-Legendre panels in u = n'.v0/|v0|
+    (16 nodes per panel, at most 8 rad of phase each) times the midpoint rule
+    in phi (64 nodes more than twice the phase span in phi)."""
+    s = np.linalg.norm(v0)
+    e3 = v0 / s
+    e1 = np.cross(e3, [1.0, 0.0, 0.0] if abs(e3[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(e3, e1)
+    w = v0 - q / gamma
+    panels = math.ceil(2.0 * q_c * max(s, np.linalg.norm(w)) * dt / 8.0) + 2
+    n_phi = 2 * math.ceil(dt * q_c * np.linalg.norm(np.cross(w, e3))) + 64
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    total = 0j
+    for lo in range(0, panels, 64):
+        hi = min(lo + 64, panels)
+        u, wu = gauss_nodes(edges[lo:hi, None], edges[lo + 1 : hi + 1, None], 16)
+        u, wu = u.reshape(-1, 1, 1), wu.reshape(-1, 1)
+        n = u * e3 + np.sqrt((1.0 - u) * (1.0 + u)) * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+        ndotv = n @ v0
+        w2 = (C_AU - ndotv) * q_c
+        w12 = w2 + q_c * (n @ q) / gamma
+        si2, ci2 = scipy.special.sici(w2 * dt)
+        si12, ci12 = scipy.special.sici(np.abs(w12) * dt)
+        bracket = 1j * si2 + 1j * np.sign(w12) * si12 + 2 * EULER_GAMMA - ci2 - ci12 + np.log(w2 * np.abs(w12) * dt**2)
+        F = np.sum(np.cross(n, v0) ** 2, axis=-1) / (1.0 - ndotv / C_AU) ** 2
+        total += np.sum(wu * F * bracket) * (2.0 * math.pi / n_phi)
+    return total
+
+
+@pytest.mark.parametrize(
+    "v0, q",
+    [
+        # criterion 06's first velocity and two of its modes
+        (np.array([0.1 * C_AU, 0.0, 0.0]), 10.0 / C_AU * np.array([0.0, 0.0, 1.0])),
+        (np.array([0.1 * C_AU, 0.0, 0.0]), 3.0 / C_AU * np.array([0.5, 0.5, math.sqrt(0.5)])),
+        # velocity_jump's fastest jump, off the axes
+        (0.2 * C_AU * np.array([0.48, -0.6, 0.64]), 10.0 / C_AU * np.array([0.6, 0.0, 0.8])),
+    ],
+)
+def test_p_const_velocity_matches_a_sphere_rule_that_resolves_the_phase(v0, q):
+    # the 48 x 32 sphere rule this replaced was off by up to 5e-6 here
+    for dt in (1e-3, 1.0 / 128, 0.1, 3.0):
+        got = p_const_velocity(v0, q, t1=dt, t2=0.0).value * (4.0 * math.pi**2 * C_AU**3)
+        want = sphere_reference(v0, q, C_AU, 1.0, dt)
+        assert abs(got - want) <= 1e-12 * abs(want), dt
+
+
+def mp_reduced_integral(v0, q, q_c, gamma, dt):
+    """p_const_velocity's angular integral at lag dt > 0 as its two 1-D
+    integrals, 2 pi int F(u) Ein(i x2(u)) du + 2 pi int <F>(u') Ein(i x12(u'))
+    du', in mpmath at 24 digits: Ein(ix) = i Si(x) + C + ln x - Ci(x), <F> =
+    c^2 [(beta^2 - 1) A / R^3 + 2 / R - 1] as written, and Gauss-Legendre
+    quadrature on panels of at most 3 rad of phase."""
+    with mpmath.workdps(24):
+        v0 = [mpmath.mpf(float(a)) for a in v0]
+        w = [a - mpmath.mpf(float(b)) / gamma for a, b in zip(v0, q)]
+        c, q_c, dt = mpmath.mpf(C_AU), mpmath.mpf(q_c), mpmath.mpf(dt)
+        s, w_speed = mpmath.norm(v0), mpmath.norm(w)
+        beta = s / c
+        cos_a = mpmath.fsum(a * b for a, b in zip(v0, w)) / (s * w_speed) if w_speed else mpmath.mpf(1)
+        sin2_a = max(0, 1 - cos_a**2)
+
+        def F(u):
+            return s**2 * (1 - u * u) / (1 - beta * u) ** 2
+
+        def F_avg(u):
+            A = 1 - beta * u * cos_a
+            R = mpmath.sqrt(A * A - beta**2 * (1 - u * u) * sin2_a)
+            return c**2 * ((beta**2 - 1) * A / R**3 + 2 / R - 1)
+
+        def ein_i(x):
+            return 1j * mpmath.si(x) + mpmath.euler + mpmath.log(x) - mpmath.ci(x)
+
+        total = 0
+        for weight, speed in ((F, s), (F_avg, w_speed)):
+            panels = mpmath.linspace(-1, 1, int(2 * q_c * speed * dt / 3) + 3)
+            integrand = lambda u: weight(u) * ein_i(dt * q_c * (c - speed * u))  # noqa: E731
+            total += mpmath.quad(integrand, panels, method="gauss-legendre")
+        return complex(2 * mpmath.pi * total)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    v_dir=DIRECTIONS,
+    speed=st.floats(1e-3, 0.9),
+    q_dir=DIRECTIONS,
+    q_mag=st.floats(0.0, 1.0),
+    log_q_c=st.floats(-2.0, 3.0),
+    log_gamma=st.floats(0.0, 4.0),
+    log_dt=st.floats(-6.0, 3.0),
+)
+def test_p_const_velocity_matches_mpmath_on_its_1d_integrals(v_dir, speed, q_dir, q_mag, log_q_c, log_gamma, log_dt):
+    # |dt| from 1e-6 to 1e3; q_c is lowered where needed so that either
+    # integral spans at most 30 rad of phase, which the oracle can follow.
+    # Below x = 1 the rule sums Ein(ix)'s power series instead of the Filon
+    # form, whose log terms would cancel, so the bound is relative throughout
+    v0 = speed * C_AU * np.array(v_dir) / math.hypot(*v_dir)
+    q = q_mag * np.array(q_dir) / math.hypot(*q_dir)
+    gamma, dt = 10.0**log_gamma, 10.0**log_dt
+    fastest = max(np.linalg.norm(v0), np.linalg.norm(v0 - q / gamma))
+    q_c = min(10.0**log_q_c, 30.0 / (2.0 * fastest * dt))
+    got = p_const_velocity(v0, q, q_c, gamma, t1=dt, t2=0.0).value * (4.0 * math.pi**2 * C_AU**3)
+    want = mp_reduced_integral(v0, q, q_c, gamma, dt)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_p_vanishing_momentum_limit():
     v0 = np.array([V01, 0.0, 0.0])
     amps = UniformVelocityAmplitudes(v0)
@@ -225,32 +400,33 @@ def test_jump_law_kinematics():
     assert law.breakpoints(1.0) == [0.0, 1.0]
 
 
-# A criterion-06-like jump off the axes, with the values the per-call sphere
-# build and the per-entry Hermitian fill gave before the caching, as literals:
-# the cached geometry, the single Si/Ci pass and the triangle fill must
-# reproduce them bit for bit.
+# A criterion-06-like jump off the axes, with the values the per-call
+# Filon-Legendre rule and the per-entry Hermitian fill give, as literals: the
+# cached geometry, the single Si/Ci pass and the triangle fill must reproduce
+# them bit for bit.  Neither P nor the damped sum uses BLAS, so the literals
+# hold under any OpenBLAS kernel.
 JUMP_DIR = np.array([0.48, -0.6, 0.64])
 JUMP_V1, JUMP_V2 = 0.126 * C_AU * JUMP_DIR, 0.148 * C_AU * JUMP_DIR
 JUMP_Q = 6.0 / C_AU * np.array([0.0, 0.6, -0.8])
 LAGS = np.linspace(-1.0, 1.0, 257)
 P_EVERY_16TH_LAG = [
-    0.0005167702411712686 - 7.797934301954255e-05j,
-    0.0005101412562730608 - 7.797932409085023e-05j,
-    0.0005024887681838614 - 7.797935096926039e-05j,
-    0.0004934377498366474 - 7.797933063085594e-05j,
-    0.0004823602286366853 - 7.797929829055687e-05j,
-    0.0004680791664755539 - 7.797923515235346e-05j,
-    0.00044794993208253496 - 7.797931195905637e-05j,
-    0.0004135392446640696 - 7.79783357627206e-05j,
+    0.0005167702351789312 - 7.797933841076837e-05j,
+    0.0005101413110592773 - 7.797933841048835e-05j,
+    0.000502488779778818 - 7.797933841057317e-05j,
+    0.0004934377563359415 - 7.797933841101856e-05j,
+    0.00048236019891581376 - 7.797933841301684e-05j,
+    0.0004680787435292186 - 7.797933840447108e-05j,
+    0.00044795016264770614 - 7.797933843696512e-05j,
+    0.00041354012626811164 - 7.797933786602678e-05j,
     0j,
-    0.0004135392446640696 + 7.79783357627206e-05j,
-    0.00044794993208253496 + 7.797931195905637e-05j,
-    0.0004680791664755539 + 7.797923515235346e-05j,
-    0.0004823602286366853 + 7.797929829055687e-05j,
-    0.0004934377498366474 + 7.797933063085594e-05j,
-    0.0005024887681838614 + 7.797935096926039e-05j,
-    0.0005101412562730608 + 7.797932409085023e-05j,
-    0.0005167702411712686 + 7.797934301954255e-05j,
+    0.00041354012626811164 + 7.797933786602678e-05j,
+    0.00044795016264770614 + 7.797933843696512e-05j,
+    0.0004680787435292186 + 7.797933840447108e-05j,
+    0.00048236019891581376 + 7.797933841301684e-05j,
+    0.0004934377563359415 + 7.797933841101856e-05j,
+    0.000502488779778818 + 7.797933841057317e-05j,
+    0.0005101413110592773 + 7.797933841048835e-05j,
+    0.0005167702351789312 + 7.797933841076837e-05j,
 ]
 
 
@@ -263,8 +439,8 @@ def jump_p_table():
 def test_p_table_equals_the_per_call_values():
     table = jump_p_table()
     assert table[::16].tolist() == P_EVERY_16TH_LAG
-    assert math.fsum(table.real * (1 + LAGS)) == 0.11991670777439113
-    assert math.fsum(table.imag * (1 + LAGS)) == 0.01005933396051814
+    assert math.fsum(table.real * (1 + LAGS)) == 0.11991670114483179
+    assert math.fsum(table.imag * (1 + LAGS)) == 0.01005933462508562
 
 
 def jump_lag_provider(calls):
@@ -283,7 +459,7 @@ def jump_lag_provider(calls):
 def test_corrected_numbers_equal_the_per_entry_fill():
     provider = jump_lag_provider([])
     law = PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5)
-    want = {1: (0.4932751500102361, 0.4936536489129677), 2: (0.019731006000409442, 0.019746145956518725)}
+    want = {1: (0.4932751500102361, 0.4936536546931256), 2: (0.019731006000409435, 0.019746146187725036)}
     for alpha, (plain, damped) in want.items():
         mode = PhotonMode(alpha=alpha, q=JUMP_Q)
         assert corrected_photon_number(law, mode, 1.0, nodes_per_piece=48) == plain
@@ -298,19 +474,24 @@ def test_p_table_makes_one_si_ci_pass_per_argument_and_one_sphere_build(monkeypa
     sici, gauss = scipy.special.sici, numerics.gauss_nodes
     elems, builds = [], []
     monkeypatch.setattr(scipy.special, "sici", lambda x: elems.append(np.size(x)) or sici(x))
-    monkeypatch.setattr(numerics, "gauss_nodes", lambda *a: builds.append(a) or gauss(*a))
+    # gauss_nodes is imported by name into corrections
+    for module in (numerics, corrections):
+        monkeypatch.setattr(module, "gauss_nodes", lambda *a: builds.append(a) or gauss(*a))
     numerics.sphere_rule.cache_clear()
     corrections._const_velocity_geometry.cache_clear()
     v0, q = np.array([0.0, 0.15 * C_AU, 0.0]), np.array([0.01, 0.0, 0.02])
     p_const_velocity(v0, q, t1=0.25, t2=0.0)
-    assert elems == [48 * 32, 48 * 32]
+    # one 18-node Filon-Legendre rule per geometry, shared by both 1-D
+    # integrals, and one Si/Ci pass over their 2 x 18 nodes per |dt|
+    assert builds == [(-1.0, 1.0, 18)]
+    assert elems == [2 * 18]
     # 128 lags and their exact negatives (linspace(-1, 1, 256) itself is not
     # symmetric in the last bit): one pass per |dt|, plus the first call's
     half = np.linspace(-1.0, 1.0, 256)[128:]
     for d in np.concatenate([-half[::-1], half]):
         p_const_velocity(v0, q, t1=d, t2=0.0)
-    assert len(elems) == 2 * 129
-    assert builds == [(-1.0, 1.0, 48)]
+    assert elems == [2 * 18] * 129
+    assert builds == [(-1.0, 1.0, 18)]
     assert corrections._const_velocity_geometry.cache_info().misses == 1
 
 
@@ -456,14 +637,18 @@ def test_unresolvable_phase_raises_before_any_work():
 def test_qdot_equals_the_per_time_loop():
     from synchrad.corrections import _qdot
 
+    def dot(a, b):
+        # the fixed order _qdot sums in: a BLAS dot's depends on the CPU kernel
+        return float((a[0] * b[0] + a[1] * b[1]) + a[2] * b[2])
+
     def loop(law, mode, Z, times):
         # the scalar reference: one velocity and position lookup per time
         g = math.sqrt(mode.g_squared)
         out = []
         for tp in times:
             v, r = law.velocity(float(tp)), law.position(float(tp))
-            phase = mode.omega * tp - float(mode.q @ r)
-            out.append(1j * (Z / C_AU) * g * float(mode.e_vec @ v) * np.exp(1j * phase))
+            phase = mode.omega * tp - dot(mode.q, r)
+            out.append(1j * (Z / C_AU) * g * dot(mode.e_vec, v) * np.exp(1j * phase))
         return np.array(out)
 
     times = np.linspace(0.0, 1.0, 97)
