@@ -511,14 +511,14 @@ def _time_nodes(velocity_law, mode: PhotonMode, t: float, n: int, max_nodes: int
     piece whose phase bound (omega + |q| max|v|) (b - a), with max|v| over
     its n nodes, is more than the span n nodes resolve is cut into equal parts
     that meet it.  Raises ConvergenceError where that takes over max_nodes."""
-    if not t >= 0.0:
-        raise DomainError(f"photon number needs a time t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"photon number needs a finite time t >= 0, got {t}")
     # n nodes integrate exp(i kappa x), x in [-1, 1], to 1e-13 of its absolute
     # integral while the error bound (e kappa / 4n)^(2n) is below 1e-13: a phase
     # span 2 kappa of 149 rad at n = 64 (171 measured) and 3.6 at n = 8 (4.1)
     span = 8.0 * n / math.e * 1e-13 ** (1.0 / (2 * n))
     edges = velocity_law.breakpoints(t)
-    qmag = float(np.linalg.norm(mode.q))
+    qmag = math.hypot(*mode.q)
     starts, ends, count = [], [], 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         vmax = np.max(np.linalg.norm(velocity_law.velocity(gauss_nodes(a, b, n)[0]), axis=-1))
@@ -597,7 +597,8 @@ def corrected_photon_number(
     instead of calling the provider again.  Each breakpoint piece takes
     nodes_per_piece Gauss nodes, or more where the phase of Qdot needs them
     (_time_nodes); ConvergenceError where that is too many.  DomainError
-    unless Z is finite and nodes_per_piece is an integer >= 1.
+    unless t is finite and >= 0, Z is finite and nodes_per_piece is an
+    integer >= 1.
     """
     if not math.isfinite(Z):
         raise DomainError(f"charge number must be finite, got {Z}")

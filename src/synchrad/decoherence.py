@@ -12,18 +12,17 @@ caches hold it, both keyed by value, never by the identity of a mode table:
   65,536 points (larger grids are evaluated and not kept).
 - `localization_width` keeps s1 at the nodes r_j = exp(j ln(10) / 100) of one
   fixed log lattice, per beam and axis at the width resolution: the 8 most
-  recent (beam, axis) pairs.  Nodes are computed on first use, in aligned
-  blocks of 8, so a node's value never depends on which call needed it
-  first; the widths reach at most the nodes between 1e-15 and 2e16 bohr.
+  recent (beam, axis) pairs.  Nodes are computed on first use; the widths
+  reach at most the nodes between 1e-15 and 2e16 bohr, and the lattice holds
+  no other.
 
 s1 is a weighted sum over the modes of one emission table,
 `semiclassical._mode_table`, built beside the totals' table on the same
-harmonic grid builder and Bessel pass.  `_profile` forms it as
-one `factor @ weights` product per block of about 500,000 (r, mode) pairs
-(`_BLOCK_PAIRS`, 4 MB of factor), and fills each block's factor in place, in
-tiles of whole rows of about 32,768 pairs (`_TILE`, 256 kB per array), so a
-tile's pieces stay in a core's cache.  The block size fixes each product's
-shape, and with it the rounding of every sum; the tile size changes no bit.
+harmonic grid builder and Bessel pass.  `_profile` forms it one separation
+at a time: the row of factors over all modes is filled in place, scaled by
+the weights and summed by numpy's pairwise summation (Higham 1993), so each
+value is fixed by its separation alone, whatever the other separations of
+the call or their order, and no BLAS kernel enters it.
 `s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
 an uncached table of Airy-kernel modes, on the mode table's trapezoid rule
 in log n (`numerics.log_trapezoid`) in scaled harmonic number.
@@ -89,12 +88,6 @@ class CoherenceKernel:
             raise DomainError("coherence kernel values must lie in (0, 1]")
 
 
-# _profile's (r, mode) pairs per `factor @ W` product, and per tile of whole
-# rows of its in-place fill (see the module docstring)
-_BLOCK_PAIRS = 500_000
-_TILE = 32_768
-
-
 def _one_minus_j0(x: np.ndarray) -> None:
     """x -> 1 - J0(x) in place, without cancellation at small x: the series
     replaces the direct form where |x| < 1e-3."""
@@ -121,40 +114,30 @@ def _profile(table, r, theta0: float) -> np.ndarray:
 
     The factor 1 - J0(a) cos(b) is assembled from the cancellation-free
     pieces m = 1 - J0(a) and h = 1 - cos(b) as m + h - m h, or as m or h
-    alone where cos(theta0) or sin(theta0) vanishes (they never both do).
-    Rows of r go through one `factor @ W` product per block of about
-    _BLOCK_PAIRS (r, mode) pairs; each block's factor is filled in place,
-    a tile of whole rows of about _TILE pairs at a time, with the series of
-    1 - J0 formed only where its argument is below 1e-3.  Returns s1 at r,
-    flattened."""
+    alone where cos(theta0) or sin(theta0) vanishes (they never both do),
+    with the series of 1 - J0 formed only where its argument is below 1e-3.
+    One separation at a time: its row of factors is filled in place, scaled
+    by W and summed by numpy's pairwise summation, an order fixed by the
+    row alone.  Returns s1 at r, flattened."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
     a = None if abs(sin0) <= 1e-12 else k * s * sin0
     b = None if abs(cos0) <= 1e-12 else k * u * cos0
     r = np.asarray(r, dtype=float).ravel()
-    n = max(1, len(k))
-    block = max(1, int(_BLOCK_PAIRS / n))
-    tile = min(block, max(1, _TILE // n))
-    factor = np.empty((min(block, len(r)), len(k)))
-    if a is not None and b is not None:
-        h, mh = np.empty((2, tile, len(k)))
+    f, h, mh = np.empty((3, len(k)))
     out = np.empty(len(r))
-    for i in range(0, len(r), block):
-        rows = factor[: len(r) - i]
-        for j in range(0, len(rows), tile):
-            f = rows[j : j + tile]
-            rc = r[i + j : i + j + len(f), None]
-            if a is None:
-                _one_minus_cos(np.multiply(rc, b, out=f))
-                continue
-            _one_minus_j0(np.multiply(rc, a, out=f))
+    for i, ri in enumerate(r):
+        if a is None:
+            _one_minus_cos(np.multiply(ri, b, out=f))
+        else:
+            _one_minus_j0(np.multiply(ri, a, out=f))
             if b is not None:
-                ht, mht = h[: len(rc)], mh[: len(rc)]
-                _one_minus_cos(np.multiply(rc, b, out=ht))
-                np.multiply(f, ht, out=mht)
-                f += ht
-                f -= mht
-        out[i : i + len(rows)] = rows @ W
+                _one_minus_cos(np.multiply(ri, b, out=h))
+                np.multiply(f, h, out=mh)
+                f += h
+                f -= mh
+        f *= W
+        out[i] = f.sum()
     return out
 
 
@@ -167,10 +150,10 @@ _FIELD_CACHE_POINTS = 1 << 16
 
 def _separations(r, theta0) -> np.ndarray:
     """r as an array of at least one dimension; DomainError unless every
-    separation is a nonnegative number and every theta0 is finite."""
+    separation is finite and nonnegative and every theta0 is finite."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(r >= 0):
-        raise DomainError("separations must be nonnegative numbers")
+    if not np.all((r >= 0) & (r < math.inf)):
+        raise DomainError("separations must be finite and nonnegative")
     if not np.all(np.isfinite(theta0)):
         raise DomainError(f"theta0 must be finite, got {theta0}")
     return r
@@ -280,8 +263,11 @@ class Width(float):
 
 _WINDOW_BOHR = 1e7  # analysis span: separations beyond it count as decohered
 _LOG_STEP = math.log(10.0) / 100  # lattice spacing in log r: 100 nodes per decade
-_BLOCK = 8  # lattice nodes computed together
 _ROOT_RANGE = (-1200, 1400)  # lattice indices searched for radii: 1e-12..1e14 bohr
+# lattice indices the widths can reach: the radius search's, down to 1e-3 of
+# its lowest radius and up to 200 times its highest (localization_width's
+# interpolant span), 1e-15..2e16 bohr
+_NODE_RANGE = (_ROOT_RANGE[0] - 301, _ROOT_RANGE[1] + 231)
 _SUB = 4  # transform nodes per lattice step: 400 per decade, 200 for the check
 _Q_STRIDE = 8  # wavenumbers every 8 transform-node steps: 50 per decade
 _Q_LO = 0.5  # lowest sampled wavenumber, in units of 1 / r_max
@@ -322,25 +308,25 @@ def _hermite(y0, y1, d0, d1, h, s):
 
 
 class _Lattice:
-    """s1 at the nodes r_j = exp(j * _LOG_STEP) for one beam and polar angle
-    at the width resolution, computed on first use in aligned blocks."""
+    """s1 at the nodes r_j = exp(j * _LOG_STEP), j in _NODE_RANGE, for one
+    beam and polar angle at the width resolution, computed on first use."""
 
     def __init__(self, beam: BeamParams, theta0: float):
-        self.beam = beam
         self.theta0 = theta0
-        self.rate = float(np.sum(_mode_table(beam, **_WIDTH_RES)[3]))  # s1 at r -> inf
-        self._blocks: dict[int, np.ndarray] = {}
+        self.table = _mode_table(beam, **_WIDTH_RES)
+        self.rate = float(np.sum(self.table[3]))  # s1 at r -> inf
+        self._s1 = np.full(_NODE_RANGE[1] - _NODE_RANGE[0] + 1, math.nan)
 
     def span(self, j_lo: int, j_hi: int) -> np.ndarray:
         """s1 at the nodes j_lo..j_hi, inclusive."""
-        b_lo, b_hi = j_lo // _BLOCK, j_hi // _BLOCK
-        for b in range(b_lo, b_hi + 1):
-            if b not in self._blocks:
-                r = np.exp(np.arange(b * _BLOCK, (b + 1) * _BLOCK) * _LOG_STEP)
-                table = _mode_table(self.beam, **_WIDTH_RES)
-                self._blocks[b] = _profile(table, r, self.theta0)
-        s1 = np.concatenate([self._blocks[b] for b in range(b_lo, b_hi + 1)])
-        return s1[j_lo - b_lo * _BLOCK : j_hi - b_lo * _BLOCK + 1]
+        lo, hi = _NODE_RANGE
+        if not lo <= j_lo <= j_hi <= hi:
+            raise IndexError(f"lattice nodes {j_lo}..{j_hi} outside {lo}..{hi}")
+        s1 = self._s1[j_lo - lo : j_hi - lo + 1]
+        missing = np.flatnonzero(np.isnan(s1))
+        if missing.size:
+            s1[missing] = _profile(self.table, np.exp((missing + j_lo) * _LOG_STEP), self.theta0)
+        return s1.copy()
 
 
 @lru_cache(maxsize=8)
@@ -531,8 +517,8 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
 
     The kernel G = exp(-t s1) comes from s1 at the nodes of a fixed log
     lattice (100 per decade), cached per beam and axis (8 pairs kept) and
-    filled on first use, so widths at many times share one set of profile
-    evaluations.  The scale radii and a monotone cubic interpolant in log r
+    filled node by node on first use, so widths at many times share one set
+    of profile evaluations.  The scale radii and a monotone cubic interpolant in log r
     are built on those nodes; the interpolant gives G at 400 nodes per decade
     from 1e-3 of the radius where t s1 = 1 up to the truncation radius, and
     the width follows from the cosine transform of G on those nodes

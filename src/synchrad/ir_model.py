@@ -109,8 +109,8 @@ def soft_photon_number(
     if mdv > 0 and mode.omega > mdv * C_AU:
         warnings.warn("soft_photon_number: omega above the soft regime m|dv|c", stacklevel=2)
     v1, v2, e, q, omega = jump.v1, jump.v2, mode.e_vec, mode.q, mode.omega
-    amp = (e @ v2) / (omega - q @ v2 + delta) - (e @ v1) / (omega - q @ v1 + delta)
-    return jump.Z**2 * mode.g_squared / C_AU**2 * float(np.abs(amp) ** 2)
+    amp = _dot(e, v2) / (omega - _dot(q, v2) + delta) - _dot(e, v1) / (omega - _dot(q, v1) + delta)
+    return jump.Z**2 * mode.g_squared / C_AU**2 * amp**2
 
 
 def soft_spectral_density(

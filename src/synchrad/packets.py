@@ -44,8 +44,8 @@ class LandauLevelState:
 
 def larmor_frequency(H0: float) -> float:
     """omega_L = H0 / (2 m c) in atomic units (m = |e| = 1)."""
-    if not H0 > 0:
-        raise DomainError("field strength must be positive")
+    if not 0 < H0 < math.inf:
+        raise DomainError(f"field strength must be positive and finite, got {H0}")
     return H0 / (2.0 * C_AU)
 
 
@@ -94,8 +94,8 @@ def packet_widths(beam: BeamParams) -> tuple[float, float, float]:
 def spreading_time(beam: BeamParams, delta_n1: float) -> tuple[float, float]:
     """Time for a superposition spanning delta_n1 levels to spread over the
     orbit: gamma * R^2 / delta_n1.  Returns (a.u., seconds)."""
-    if not delta_n1 > 0:
-        raise DomainError("delta_n1 must be positive")
+    if not 0 < delta_n1 < math.inf:
+        raise DomainError(f"delta_n1 must be positive and finite, got {delta_n1}")
     tau = beam.gamma * beam.R**2 / delta_n1
     return tau, tau * AU_TIME_SECONDS
 

@@ -113,7 +113,7 @@ class PhotonMode:
 
     @property
     def omega(self) -> float:
-        return C_AU * float(np.linalg.norm(self.q))
+        return C_AU * math.hypot(*self.q)
 
     @property
     def g_squared(self) -> float:
@@ -122,7 +122,7 @@ class PhotonMode:
 
     @property
     def e_vec(self) -> np.ndarray:
-        return transverse_polarization_pairs(self.q / np.linalg.norm(self.q))[self.alpha - 1]
+        return transverse_polarization_pairs(self.q / math.hypot(*self.q))[self.alpha - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def rate_integrand(law, q: np.ndarray, t: float, Z: float, tau):
     tau, on a velocity law (position(t) and velocity(t) on arrays), with the
     shape of tau: a numpy complex for a scalar tau."""
     q = _photon_momentum(q)
-    q2 = float(q @ q)
+    q2 = math.fsum((q * q).tolist())
     omega = C_AU * math.sqrt(q2)
     tau = np.asarray(tau, dtype=float)
     a = t - np.abs(tau) / 2.0 + tau / 2.0
@@ -223,11 +223,14 @@ def schott_angular_rate(n, theta, beam: BeamParams):
                               + beta^2 J_n'^2(n beta sin theta)]
 
     n and theta broadcast against each other; scalars give a float.  Each
-    element equals the scalar call on it, bit for bit.
+    element equals the scalar call on it, bit for bit.  DomainError unless
+    every n is finite and >= 1 and every theta is finite.
     """
     n, theta = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(theta, dtype=float))
-    if np.any(n < 1):
-        raise DomainError(f"harmonic must be >= 1, got {n.min():g}")
+    bad = ~((n >= 1) & (n < math.inf) & np.isfinite(theta))
+    if bad.any():
+        n0, theta0 = n[bad][0], theta[bad][0]
+        raise DomainError(f"need finite n >= 1 and finite theta, got n = {n0:g}, theta = {theta0:g}")
     pref = beam.Z**2 * n * beam.omega0 / (2.0 * math.pi * C_AU)
     s = np.sin(theta)
     # small-argument limit on the axis: only n = 1 survives, bracket -> beta^2 / 2

@@ -366,7 +366,9 @@ def test_criterion_10_special_function_oracles(capsys):
             total += (-1) ** k * x ** (2 * k) / (2 * k * math.factorial(2 * k))
         return total
 
-    # as p_const_velocity calls it: sici on |x|, Si(x) = copysign(Si(|x|), x)
+    # Si is odd and Ci even, so sici on |x| gives both signs, Si(x) =
+    # copysign(Si(|x|), x); p_const_velocity calls sici only at x > 0 and
+    # takes P(-dt) as conj P(dt)
     x = np.array([0.2, 1.0, 4.0, -0.2, -1.0, -4.0])
     si_abs, ci = scipy.special.sici(np.abs(x))
     si = np.copysign(si_abs, x)

@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ def test_s_averaged_does_not_keep_grids_above_the_cache_bound(monkeypatch):
     big = s_averaged(r, 0.5, 3.0, BEAM2)
     assert decoherence._field_profile.cache_info().currsize == before
     head = s_averaged(r[:64], 0.5, 3.0, BEAM2)
-    np.testing.assert_allclose(big[:64], head, rtol=1e-13)
+    assert np.array_equal(big[:64], head)
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,56 +238,52 @@ def test_s_vanishes_at_zero_separation_on_both_axes(log_gamma, log_radius):
         assert decoherence._profile(table, 0.0, theta0)[0] == 0.0
 
 
-def _untiled_profile(table, r, theta0):
-    """s1 with each block's unit factor formed whole by one np.where
-    expression, one product per block of the kernel's shape."""
+def _row_profile(table, r, theta0):
+    """s1 with each separation's unit factor formed whole by one np.where
+    expression and summed as np.sum(factor * W)."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    block = max(1, int(decoherence._BLOCK_PAIRS / len(k)))
     out = []
-    for i in range(0, len(r), block):
-        rc = r[i : i + block, None]
+    for ri in r:
         m = h = 0.0
         if abs(sin0) > 1e-12:
-            x = rc * (k * s * sin0)
+            x = ri * (k * s * sin0)
             x2 = x * x
             series = x2 / 4.0 * (1.0 - x2 / 16.0 + x2 * x2 / 576.0)
             m = np.where(np.abs(x) < 1e-3, series, 1.0 - scipy.special.j0(x))
         if abs(cos0) > 1e-12:
-            h = 2.0 * np.sin(rc * (k * u * cos0) / 2.0) ** 2
-        out.append((m + h - m * h) @ W)
-    return np.concatenate(out)
+            h = 2.0 * np.sin(ri * (k * u * cos0) / 2.0) ** 2
+        out.append(np.sum((m + h - m * h) * W))
+    return np.array(out)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     theta0=st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(-math.pi, math.pi)),
-    block_rows=st.integers(1, 6),
     modes=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
     stretch=st.floats(0.5, 2.0),
     far=st.lists(st.floats(-4.0, 8.0), max_size=8),
 )
-def test_tiling_changes_no_bits(theta0, block_rows, modes, stretch, far):
+def test_profile_rows_are_independent(theta0, modes, stretch, far):
     # r holds 0, separations whose J0 arguments straddle the series switch at
-    # 1e-3 for a few modes, and log-uniform ones; tiles of one row and of a
-    # whole block give the same bits as the factor formed whole per block
+    # 1e-3 for a few modes, and log-uniform ones; each value is the bits of
+    # its own single-separation call and of the row formed whole
     table = decoherence._mode_table(BEAM2, 16, 8, 8)
     k, s = table[0], table[1]
     modes = np.array(modes) % len(k)
     scale = abs(math.sin(theta0)) if abs(math.sin(theta0)) > 1e-12 else 1.0
     switch = 1e-3 / (k[modes] * s[modes] * scale)
     r = np.concatenate([[0.0], switch * stretch, switch / stretch, 10.0 ** np.array(far)])
-    pairs = block_rows * len(k)
-    with mock.patch.object(decoherence, "_BLOCK_PAIRS", pairs):
-        want = _untiled_profile(table, r, theta0)
-        for tile in (1, pairs):
-            with mock.patch.object(decoherence, "_TILE", tile):
-                assert np.array_equal(decoherence._profile(table, r, theta0), want)
+    got = decoherence._profile(table, r, theta0)
+    single = np.concatenate([decoherence._profile(table, [ri], theta0) for ri in r])
+    assert np.array_equal(got, single)
+    assert np.array_equal(got, _row_profile(table, r, theta0))
 
 
-def test_profile_peak_memory_stays_under_8_mb():
-    # the kernel holds one block's factor (4 MB) and tile-sized pieces; with
-    # each block's factor formed whole, these three calls peaked at 28 MB
+def test_profile_peak_memory_stays_under_4_mb():
+    # the kernel holds two phase-rate rows and three work rows, each as long
+    # as the mode table (0.35 MB at 43,824 modes): these three calls peak at
+    # 3.2 MB
     beam = beam_from_lab(FIAN_60)
     r = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-3), math.log(1e7), 128))])
     decoherence._mode_table(beam, **decoherence._FIELD_RES)
@@ -300,7 +295,7 @@ def test_profile_peak_memory_stays_under_8_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 4e6
 
 
 def test_alternating_beams_keep_their_own_cache_entries():
@@ -321,19 +316,30 @@ def test_alternating_beams_keep_their_own_cache_entries():
             table = decoherence._mode_table(beam, **decoherence._FIELD_RES)
             direct = t * decoherence._profile(table, r, 0.3)
             assert np.array_equal(s_averaged(r, 0.3, t, beam), direct)
-    # every cached lattice node is the profile of its own beam's mode table
+    # every computed lattice node is the profile of its own beam's mode table
     for beam in beams:
         table = decoherence._mode_table(beam, **decoherence._WIDTH_RES)
         lattice = decoherence._width_lattice(beam, math.pi / 2)
-        assert lattice._blocks
-        for b, cached in lattice._blocks.items():
-            nodes = np.arange(b * decoherence._BLOCK, (b + 1) * decoherence._BLOCK)
-            r_nodes = np.exp(nodes * decoherence._LOG_STEP)
-            assert np.array_equal(cached, decoherence._profile(table, r_nodes, math.pi / 2))
+        done = np.flatnonzero(~np.isnan(lattice._s1))
+        assert done.size
+        r_nodes = np.exp((done + decoherence._NODE_RANGE[0]) * decoherence._LOG_STEP)
+        assert np.array_equal(lattice._s1[done], decoherence._profile(table, r_nodes, math.pi / 2))
     # entries are keyed by the beam's value, not by the object
     twin = BeamParams.from_gamma_radius(10.0, 1000.0)
     assert twin is not beams[0]
     assert decoherence._width_lattice(twin, 0.0) is decoherence._width_lattice(beams[0], 0.0)
+
+
+def test_lattice_raises_outside_the_nodes_widths_reach():
+    lattice = decoherence._Lattice(BEAM2, math.pi / 2)
+    lo, hi = decoherence._NODE_RANGE
+    for j_lo, j_hi in ((lo - 1, lo), (hi, hi + 1), (lo + 1, lo)):
+        with pytest.raises(IndexError):
+            lattice.span(j_lo, j_hi)
+    assert np.isnan(lattice._s1).all()
+    assert np.array_equal(lattice.span(lo, lo + 1), decoherence._profile(
+        lattice.table, np.exp(np.arange(lo, lo + 2) * decoherence._LOG_STEP), math.pi / 2
+    ))
 
 
 # widths of the uncached solver (60-step radius bisection, 512-node

@@ -116,7 +116,9 @@ def test_airy_matches_maclaurin_series():
 
 
 def test_sin_cos_integrals_match_series():
-    # as p_const_velocity calls it: sici on |x|, Si(x) = copysign(Si(|x|), x)
+    # Si is odd and Ci even, so sici on |x| gives both signs, Si(x) =
+    # copysign(Si(|x|), x); p_const_velocity calls sici only at x > 0 and
+    # takes P(-dt) as conj P(dt)
     x = np.array([0.1, 1.0, 4.0, -0.1, -1.0, -4.0])
     si_abs, ci = scipy.special.sici(np.abs(x))
     si = np.copysign(si_abs, x)

@@ -21,7 +21,7 @@ import pytest
 import scipy.special
 
 import synchrad
-from synchrad import corrections, decoherence, ir_model, packets
+from synchrad import corrections, decoherence, ir_model, packets, semiclassical
 from synchrad.semiclassical import PhotonMode
 from synchrad.units import C_AU, BeamParams
 
@@ -129,12 +129,14 @@ _NAN_CALLS = {
     "s_averaged-t-inf": lambda: decoherence.s_averaged([0.0, 1.0, 10.0], 0.5, math.inf, _BEAM),
     "s_ultrarel-t-inf": lambda: decoherence.s_ultrarel(1.0, 0.5, math.inf, _BEAM),
     "s_averaged-r": lambda: decoherence.s_averaged(math.nan, 0.5, 1.0, _BEAM),
+    "s_averaged-r-inf": lambda: decoherence.s_averaged([0.0, math.inf], 0.5, 1.0, _BEAM),
     # S is even in r, so a negative separation would read as |r|
     "s_averaged-r-negative": lambda: decoherence.s_averaged(-5.0, 0.5, 1.0, _BEAM),
     "s_averaged-theta0": lambda: decoherence.s_averaged(5.0, math.nan, 1.0, _BEAM),
     "s_averaged-theta0-inf": lambda: decoherence.s_averaged(5.0, math.inf, 1.0, _BEAM),
     "s_ultrarel-r": lambda: decoherence.s_ultrarel(math.nan, 0.5, 1.0, _BEAM),
     "s_ultrarel-r-negative": lambda: decoherence.s_ultrarel(-5.0, 0.5, 1.0, _BEAM),
+    "s_ultrarel-r-inf": lambda: decoherence.s_ultrarel(math.inf, 0.5, 1.0, _BEAM),
     "s_ultrarel-theta0": lambda: decoherence.s_ultrarel(5.0, math.nan, 1.0, _BEAM),
     "s_ultrarel-theta0-inf": lambda: decoherence.s_ultrarel(5.0, math.inf, 1.0, _BEAM),
     # sin(epsilon) is the window edge in cos(theta), so epsilon lies in (0, pi/2]
@@ -143,13 +145,19 @@ _NAN_CALLS = {
     "s_ultrarel-epsilon-negative": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=-0.1),
     "s_ultrarel-epsilon-above-half-pi": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=2.0),
     "s_ultrarel-epsilon-inf": lambda: decoherence.s_ultrarel(5.0, 0.5, 1.0, _BEAM, epsilon=math.inf),
+    "schott_angular_rate-n": lambda: semiclassical.schott_angular_rate(math.nan, 0.5, _BEAM),
+    "schott_angular_rate-n-inf": lambda: semiclassical.schott_angular_rate([1.0, math.inf], 0.5, _BEAM),
+    "schott_angular_rate-theta": lambda: semiclassical.schott_angular_rate(1.0, math.nan, _BEAM),
+    "schott_angular_rate-theta-inf": lambda: semiclassical.schott_angular_rate(1.0, [0.5, math.inf], _BEAM),
     "larmor_frequency-H0": lambda: packets.larmor_frequency(math.nan),
+    "larmor_frequency-H0-inf": lambda: packets.larmor_frequency(math.inf),
     "LandauLevelState-n1": lambda: packets.LandauLevelState(n1=math.nan, sigma=0.5),
     "LandauLevelState-n1-inf": lambda: packets.LandauLevelState(n1=math.inf, sigma=0.5),
     "localization_width-t": lambda: decoherence.localization_width(_BEAM, math.nan, "transverse"),
     "localization_width-t-inf": lambda: decoherence.localization_width(_BEAM, math.inf, "transverse"),
     "localization_time-target": lambda: decoherence.localization_time(_BEAM, math.nan, "transverse"),
     "spreading_time-delta_n1": lambda: packets.spreading_time(_BEAM, math.nan),
+    "spreading_time-delta_n1-inf": lambda: packets.spreading_time(_BEAM, math.inf),
     "total_soft_count-omega_max": lambda: ir_model.total_soft_count(_JUMP, 1e-6, math.inf),
     "ModeSum-q_c": lambda: corrections.ModeSum(q_c=math.nan),
     "ModeSum-q_c-inf": lambda: corrections.ModeSum(q_c=math.inf),
@@ -184,6 +192,8 @@ _NAN_CALLS = {
     "PiecewiseConstantVelocity-t_jump": lambda: corrections.PiecewiseConstantVelocity(_V0, _V0, math.nan),
     "PiecewiseConstantVelocity-t_jump-inf": lambda: corrections.PiecewiseConstantVelocity(_V0, _V0, math.inf),
     "corrected_photon_number-Z": lambda: corrections.corrected_photon_number(_LAW, _MODE, 1.0, Z=math.nan),
+    "corrected_photon_number-t": lambda: corrections.corrected_photon_number(_LAW, _MODE, math.nan),
+    "corrected_photon_number-t-inf": lambda: corrections.corrected_photon_number(_LAW, _MODE, math.inf),
     "corrected_photon_number-nodes-zero": lambda: corrections.corrected_photon_number(
         _LAW, _MODE, 1.0, nodes_per_piece=0
     ),
