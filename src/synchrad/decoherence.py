@@ -37,7 +37,14 @@ kernel spread over many decades of r costs no more than a compact one.
 Every width is checked against the same transform on half the nodes, on
 half the wavenumbers and with the kernel cut at half its truncation radius;
 a width they move by more than 1e-3 is returned with an
-UncertifiedWidthWarning.
+UncertifiedWidthWarning.  The width and its checks take one pass: every
+q r_j is q_0 r_1 exp(i h) for an integer i, so one table of sin^2(q r / 2)
+serves the main transform and, every other entry, the one on half the
+nodes; the half wavenumbers reuse the main transform; and the cut kernel,
+whose slope drops equal the whole one's below its own taper, recomputes
+only its G^(0), its drops from that taper on and its end term.  The
+windowed sums are einsum products in a fixed order, and no BLAS kernel
+enters a width.
 """
 
 from __future__ import annotations
@@ -89,15 +96,22 @@ class CoherenceKernel:
 
 
 def _one_minus_j0(x: np.ndarray) -> None:
-    """x -> 1 - J0(x) in place, without cancellation at small x: the series
-    replaces the direct form where |x| < 1e-3."""
-    small = np.abs(x) < 1e-3
-    x2 = x[small]
+    """x -> 1 - J0(x) in place, without cancellation at small x: where |x| <
+    0.5 the power series -sum_k (-x^2/4)^k / k!^2 to its x^14 term
+    (truncation below 3e-18 relative), summed by Horner's rule in x^2,
+    replaces 1 - j0(x), which loses up to 1e-14 relative just below 0.5 and
+    6e-15 just above."""
+    small = np.abs(x) < 0.5
+    y = x[small]
     with np.errstate(invalid="ignore"):
         scipy.special.j0(x, out=x)
     np.subtract(1.0, x, out=x)
-    x2 *= x2
-    x[small] = x2 / 4.0 * (1.0 - x2 / 16.0 + x2 * x2 / 576.0)
+    y *= y
+    acc = y * -((-0.25) ** 7 / math.factorial(7) ** 2)
+    for k in range(6, 0, -1):  # in place, with no temporary array
+        acc -= (-0.25) ** k / math.factorial(k) ** 2
+        acc *= y
+    x[small] = acc
 
 
 def _one_minus_cos(x: np.ndarray) -> None:
@@ -115,7 +129,7 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     The factor 1 - J0(a) cos(b) is assembled from the cancellation-free
     pieces m = 1 - J0(a) and h = 1 - cos(b) as m + h - m h, or as m or h
     alone where cos(theta0) or sin(theta0) vanishes (they never both do),
-    with the series of 1 - J0 formed only where its argument is below 1e-3.
+    with the series of 1 - J0 formed only where its argument is below 0.5.
     One separation at a time: its row of factors is filled in place, scaled
     by W and summed by numpy's pairwise summation, an order fixed by the
     row alone.  Returns s1 at r, flattened."""
@@ -328,6 +342,11 @@ class _Lattice:
             s1[missing] = _profile(self.table, np.exp((missing + j_lo) * _LOG_STEP), self.theta0)
         return s1.copy()
 
+    def node(self, j: int) -> float:
+        """s1 at node j: read directly once computed, else as span(j, j)."""
+        s1 = self._s1[j - _NODE_RANGE[0]] if _NODE_RANGE[0] <= j <= _NODE_RANGE[1] else math.nan
+        return s1 if not math.isnan(s1) else self.span(j, j)[0]
+
 
 @lru_cache(maxsize=8)
 def _width_lattice(beam: BeamParams, theta0: float) -> _Lattice:
@@ -341,13 +360,13 @@ def _scale_radius(lattice: _Lattice, t: float, target: float) -> float | None:
     cubic through them and their neighbours."""
     y = target / t
     lo, hi = _ROOT_RANGE
-    if lattice.span(hi, hi)[0] < y:
+    if lattice.node(hi) < y:
         return None
-    if lattice.span(lo, lo)[0] > y:
+    if lattice.node(lo) > y:
         return math.exp(lo * _LOG_STEP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if lattice.span(mid, mid)[0] < y:
+        if lattice.node(mid) < y:
             lo = mid
         else:
             hi = mid
@@ -404,28 +423,20 @@ def _plateau_free(r: np.ndarray, values: np.ndarray) -> np.ndarray:
     return g
 
 
-def _cosine_transform(r: np.ndarray, g: np.ndarray, log_q: np.ndarray):
-    """G^(q) = 2 int_0^R g(r) cos(q r) dr of the piecewise-linear g through
-    the nodes r (Filon's rule): returns G^(0) and G^ at q = exp(log_q).
-
-    The nodes are r = 0, then r_k = r_1 exp(k h), then R = r[-1], with g(R)
-    = 0; log_q is uniform with a step that is a whole multiple of h.  Summed
-    by parts, the transform is -(4 / q^2) sum_j d_j sin^2(q r_j / 2), with
-    d_j the drop in slope at node j (the slope itself at R), free of the
-    cancellation of the plain cosine sum at small q.  Every q r_k is
-    q_0 r_1 exp(i h) for an integer i, so one vector of sin^2 values serves
-    all pairs, read through a sliding window.
-    """
+def _filon_parts(r: np.ndarray, g: np.ndarray):
+    """Filon's rule (Filon 1928) for G^(q) = 2 int_0^R g(r) cos(q r) dr of
+    the piecewise-linear g through the nodes r = 0, r_1, ..., R, with g(R) =
+    0: returns G^(0), the drops d_j in slope at the inner nodes and the slope
+    at R.  Summed by parts, G^(q) = -(4 / q^2) (sum_j d_j sin^2(q r_j / 2) +
+    slope(R) sin^2(q R / 2)), free of the cancellation of the plain cosine
+    sum at small q."""
     slope = np.diff(g) / np.diff(r)
-    h = math.log(r[2] / r[1])
-    stride = round((log_q[1] - log_q[0]) / h)
-    n = len(r) - 2
-    i = np.arange(stride * (len(log_q) - 1) + n)
-    table = np.sin(0.5 * np.exp(log_q[0] + math.log(r[1]) + i * h)) ** 2
-    window = sliding_window_view(table, n)[::stride]
-    q = np.exp(log_q)
-    total = window @ (slope[:-1] - slope[1:]) + slope[-1] * np.sin(0.5 * q * r[-1]) ** 2
-    return float(np.sum((g[1:] + g[:-1]) * np.diff(r))), -4.0 * total / q**2
+    return float(np.sum((g[1:] + g[:-1]) * np.diff(r))), slope[:-1] - slope[1:], slope[-1]
+
+
+def _windowed(window: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row of window dotted with d, in einsum's fixed order (no BLAS)."""
+    return np.einsum("ij,j->i", window, d)
 
 
 def _parseval_width(log_q: np.ndarray, g_hat_0: float, g_hat: np.ndarray) -> float:
@@ -449,8 +460,8 @@ def _parseval_width(log_q: np.ndarray, g_hat_0: float, g_hat: np.ndarray) -> flo
     weight = np.full(len(q), h)
     weight[[0, -1]] = h / 2.0
     norm = q[0] * (chi0**2 + 2.0 * chi0 * rise / 3.0 + rise**2 / 5.0)
-    norm += float(weight @ (chi**2 * q))
-    spread = (4.0 / 3.0) * rise**2 / q[0] + float(weight @ (dchi**2 / q))
+    norm += float(np.sum(weight * (chi**2 * q)))
+    spread = (4.0 / 3.0) * rise**2 / q[0] + float(np.sum(weight * (dchi**2 / q)))
     return math.sqrt(spread / norm)
 
 
@@ -480,10 +491,24 @@ def _width_from_kernel(kernel: CoherenceKernel) -> tuple[float, float]:
     r_e = r[np.argmax(g <= g[0] / math.e)]
     q_step = _Q_STRIDE * h
     log_q = np.arange(math.log(_Q_LO / r[-1]), math.log(_Q_HI / r_e) + q_step, q_step)
-    g_hat_0, g_hat = _cosine_transform(r, g, log_q)
     q = np.exp(log_q)
-    pos_mass = float(q @ np.clip(g_hat, 0.0, None))
-    neg_mass = -float(q @ np.clip(g_hat, None, 0.0))
+    # sin^2(q r / 2) at q r = q_0 r_1 exp(i h_r) for every integer i the three
+    # transforms reach: row k of a window reads q_k on r_1, r_2, ...
+    h_r = math.log(r[2] / r[1])
+    n = len(r) - 2
+    i = np.arange(_Q_STRIDE * (len(q) - 1) + n)
+    table = np.sin(0.5 * np.exp(log_q[0] + math.log(r[1]) + i * h_r)) ** 2
+    window = sliding_window_view(table, n)[::_Q_STRIDE]
+    end = np.sin(0.5 * q * r[-1]) ** 2
+    # the kernel cut at its last node r[m - 1] <= R/2 has the same slope drops
+    # as the whole one below its own taper, at the first p inner nodes
+    m = int(np.searchsorted(r, 0.5 * r[-1], side="right"))
+    p = max(int(np.searchsorted(r, 0.9 * r[m - 1], side="right")) - 2, 0)
+    g_hat_0, d, end_slope = _filon_parts(r, g)
+    shared = _windowed(window[:, :p], d[:p])
+    g_hat = -4.0 * (shared + _windowed(window[:, p:], d[p:]) + end_slope * end) / q**2
+    pos_mass = float(np.sum(q * np.clip(g_hat, 0.0, None)))
+    neg_mass = -float(np.sum(q * np.clip(g_hat, None, 0.0)))
     if g_hat_0 <= 0 or pos_mass <= 0:
         raise NegativityError(f"kernel transform has no positive mass (G^(0) = {g_hat_0:.3e})")
     if neg_mass > 5e-3 * pos_mass:
@@ -492,13 +517,19 @@ def _width_from_kernel(kernel: CoherenceKernel) -> tuple[float, float]:
             f"(above 5e-3 of its positive mass); refine the grid"
         )
     width = _parseval_width(log_q, g_hat_0, g_hat)
+    # every other node: r_1 exp(2 k h_r), every other table entry
     coarse = np.r_[0, np.arange(1, len(r) - 1, 2), len(r) - 1]
-    half = slice(0, np.searchsorted(r, 0.5 * r[-1], side="right"))
-    g_half = _plateau_free(r[half], values[half])
+    c_hat_0, d_c, c_slope = _filon_parts(r[coarse], g[coarse])
+    c_window = sliding_window_view(np.ascontiguousarray(table[::2]), len(d_c))[:: _Q_STRIDE // 2]
+    c_hat = -4.0 * (_windowed(c_window, d_c) + c_slope * end) / q**2
+    # cut at r[m - 1]: its own G^(0), taper, drops from the taper on and end
+    h_hat_0, d_h, h_slope = _filon_parts(r[:m], _plateau_free(r[:m], values[:m]))
+    h_total = shared + _windowed(window[:, p : m - 2], d_h[p:])
+    h_hat = -4.0 * (h_total + h_slope * np.sin(0.5 * q * r[m - 1]) ** 2) / q**2
     checks = (
-        _parseval_width(log_q, *_cosine_transform(r[coarse], g[coarse], log_q)),
+        _parseval_width(log_q, c_hat_0, c_hat),
         _parseval_width(log_q[::2], g_hat_0, g_hat[::2]),
-        _parseval_width(log_q, *_cosine_transform(r[half], g_half, log_q)),
+        _parseval_width(log_q, h_hat_0, h_hat),
     )
     rel_error = max(abs(w / width - 1.0) for w in checks)
     if not (math.isfinite(width) and math.isfinite(rel_error)):
@@ -518,13 +549,15 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
     The kernel G = exp(-t s1) comes from s1 at the nodes of a fixed log
     lattice (100 per decade), cached per beam and axis (8 pairs kept) and
     filled node by node on first use, so widths at many times share one set
-    of profile evaluations.  The scale radii and a monotone cubic interpolant in log r
-    are built on those nodes; the interpolant gives G at 400 nodes per decade
-    from 1e-3 of the radius where t s1 = 1 up to the truncation radius, and
-    the width follows from the cosine transform of G on those nodes
-    (`_width_from_kernel`).  Separations beyond the analysis window (1e7
-    bohr, or larger when the decoherence scale demands) are treated as fully
-    decohered.
+    of profile evaluations.  The scale radii (a bisection over the nodes,
+    which reads computed ones directly) and a monotone cubic interpolant in
+    log r are built on those nodes; the interpolant gives G at 400 nodes per
+    decade from 1e-3 of the radius where t s1 = 1 up to the truncation
+    radius, and the width follows from the cosine transform of G on those
+    nodes (`_width_from_kernel`), in one pass with its three checks: one
+    sin^2 table, and one window product per transform.  Separations beyond
+    the analysis window (1e7 bohr, or larger when the decoherence scale
+    demands) are treated as fully decohered.
 
     A width that moves by more than 1e-3 when the transform is repeated on
     half the nodes, on half the wavenumbers or on half the truncation radius

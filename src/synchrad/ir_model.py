@@ -102,14 +102,18 @@ def soft_photon_number(
         Z^2 g_q^2 / c^2 * | e.v2/(omega - q.v2 + Delta)
                             - e.v1/(omega - q.v1 + Delta) |^2
 
-    Passing delta_override = 0 recovers the classical two-pole expression.
+    The amplitude is formed over one denominator, (D1 e.dv + e.v1 q.dv) /
+    (D1 D2) with D_i = omega - q.v_i + Delta and dv = v2 - v1, so the two
+    near-equal pole terms of a small jump never cancel.  Passing
+    delta_override = 0 recovers the classical two-pole expression.
     """
     delta = delta_shift(jump) if delta_override is None else delta_override
     mdv = math.hypot(*jump.delta_v)
     if mdv > 0 and mode.omega > mdv * C_AU:
         warnings.warn("soft_photon_number: omega above the soft regime m|dv|c", stacklevel=2)
-    v1, v2, e, q, omega = jump.v1, jump.v2, mode.e_vec, mode.q, mode.omega
-    amp = _dot(e, v2) / (omega - _dot(q, v2) + delta) - _dot(e, v1) / (omega - _dot(q, v1) + delta)
+    v1, v2, dv, e, q, omega = jump.v1, jump.v2, jump.delta_v, mode.e_vec, mode.q, mode.omega
+    d1, d2 = omega - _dot(q, v1) + delta, omega - _dot(q, v2) + delta
+    amp = (d1 * _dot(e, dv) + _dot(e, v1) * _dot(q, dv)) / (d1 * d2)
     return jump.Z**2 * mode.g_squared / C_AU**2 * amp**2
 
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -238,6 +239,28 @@ def test_s_vanishes_at_zero_separation_on_both_axes(log_gamma, log_radius):
         assert decoherence._profile(table, 0.0, theta0)[0] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(
+        st.one_of(
+            st.floats(math.log(1e-8), math.log(50.0)).map(math.exp),
+            st.floats(0.3, 0.7),
+            st.floats(1e-8, 50.0),
+        ).flatmap(lambda v: st.sampled_from([v, -v])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_one_minus_j0_matches_mpmath(x):
+    # 1 - J0 at 40 digits, on both sides of the series switch at |x| = 0.5
+    got = np.array(x)
+    decoherence._one_minus_j0(got)
+    with mpmath.workdps(40):
+        for xi, gi in zip(x, got):
+            want = 1 - mpmath.besselj(0, mpmath.mpf(xi))
+            assert abs(float((mpmath.mpf(float(gi)) - want) / want)) <= 1e-14
+
+
 def _row_profile(table, r, theta0):
     """s1 with each separation's unit factor formed whole by one np.where
     expression and summed as np.sum(factor * W)."""
@@ -248,9 +271,11 @@ def _row_profile(table, r, theta0):
         m = h = 0.0
         if abs(sin0) > 1e-12:
             x = ri * (k * s * sin0)
-            x2 = x * x
-            series = x2 / 4.0 * (1.0 - x2 / 16.0 + x2 * x2 / 576.0)
-            m = np.where(np.abs(x) < 1e-3, series, 1.0 - scipy.special.j0(x))
+            y = x * x
+            series = y * -((-0.25) ** 7 / math.factorial(7) ** 2)
+            for n in range(6, 0, -1):
+                series = (series - (-0.25) ** n / math.factorial(n) ** 2) * y
+            m = np.where(np.abs(x) < 0.5, series, 1.0 - scipy.special.j0(x))
         if abs(cos0) > 1e-12:
             h = 2.0 * np.sin(ri * (k * u * cos0) / 2.0) ** 2
         out.append(np.sum((m + h - m * h) * W))
@@ -266,13 +291,13 @@ def _row_profile(table, r, theta0):
 )
 def test_profile_rows_are_independent(theta0, modes, stretch, far):
     # r holds 0, separations whose J0 arguments straddle the series switch at
-    # 1e-3 for a few modes, and log-uniform ones; each value is the bits of
+    # 0.5 for a few modes, and log-uniform ones; each value is the bits of
     # its own single-separation call and of the row formed whole
     table = decoherence._mode_table(BEAM2, 16, 8, 8)
     k, s = table[0], table[1]
     modes = np.array(modes) % len(k)
     scale = abs(math.sin(theta0)) if abs(math.sin(theta0)) > 1e-12 else 1.0
-    switch = 1e-3 / (k[modes] * s[modes] * scale)
+    switch = 0.5 / (k[modes] * s[modes] * scale)
     r = np.concatenate([[0.0], switch * stretch, switch / stretch, 10.0 ** np.array(far)])
     got = decoherence._profile(table, r, theta0)
     single = np.concatenate([decoherence._profile(table, [ri], theta0) for ri in r])
@@ -448,6 +473,117 @@ def test_width_of_a_kernel_cut_before_it_decays_is_not_certified():
         _log_kernel(1e-3, 12.0, lambda r: np.exp(-(r**2) / 2))
     )
     assert width == pytest.approx(0.5, rel=1e-5) and rel_error <= decoherence._WIDTH_RTOL
+
+
+def _separate_transform(r, g, log_q, h):
+    """G^(0) and G^ at q = exp(log_q) of the piecewise-linear g through r by
+    Filon's rule, on its own sin^2 table at the phases q_0 r_1 exp(i h) and
+    its own window product: the width solve's transform as three separate
+    calls made it."""
+    slope = np.diff(g) / np.diff(r)
+    stride = round((log_q[1] - log_q[0]) / h)
+    n = len(r) - 2
+    i = np.arange(stride * (len(log_q) - 1) + n)
+    table = np.sin(0.5 * np.exp(log_q[0] + math.log(r[1]) + i * h)) ** 2
+    window = np.lib.stride_tricks.sliding_window_view(table, n)[::stride]
+    q = np.exp(log_q)
+    total = window @ (slope[:-1] - slope[1:]) + slope[-1] * np.sin(0.5 * q * r[-1]) ** 2
+    return float(np.sum((g[1:] + g[:-1]) * np.diff(r))), -4.0 * total / q**2
+
+
+def _separate_widths(kernel):
+    """The width and its three checks (every other node, every other
+    wavenumber, the kernel cut at R/2), each from its own transform."""
+    r, values = kernel.r, kernel.values
+    log_r = np.log(r[1:-1])
+    h = (log_r[-1] - log_r[0]) / (len(log_r) - 1)
+    g = decoherence._plateau_free(r, values)
+    r_e = r[np.argmax(g <= g[0] / math.e)]
+    q_step = decoherence._Q_STRIDE * h
+    log_q = np.arange(
+        math.log(decoherence._Q_LO / r[-1]), math.log(decoherence._Q_HI / r_e) + q_step, q_step
+    )
+    # the step in log r of the phases, as r[2] / r[1] gives it; the coarse
+    # nodes take twice that, not log(r[3] / r[1]), whose own rounding would
+    # move its high-q phases, and that check, by up to about 2e-12
+    h_r = math.log(r[2] / r[1])
+    g_hat_0, g_hat = _separate_transform(r, g, log_q, h_r)
+    coarse = np.r_[0, np.arange(1, len(r) - 1, 2), len(r) - 1]
+    m = np.searchsorted(r, 0.5 * r[-1], side="right")
+    g_half = decoherence._plateau_free(r[:m], values[:m])
+    return [
+        decoherence._parseval_width(log_q, g_hat_0, g_hat),
+        decoherence._parseval_width(log_q, *_separate_transform(r[coarse], g[coarse], log_q, 2 * h_r)),
+        decoherence._parseval_width(log_q[::2], g_hat_0, g_hat[::2]),
+        decoherence._parseval_width(log_q, *_separate_transform(r[:m], g_half, log_q, h_r)),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_r_lo=st.floats(-4.0, -1.0),
+    log_ratio=st.floats(0.0, 4.0),
+    log_cut=st.floats(0.3, 1.5),
+    a=st.floats(0.0, 0.5),
+    power=st.floats(1.0, 2.0),
+)
+def test_one_pass_width_equals_separate_transforms(log_r_lo, log_ratio, log_cut, a, power):
+    # G = (1 - a) exp(-r^p) + a exp(-(r / s2)^p), positive definite for
+    # 0 < p <= 2, on 400 nodes per decade from r_lo, cut at r_max past s2:
+    # the width and each check from the one table and window equal those of
+    # three separate transforms
+    s2 = 10.0**log_ratio
+    kernel = _log_kernel(
+        10.0**log_r_lo,
+        10.0**log_cut * s2,
+        lambda r: (1 - a) * np.exp(-(r**power)) + a * np.exp(-((r / s2) ** power)),
+    )
+    widths = []
+    parseval = decoherence._parseval_width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            decoherence, "_parseval_width", lambda *args: widths.append(parseval(*args)) or widths[-1]
+        )
+        try:
+            width, rel_error = decoherence._width_from_kernel(kernel)
+        except NegativityError:
+            assume(False)
+    want = _separate_widths(kernel)
+    assert widths[0] == width
+    assert rel_error == max(abs(w / width - 1.0) for w in widths[1:])
+    assert abs(width / want[0] - 1.0) <= 1e-13
+    for got, ref in zip(widths[1:], want[1:]):
+        assert abs(got / ref - 1.0) <= 1e-12
+
+
+def test_lattice_node_reads_a_computed_node_without_a_profile_call(monkeypatch):
+    calls = []
+    profile = decoherence._profile
+    monkeypatch.setattr(decoherence, "_profile", lambda *a: calls.append(a) or profile(*a))
+    lattice = decoherence._Lattice(BEAM2, math.pi / 2)
+    lo, hi = decoherence._NODE_RANGE
+    for j in (lo, 0, 57, hi):
+        first = lattice.node(j)  # not yet computed: one profile call
+        assert len(calls) == 1
+        assert first == lattice.span(j, j)[0]
+        assert lattice.node(j) == first
+        assert len(calls) == 1
+        calls.clear()
+    for j in (lo - 1, hi + 1):
+        with pytest.raises(IndexError):
+            lattice.node(j)
+
+
+@pytest.mark.parametrize("theta0", [math.pi / 2, 0.0])
+def test_scale_radius_is_the_same_on_an_empty_and_a_filled_lattice(theta0):
+    filled = decoherence._Lattice(BEAM2, theta0)
+    filled.span(*decoherence._NODE_RANGE)
+    rate = filled.rate
+    for t in (10.0 / rate, 1e3 / rate, 1e6 / rate):
+        for target in (1.0, min(37.0, 0.98 * t * rate)):
+            empty = decoherence._Lattice(BEAM2, theta0)
+            got = decoherence._scale_radius(empty, t, target)
+            assert got is not None and got == decoherence._scale_radius(filled, t, target)
 
 
 @settings(max_examples=12, deadline=None)

@@ -274,14 +274,15 @@ _ANGLES = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
 
 
 @st.composite
-def _jumps(draw):
+def _jumps(draw, smallest=6.0, largest=0.54):
     """Oblique jumps: v1 at beta1 c, v2 = v1 + dv with |dv|/|v1| in
-    [1e-6, 0.29] in any direction, its component along v1 turned to slow
-    the particle down, so that v2 stays below c."""
+    [10^-smallest, 10^-largest] ([1e-6, 0.29] by default) in any direction,
+    its component along v1 turned to slow the particle down, so that v2
+    stays below c."""
     beta1 = draw(_BETAS)
     u1 = _unit(*draw(_ANGLES))
     v1 = beta1 * C_AU * u1
-    dv = 10.0 ** -draw(st.floats(0.54, 6.0)) * beta1 * C_AU * _unit(*draw(_ANGLES))
+    dv = 10.0 ** -draw(st.floats(largest, smallest)) * beta1 * C_AU * _unit(*draw(_ANGLES))
     dv -= 2.0 * max(float(dv @ u1), 0.0) * u1
     v2 = v1 + dv
     if float(v2 @ v2) >= float(v1 @ v1):  # nearly transverse: rotate only
@@ -308,6 +309,50 @@ def test_soft_spectral_density_matches_mpmath(jump, log_omega, shifted):
     assert math.isfinite(got) and want > 0.0
     bound = 1e-13 + 1e-15 * max(_gamma2(jump.v1), _gamma2(jump.v2))
     assert abs(got / want - 1.0) <= bound
+
+
+def _mp_soft_number(jump, mode, delta):
+    """soft_photon_number's two-pole form at 40 digits: the pole terms of a
+    jump with |dv|/|v1| = 1e-8 cancel 8 of them, and 32 remain."""
+    with mpmath.workdps(40):
+        v1, v2, e, q = ([mpmath.mpf(x) for x in a.tolist()] for a in (jump.v1, jump.v2, mode.e_vec, mode.q))
+        w, dl = mpmath.mpf(mode.omega), mpmath.mpf(delta)
+        amp = _mp_dot(e, v2) / (w - _mp_dot(q, v2) + dl) - _mp_dot(e, v1) / (w - _mp_dot(q, v1) + dl)
+        return mpmath.mpf(jump.Z) ** 2 * mpmath.mpf(mode.g_squared) / mpmath.mpf(C_AU) ** 2 * amp**2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jump=_jumps(smallest=8.0, largest=0.523),
+    direction=_ANGLES,
+    alpha=st.sampled_from([1, 2]),
+    log_omega=st.floats(-6.0, 6.0),
+    shifted=st.booleans(),
+)
+def test_soft_photon_number_matches_mpmath(jump, direction, alpha, log_omega, shifted):
+    # |dv|/|v1| from 1e-8 to 0.3.  The bound is relative to the amplitude's
+    # two terms, D1 e.dv and e.v1 q.dv over D1 D2, each taken in magnitude: it
+    # is 1e-13 of the number unless the amplitude itself cancels (e nearly
+    # normal to dv), and it carries the gamma^2 of the denominators'
+    # 1 - n.v/c.  The two-pole difference e.v2/D2 - e.v1/D1 misses it by
+    # rounding times |dv|/|v1| to the minus one.
+    mode = PhotonMode(alpha=alpha, q=10.0**log_omega / C_AU * _unit(*direction))
+    delta = delta_shift(jump) if shifted else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = soft_photon_number(jump, mode, delta_override=delta)
+    want = float(_mp_soft_number(jump, mode, delta))
+    v1, v2, e, q = jump.v1, jump.v2, mode.e_vec, mode.q
+    dv = np.abs(v2 - v1)
+    d1, d2 = mode.omega - float(q @ v1) + delta, mode.omega - float(q @ v2) + delta
+    terms = (abs(d1) * (np.abs(e) @ dv) + (np.abs(e) @ np.abs(v1)) * (np.abs(q) @ dv)) / abs(d1 * d2)
+    pref = jump.Z**2 * mode.g_squared / C_AU**2
+    bound = 1e-13 + 1e-15 * max(_gamma2(v1), _gamma2(v2))
+    # an amplitude near 1e-160 squares below the normal range, where amp**2
+    # and the product round to the subnormal spacing
+    underflow = (2.0 * pref + 1.0) * math.ulp(0.0)
+    assert math.isfinite(got)
+    assert abs(got - want) <= bound * pref * terms**2 + underflow
 
 
 def test_results_are_finite_at_the_fastest_accepted_speeds():
