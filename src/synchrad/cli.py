@@ -4,18 +4,20 @@ CSV/JSON artifacts.
 Commands: spectrum (per-harmonic angular rates and radiated totals), ir
 (velocity-jump soft-photon spectrum), decohere (decoherence exponent and
 localization widths), packet (Landau-level packet report).
+One argument parser serves every `main` call, and one CSV writer formats a
+grid's leading columns once per grid and only the values on each call.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,15 +273,34 @@ def _write_json(path, payload) -> None:
         f.write(text + "\n")
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """LF-terminated CSV of one or more rows: an int column as written, any
-    other column as %.16e."""
-    rows = iter(rows)
-    first = next(rows)
-    line = ",".join("%d" if isinstance(v, int) else "%.16e" for v in first) + "\n"
+_CSV_CACHE_ROWS = 1 << 16  # longest grid whose leading text _write_csv keeps
+
+
+def _heads(columns):
+    """Each row's leading columns as text through its last comma: an int
+    column (by its first value) as written, any other as %.16e."""
+    line = "".join("%d," if isinstance(c[0], int) else "%.16e," for c in columns)
+    return (line % row for row in zip(*columns))
+
+
+@lru_cache(maxsize=16)
+def _grid_heads(key: tuple) -> tuple[str, ...]:
+    """_heads of a grid keyed by its int columns' values and float columns'
+    bytes (so 0.0 and -0.0 differ)."""
+    return tuple(_heads([c if isinstance(c, tuple) else np.frombuffer(c).tolist() for c in key]))
+
+
+def _write_csv(path, header: str, columns, values) -> None:
+    """LF-terminated CSV: per value, its row's leading columns (the grid) and
+    the value as %.16e; grids of at most 65,536 rows are formatted once."""
+    if len(values) <= _CSV_CACHE_ROWS:
+        key = (tuple(c) if isinstance(c[0], int) else np.asarray(c, float).tobytes() for c in columns)
+        heads = _grid_heads(tuple(key))
+    else:
+        heads = _heads(columns)
     with open(path, "w", newline="\n") as f:
         f.write(header + "\n")
-        f.writelines(line % row for row in itertools.chain([first], rows))
+        f.writelines(map("%s%.16e\n".__mod__, zip(heads, values)))
 
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
@@ -290,12 +311,8 @@ def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
         np.asarray(harmonics, dtype=float)[:, None], np.asarray(thetas, dtype=float), config.beam
     )
     csv_path = os.path.join(out_dir, "spectrum.csv")
-    rows = (
-        (n, theta, rate)
-        for n, row in zip(harmonics, rates.tolist())
-        for theta, rate in zip(thetas, row)
-    )
-    _write_csv(csv_path, "n,theta_rad,rate_au", rows)
+    columns = ([n for n in harmonics for _ in thetas], np.tile(thetas, len(harmonics)))
+    _write_csv(csv_path, "n,theta_rad,rate_au", columns, rates.ravel().tolist())
     json_path = os.path.join(out_dir, "spectrum.json")
     _write_json(
         json_path,
@@ -322,7 +339,7 @@ def _run_ir(config: RunConfig, out_dir: str) -> list[str]:
     grid = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), params["points"]))
     csv_path = os.path.join(out_dir, "ir.csv")
     density = ir_model.soft_spectral_density(jump, grid, delta_override=shift)
-    _write_csv(csv_path, "omega_au,dN_domega", zip(grid.tolist(), density.tolist()))
+    _write_csv(csv_path, "omega_au,dN_domega", (grid,), density.tolist())
     json_path = os.path.join(out_dir, "ir.json")
     _write_json(
         json_path,
@@ -347,13 +364,12 @@ def _run_decohere(config: RunConfig, out_dir: str) -> list[str]:
         [[0.0], np.exp(np.linspace(math.log(r_min), math.log(r_max), params["r_points"]))]
     )
     axes = ("transverse", "longitudinal")
-    rows = []  # transverse rows first, then longitudinal
-    for axis in axes:
-        theta0 = decoherence._AXIS_ANGLE[axis]
-        s = decoherence.s_averaged(r, theta0, t, config.beam)
-        rows.extend(zip(r.tolist(), itertools.repeat(theta0), s.tolist()))
+    theta0s = [decoherence._AXIS_ANGLE[axis] for axis in axes]
+    s = [decoherence.s_averaged(r, theta0, t, config.beam) for theta0 in theta0s]
     csv_path = os.path.join(out_dir, "decohere.csv")
-    _write_csv(csv_path, "r_bohr,theta0_rad,S", rows)
+    # transverse rows first, then longitudinal
+    columns = (np.tile(r, len(axes)), np.repeat(theta0s, len(r)))
+    _write_csv(csv_path, "r_bohr,theta0_rad,S", columns, np.concatenate(s).tolist())
     payload = {"t_au": t}
     # an uncertified width is reported in the JSON rather than on stderr
     with warnings.catch_warnings():
@@ -392,14 +408,16 @@ def run(config: RunConfig, out_dir: str = ".") -> list[str]:
     return _RUNNERS[config.command](config, out_dir)
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="synchrad", description="Synchrotron emission and decoherence toolkit"
+)
+_PARSER.add_argument("--config", required=True, help="path to key=value config file")
+_PARSER.add_argument("--out", default=".", help="output directory for artifacts")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="synchrad", description="Synchrotron emission and decoherence toolkit"
-    )
-    parser.add_argument("--config", required=True, help="path to key=value config file")
-    parser.add_argument("--out", default=".", help="output directory for artifacts")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # a usage error (2) or --help (0)
         return exc.code
 

@@ -22,7 +22,10 @@ harmonic grid builder and Bessel pass.  `_profile` forms it one separation
 at a time: the row of factors over all modes is filled in place, scaled by
 the weights and summed by numpy's pairwise summation (Higham 1993), so each
 value is fixed by its separation alone, whatever the other separations of
-the call or their order, and no BLAS kernel enters it.
+the call or their order, and no BLAS kernel enters it.  1 - J0 takes its
+series and j0 on runs of the row, not masks, and 1 - cos(x) = 2 sin^2(x/2)
+folds its halving and doubling into the call; no per-mode array outlives
+the call.
 `s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
 an uncached table of Airy-kernel modes, on the mode table's trapezoid rule
 in log n (`numerics.log_trapezoid`) in scaled harmonic number.
@@ -95,6 +98,21 @@ class CoherenceKernel:
             raise DomainError("coherence kernel values must lie in (0, 1]")
 
 
+# 1 - J0(x) = -sum_k (-y/4)^k / k!^2, y = x^2: the y^7 coefficient, then y^6..y
+_J0_SERIES_TOP = -((-0.25) ** 7 / math.factorial(7) ** 2)
+_J0_SERIES = tuple((-0.25) ** k / math.factorial(k) ** 2 for k in range(6, 0, -1))
+
+
+def _j0_series(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - J0(x) from y = x^2, |x| < 0.5, by Horner's rule in place in out
+    (a new array if None)."""
+    acc = np.multiply(y, _J0_SERIES_TOP, out=out)
+    for c in _J0_SERIES:
+        acc -= c
+        acc *= y
+    return acc
+
+
 def _one_minus_j0(x: np.ndarray) -> None:
     """x -> 1 - J0(x) in place, without cancellation at small x: where |x| <
     0.5 the power series -sum_k (-x^2/4)^k / k!^2 to its x^14 term
@@ -107,19 +125,18 @@ def _one_minus_j0(x: np.ndarray) -> None:
         scipy.special.j0(x, out=x)
     np.subtract(1.0, x, out=x)
     y *= y
-    acc = y * -((-0.25) ** 7 / math.factorial(7) ** 2)
-    for k in range(6, 0, -1):  # in place, with no temporary array
-        acc -= (-0.25) ** k / math.factorial(k) ** 2
-        acc *= y
-    x[small] = acc
+    x[small] = _j0_series(y)
 
 
-def _one_minus_cos(x: np.ndarray) -> None:
-    """x -> 1 - cos(x) = 2 sin^2(x/2) in place."""
-    x /= 2.0
-    np.sin(x, out=x)
-    np.square(x, out=x)
-    x *= 2.0
+def _switch_bound(r: float) -> float:
+    """The least float m with fl(|r| m) >= 0.5: r a is below the series
+    switch exactly when |a| < m, as rounding is monotone and even."""
+    r, m = abs(r), 0.5 / abs(r) if r else math.inf
+    while r * m < 0.5:
+        m = math.nextafter(m, math.inf)
+    while r * math.nextafter(m, 0.0) >= 0.5:
+        m = math.nextafter(m, 0.0)
+    return m
 
 
 def _profile(table, r, theta0: float) -> np.ndarray:
@@ -127,29 +144,62 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     cos(r k cos(theta0) u)).
 
     The factor 1 - J0(a) cos(b) is assembled from the cancellation-free
-    pieces m = 1 - J0(a) and h = 1 - cos(b) as m + h - m h, or as m or h
-    alone where cos(theta0) or sin(theta0) vanishes (they never both do),
-    with the series of 1 - J0 formed only where its argument is below 0.5.
-    One separation at a time: its row of factors is filled in place, scaled
-    by W and summed by numpy's pairwise summation, an order fixed by the
-    row alone.  Returns s1 at r, flattened."""
+    pieces m = 1 - J0(a) and h = 1 - cos(b) = 2 sin^2(b/2) as m + h - m h,
+    or as m or h alone where cos(theta0) or sin(theta0) vanishes (they never
+    both do).  One separation at a time: its row of factors is filled in
+    place, scaled by W and summed by numpy's pairwise summation, an order
+    fixed by the row alone.  Returns s1 at r, flattened.
+
+    Each element takes _one_minus_j0's operations, on runs: in blocks as
+    long as the first harmonic's, |a| is below 0.5 before the running block
+    maximum reaches `_switch_bound(r)` and above it from where the running
+    block minimum from the right does; the series (x^2 in the m h row) and
+    j0 take those runs, the blocks between choose per element.  The
+    longitudinal factor alone is sin^2(r b/2) (2W), b halved and W doubled
+    once per call: the bits of (1 - cos(r b)) W."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    a = None if abs(sin0) <= 1e-12 else k * s * sin0
-    b = None if abs(cos0) <= 1e-12 else k * u * cos0
     r = np.asarray(r, dtype=float).ravel()
-    f, h, mh = np.empty((3, len(k)))
     out = np.empty(len(r))
-    for i, ri in enumerate(r):
-        if a is None:
-            _one_minus_cos(np.multiply(ri, b, out=f))
-        else:
-            _one_minus_j0(np.multiply(ri, a, out=f))
-            if b is not None:
-                _one_minus_cos(np.multiply(ri, b, out=h))
-                np.multiply(f, h, out=mh)
-                f += h
-                f -= mh
+    if abs(sin0) <= 1e-12:
+        half_b, double_w, f = k * u * (0.5 * cos0), W * 2.0, np.empty(len(k))
+        for i, ri in enumerate(r):
+            np.multiply(ri, half_b, out=f)
+            np.sin(f, out=f)
+            np.square(f, out=f)
+            f *= double_w
+            out[i] = f.sum()
+        return out
+    a = k * s * sin0
+    np.abs(a, out=a)  # 1 - J0 is even, in the series and in j0 alike
+    half_b = None if abs(cos0) <= 1e-12 else k * u * (0.5 * cos0)
+    n = len(k)
+    block = int(np.argmax(k != k[0])) or n
+    starts = np.arange(0, n, block)
+    rising = np.maximum.accumulate(np.maximum.reduceat(a, starts))
+    falling = np.minimum.accumulate(np.minimum.reduceat(a, starts)[::-1])[::-1]
+    bounds = [_switch_bound(ri) for ri in r.tolist()]
+    los = np.minimum(block * np.searchsorted(rising, bounds), n).tolist()
+    his = np.minimum(block * np.searchsorted(falling, bounds), n).tolist()
+    f, h, mh = np.empty((3, n))
+    for i, (ri, lo, hi) in enumerate(zip(r, los, his)):
+        np.multiply(ri, a, out=f)
+        _j0_series(np.square(f[:lo], out=mh[:lo]), out=f[:lo])
+        if lo < hi:
+            _one_minus_j0(f[lo:hi])
+        if hi < n:
+            tail = f[hi:]
+            with np.errstate(invalid="ignore"):
+                scipy.special.j0(tail, out=tail)
+            np.subtract(1.0, tail, out=tail)
+        if half_b is not None:
+            np.multiply(ri, half_b, out=h)
+            np.sin(h, out=h)
+            np.square(h, out=h)
+            h *= 2.0
+            np.multiply(f, h, out=mh)
+            f += h
+            f -= mh
         f *= W
         out[i] = f.sum()
     return out

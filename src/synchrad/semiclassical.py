@@ -110,6 +110,10 @@ class PhotonMode:
         if self.alpha not in (1, 2):
             raise DomainError(f"polarization index must be 1 or 2, got {self.alpha}")
         object.__setattr__(self, "q", _photon_momentum(self.q))
+        # not a field: eq, hash and repr see alpha and q only
+        e = transverse_polarization_pairs(self.q / math.hypot(*self.q))[self.alpha - 1]
+        e.setflags(write=False)
+        object.__setattr__(self, "_e_vec", e)
 
     @property
     def omega(self) -> float:
@@ -122,7 +126,8 @@ class PhotonMode:
 
     @property
     def e_vec(self) -> np.ndarray:
-        return transverse_polarization_pairs(self.q / math.hypot(*self.q))[self.alpha - 1]
+        """The polarization vector, read-only, formed once at construction."""
+        return self._e_vec
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -235,6 +236,93 @@ def test_run_is_deterministic(tmp_path):
     run(parse_config(text), str(b))
     assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
     assert (a / "spectrum.json").read_bytes() == (b / "spectrum.json").read_bytes()
+
+
+def _reference_csv(path, header, rows):
+    """The CSV writer formatting each whole row with one % call: an int
+    column (by the first row) as written, any other as %.16e."""
+    rows = iter(rows)
+    first = next(rows)
+    line = ",".join("%d" if isinstance(v, int) else "%.16e" for v in first) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(line % row for row in itertools.chain([first], rows))
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.pi, 1e-320])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n_rows=st.integers(1, 9),
+    int_columns=st.lists(st.booleans(), min_size=1, max_size=3),
+    cap=st.sampled_from([4, 1 << 16]),
+)
+def test_csv_writer_matches_per_row_formatting(data, n_rows, int_columns, cap):
+    # the grid of leading columns (int or float) is written twice with new
+    # values, cached or, above the cap, formatted per call; then as its
+    # negation, which turns 0.0 into -0.0, a grid the cache must not confuse
+    # with the first; every file has the bytes of the per-row writer
+    column = lambda is_int: st.lists(
+        st.integers(-(10**20), 10**20) if is_int else _CSV_FLOATS, min_size=n_rows, max_size=n_rows
+    )
+    grid = [data.draw(column(is_int)) for is_int in int_columns]
+    negated = [[-v for v in c] for c in grid]
+    values = lambda: data.draw(st.lists(_CSV_FLOATS, min_size=n_rows, max_size=n_rows))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CSV_CACHE_ROWS", cap)
+        for columns in (grid, grid, negated, grid):
+            value = values()
+            got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            cli._write_csv(got, "a,b", columns, value)
+            _reference_csv(want, "a,b", zip(*columns, value))
+            assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+def test_csv_writer_above_the_cache_cap(tmp_path):
+    # a grid one row longer than the cap is formatted per call and not kept
+    rows = cli._CSV_CACHE_ROWS + 1
+    columns = ([n // 7 for n in range(rows)], np.linspace(-1.0, 1.0, rows))
+    values = np.geomspace(1e-300, 1e300, rows).tolist()
+    before = cli._grid_heads.cache_info().currsize
+    cli._write_csv(tmp_path / "got.csv", "n,x,v", columns, values)
+    assert cli._grid_heads.cache_info().currsize == before
+    _reference_csv(tmp_path / "want.csv", "n,x,v", zip(columns[0], columns[1].tolist(), values))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_shared_parser_matches_fresh_interpreters(tmp_path, capsys, monkeypatch):
+    # main keeps one argument parser per process: a usage error, --help, a
+    # good config and another usage error, in turn in this process, exit and
+    # print as each does in an interpreter of its own
+    good = tmp_path / "good.cfg"
+    good.write_text("command = packet\nbeam.gamma = 2.0\nbeam.radius_bohr = 100.0\n")
+    calls = [
+        ["--out", str(tmp_path)],
+        ["--help"],
+        ["--config", str(good), "--out", str(tmp_path / "out")],
+        ["--config", str(good), "--threads", "2"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps --help to
+    here = []
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        here.append((code, out, err))
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from synchrad import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in here] == [2, 0, 0, 2]
+    assert here == fresh
 
 
 def test_main_exit_codes(tmp_path, capsys):

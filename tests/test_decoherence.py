@@ -305,6 +305,47 @@ def test_profile_rows_are_independent(theta0, modes, stretch, far):
     assert np.array_equal(got, _row_profile(table, r, theta0))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    theta0=st.sampled_from([0.0, math.pi / 2.0, -math.pi / 2.0, 1.0, -1.0, math.pi, -math.pi]),
+    edges=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    modes=st.lists(st.integers(0, 10**6), max_size=3),
+    far=st.lists(st.floats(-6.0, 16.0), max_size=4),
+)
+def test_profile_runs_match_the_whole_row_on_fian60(theta0, edges, modes, far):
+    # the width table of FIAN_60 (6,504 modes in harmonic blocks of 24), at
+    # separations that put the series switch at 0.5 exactly on, and a float
+    # either side of, the first, last, largest or smallest mode of a block or
+    # any chosen mode: the runs of _profile give each value the bits of the
+    # row formed whole and of its own single-separation call, for every sign
+    # of theta0
+    table = decoherence._mode_table(beam_from_lab(FIAN_60), **decoherence._WIDTH_RES)
+    k, s = table[0], table[1]
+    blocks = np.split(np.arange(len(k)), np.flatnonzero(np.diff(k)) + 1)
+    chosen = [blocks[i % len(blocks)] for i in edges]
+    picks = np.concatenate([
+        [b[0] for b in chosen],
+        [b[-1] for b in chosen],
+        [b[np.argmax(s[b])] for b in chosen],
+        [b[np.argmin(s[b])] for b in chosen],
+        np.array(modes, dtype=int) % len(k),
+    ]).astype(int)
+    scale = abs(math.sin(theta0)) if abs(math.sin(theta0)) > 1e-12 else 1.0
+    switch = 0.5 / (k[picks] * s[picks] * scale)
+    r = np.concatenate([
+        [0.0], switch, np.nextafter(switch, 0.0), np.nextafter(switch, math.inf), 10.0 ** np.array(far)
+    ])
+    got = decoherence._profile(table, r, theta0)
+    single = np.concatenate([decoherence._profile(table, [ri], theta0) for ri in r])
+    assert np.array_equal(got, single)
+    assert np.array_equal(got, _row_profile(table, r, theta0))
+    # a unit weight on one picked mode makes s1 that mode's factor alone, so
+    # its bits are checked without the rest of the row's sum to hide them
+    for i in np.unique(picks):
+        one = (*table[:3], np.where(np.arange(len(k)) == i, 1.0, 0.0))
+        assert np.array_equal(decoherence._profile(one, r, theta0), _row_profile(one, r, theta0))
+
+
 def test_profile_peak_memory_stays_under_4_mb():
     # the kernel holds two phase-rate rows and three work rows, each as long
     # as the mode table (0.35 MB at 43,824 modes): these three calls peak at

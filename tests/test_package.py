@@ -223,9 +223,11 @@ def test_bench_tracer_finds_every_hook(monkeypatch):
     try:
         assert tracer.absent == []
         table = decoherence._mode_table(_BEAM, 16, 8, 8)
-        decoherence._profile(table, np.array([0.0, 1.0]), 0.3)
-        assert tracer.counts["decoherence.profile.evals"] == 2 * len(table[0])
-        assert tracer.counts["special.j0.elems"] == 2 * len(table[0])
+        decoherence._profile(table, np.array([0.0, 1.0, 1e6]), 0.3)
+        assert tracer.counts["decoherence.profile.evals"] == 3 * len(table[0])
+        # j0 runs on every argument at 1e6 (all at least 0.5) and on none at 0
+        # or 1 (all below 0.5, where the series alone serves)
+        assert tracer.counts["special.j0.elems"] == len(table[0])
     finally:
         tracer.uninstall()
     assert decoherence._profile is profile and scipy.special.j0 is j0

@@ -43,6 +43,25 @@ def test_polarization_basis_orthonormal():
     e1, e2 = transverse_polarization_pairs(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
     assert e1[0].tolist() == [1.0, 0.0, 0.0] and e2[0].tolist() == [0.0, 1.0, 0.0]
     assert np.allclose(np.cross(e1[1], e2[1]), [0.6, 0.0, 0.8], atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(lambda v: max(map(abs, v)) > 1e-100),
+    alpha=st.sampled_from([1, 2]),
+)
+@example(q=[0.0, 0.0, -2.0], alpha=1)
+@example(q=[0.0, 0.0, 2.0], alpha=2)
+def test_photon_mode_polarization_is_formed_once(q, alpha):
+    # e_vec is the basis vector of transverse_polarization_pairs, bit for bit,
+    # read-only, the same object on every read, and no field of the record
+    mode = PhotonMode(alpha=alpha, q=np.array(q))
+    want = transverse_polarization_pairs(mode.q / math.hypot(*mode.q))[alpha - 1]
+    assert mode.e_vec.tobytes() == want.tobytes()
+    assert not mode.e_vec.flags.writeable
+    assert mode.e_vec is mode.e_vec
+    assert repr(mode) == f"PhotonMode(alpha={alpha}, q={mode.q!r})"
+    assert mode == PhotonMode(alpha=alpha, q=mode.q)
     for bad in (np.zeros(3), [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0, 2.0]):
         with pytest.raises(DomainError):
             PhotonMode(alpha=1, q=bad)
