@@ -40,7 +40,7 @@ DEFAULT_QC = C_AU
 FAST_PHASE_THRESHOLD = 20.0
 
 # Lags |t1 - t2| remembered per cached constant-velocity geometry (about
-# 100 bytes each); the oldest is dropped first.
+# 200 bytes each); the least recently used is dropped first.
 _P_MEMO_SIZE = 1024
 
 # Nodes of each of p_const_velocity's two 1-D rules: the Bernstein-ellipse
@@ -232,8 +232,7 @@ class _ConstVelocityGeometry:
     weight 2 pi <F>(u'), the average of F over the cone n'.w = |w| u'.  Each
     takes an n-node Filon-Legendre rule (_rule); the first n puts rho^-n
     below e^-46 on the Bernstein ellipse rho = c/v + sqrt(c^2/v^2 - 1), v =
-    max(|v0|, |w|), through the nearest singularity of either integrand.
-    memo maps |dt| to the integral at +|dt|."""
+    max(|v0|, |w|), through the nearest singularity of either integrand."""
 
     def __init__(self, v0: list, w: list, q_c: float):
         self.speed, self.w_speed, self.q_c = math.hypot(*v0), math.hypot(*w), q_c
@@ -246,7 +245,6 @@ class _ConstVelocityGeometry:
         log_rho = math.acosh(C_AU / max(self.speed, self.w_speed))
         self.nodes = min(_P_MAX_NODES, max(_P_MIN_NODES, math.ceil(46.0 / max(log_rho, 1e-300))))
         self.rules = {}
-        self.memo = {}
 
     def _rule(self, n: int):
         """The n-node rule of both integrals, kept per n.  On the n Gauss
@@ -353,10 +351,11 @@ class _ConstVelocityGeometry:
 
 @lru_cache(maxsize=8)
 def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma):
-    """p_const_velocity's lag-independent part, a _ConstVelocityGeometry, or
-    None for v0 = 0.  Keyed by the bytes of v0 and q, so the key tells -0.0
-    from 0.0 exactly as the arithmetic does.  The domain checks run here,
-    once per geometry."""
+    """p_const_velocity's lag-independent part: the integral of a
+    _ConstVelocityGeometry, cached per |dt| in an lru_cache of _P_MEMO_SIZE
+    lags, or None for v0 = 0.  Keyed by the bytes of v0 and q, so the key
+    tells -0.0 from 0.0 exactly as the arithmetic does.  The domain checks
+    run here, once per geometry."""
     v0 = np.frombuffer(v0_bytes)
     q = np.frombuffer(q_bytes)
     if not np.linalg.norm(v0) < C_AU:
@@ -373,7 +372,7 @@ def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma):
         raise DomainError(f"v0 - q/gamma must have speed below c, got {w}")
     if np.allclose(v0, 0.0):
         return None
-    return _ConstVelocityGeometry(v0.tolist(), w, q_c)
+    return lru_cache(maxsize=_P_MEMO_SIZE)(_ConstVelocityGeometry(v0.tolist(), w, q_c).integral)
 
 
 def p_const_velocity(
@@ -410,21 +409,15 @@ def p_const_velocity(
     """
     v0 = np.asarray(v0, dtype=float)
     q = np.asarray(q, dtype=float)
-    geometry = _const_velocity_geometry(v0.tobytes(), q.tobytes(), float(q_c), float(gamma))
+    integral = _const_velocity_geometry(v0.tobytes(), q.tobytes(), float(q_c), float(gamma))
     dt = t1 - t2
     if not math.isfinite(dt):
         raise DomainError(f"lag t1 - t2 must be finite, got t1 = {t1}, t2 = {t2}")
     if not math.isfinite(Z):
         raise DomainError(f"charge number must be finite, got {Z}")
-    if dt == 0.0 or geometry is None:
+    if dt == 0.0 or integral is None:
         return PExponent(0.0 + 0.0j)
-    memo = geometry.memo
-    known = memo.get(abs(dt))
-    if known is None:
-        known = geometry.integral(abs(dt))
-        if len(memo) >= _P_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[abs(dt)] = known
+    known = integral(abs(dt))
     do_integral = known if dt > 0 else known.conjugate()
     value = Z**2 / (4.0 * math.pi**2 * C_AU**3) * do_integral
     return PExponent(complex(value))

@@ -23,9 +23,10 @@ at a time: the row of factors over all modes is filled in place, scaled by
 the weights and summed by numpy's pairwise summation (Higham 1993), so each
 value is fixed by its separation alone, whatever the other separations of
 the call or their order, and no BLAS kernel enters it.  1 - J0 takes its
-series and j0 on runs of the row, not masks, and 1 - cos(x) = 2 sin^2(x/2)
-folds its halving and doubling into the call; no per-mode array outlives
-the call.
+series on the leading run of the row where every argument is below 0.5, j0
+on the trailing run where none is, and a per-element choice only in the
+blocks between; 1 - cos(x) = 2 sin^2(x/2) folds its halving and doubling
+into the call; no per-mode array outlives the call.
 `s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
 an uncached table of Airy-kernel modes, on the mode table's trapezoid rule
 in log n (`numerics.log_trapezoid`) in scaled harmonic number.

@@ -343,17 +343,13 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
 # dropped terms and start error together, and the most terms it may take.
 _MILLER_TOL = 1e-16
 _MILLER_MAX_TERMS = 10_000
-# Candidate term counts per array pass of _miller_terms.  On harmonics 1..512
-# the count rises with beta to 68 (37 at gamma = 2, 65 at 10): five passes of
-# 16 take about 70% of the time of a loop over the count, and keep each
-# temporary at 16 x 512 doubles (80 in one pass raised the peak RSS by 2 MB).
-_MILLER_CHUNK = 16
 
 
 def _miller_terms(x: np.ndarray, a: np.ndarray) -> int:
     """Fewest terms L for which Miller's recurrence started at order
     M = a + 2(L - 1) gives S = sum_k J_{a+2k}(x) to _MILLER_TOL relative at
-    every element; needs a > x > 0.  Raises ConvergenceError if
+    every element of _schott_closed_form's x = 2 n beta, a = 2n + 1; needs
+    a > x > 0 and at least one element.  Raises ConvergenceError if
     _MILLER_MAX_TERMS do not suffice.
 
     For nu >= x the ratio J_nu(x)/J_{nu-1}(x) is at most
@@ -367,24 +363,27 @@ def _miller_terms(x: np.ndarray, a: np.ndarray) -> int:
     delta_{M+1} = 1, which puts at most B L (L - 1) on the kept terms.  The
     bound is B (L (L - 1) + q/(1 - q)).
 
-    The bound is taken for _MILLER_CHUNK candidate L at once; log B is a
-    running sum along them that adds in the order of a loop over L."""
-    rho = lambda nu: x / (nu + np.sqrt((nu - x) * (nu + x)))
-    log_b = np.zeros_like(x)
-    for first in range(1, _MILLER_MAX_TERMS + 1, _MILLER_CHUNK):
-        terms = np.arange(first, min(first + _MILLER_CHUNK, _MILLER_MAX_TERMS + 1.0))[:, None]
+    The harmonic of highest order decides L.  At x = 2 n beta and
+    a = 2n + 1, rho_{a+k} = 1/(t + sqrt(t^2 - 1)) with
+    t = (1 + (1 + k)/2n)/beta, and t falls as n grows at a fixed k.  So
+    every factor of B rises with n, as does q, and with them the bound at
+    every L: the count certified at the largest n certifies every lower
+    harmonic."""
+    top = int(np.argmax(a))
+    x, a = float(x[top]), float(a[top])
+    rho = lambda nu: x / (nu + math.sqrt((nu - x) * (nu + x)))
+    log_b = 0.0
+    for terms in range(1, _MILLER_MAX_TERMS + 1):
         # q at L terms: rho at the two orders above the start a + 2(L - 1)
-        top = a + 2.0 * (terms - 1.0)
-        q = rho(top + 1.0) * rho(top + 2.0)
-        log_b = np.cumsum(np.vstack([log_b[None], np.log(q)]), axis=0)
-        log_bound = log_b[:-1] + np.log(terms * (terms - 1.0) + q / (1.0 - q))
-        done = np.all(log_bound <= math.log(_MILLER_TOL), axis=1)
-        if done.any():
-            return first + int(np.argmax(done))
-        log_b = log_b[-1]
+        start = a + 2.0 * (terms - 1)
+        q = rho(start + 1.0) * rho(start + 2.0)
+        log_bound = log_b + math.log(terms * (terms - 1) + q / (1.0 - q))
+        if log_bound <= math.log(_MILLER_TOL):
+            return terms
+        log_b += math.log(q)
     raise ConvergenceError(
         f"backward recurrence not certified to {_MILLER_TOL:g} in {_MILLER_MAX_TERMS} terms",
-        error_estimate=float(np.exp(log_bound[-1].max())),
+        error_estimate=math.exp(log_bound),
     )
 
 
@@ -401,7 +400,7 @@ def _schott_closed_form(beam: BeamParams, harmonics: bytes):
     element per harmonic, J_{2n+1}(x); the rest are ratios to it from
     Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}
     (DLMF 3.6(vi), 10.6.1), vectorized over harmonics, stable at the orders
-    above x and certified by _miller_terms:
+    above x and certified at the highest harmonic by _miller_terms:
     int_0^x J_2n = 2 sum_k J_{2n+2k+1}(x) (DLMF 10.22.6) from its odd orders,
     and 2 J_2n' = J_{2n-1} - J_{2n+1} two steps below.  A second jv call
     for J_{2n-1} would add its own error, up to 1.5e-13 at orders near 1000,

@@ -425,12 +425,12 @@ def _miller_terms_loop(x, a):
     raise AssertionError("not certified")
 
 
-@pytest.mark.parametrize("chunk", [7, semiclassical._MILLER_CHUNK])
-def test_miller_terms_equal_the_loop_reference(chunk, monkeypatch):
-    # the exact harmonics' arguments, x = 2 n beta and a = 2n + 1; a small
-    # chunk makes the running sum cross chunk boundaries
-    monkeypatch.setattr(semiclassical, "_MILLER_CHUNK", chunk)
-    n = np.arange(1.0, 513.0)
+@pytest.mark.parametrize("shift", [7, 16])
+def test_miller_terms_equal_the_loop_reference(shift):
+    # the exact harmonics' arguments, x = 2 n beta and a = 2n + 1: the count
+    # certified at n = 512 alone is the one certified at every element; the
+    # table is rolled so that the highest harmonic is not the last element
+    n = np.roll(np.arange(1.0, 513.0), shift)
     counts = []
     for gamma in np.geomspace(1.0 + 1e-13, 1e4, 50).tolist():
         beta = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0).beta
@@ -438,6 +438,20 @@ def test_miller_terms_equal_the_loop_reference(chunk, monkeypatch):
         counts.append(semiclassical._miller_terms(x, a))
         assert counts[-1] == _miller_terms_loop(x, a)
     assert min(counts) < 8 and max(counts) == 68
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_gamma=st.floats(math.log1p(1e-13), math.log(GAMMA_MAX)),
+    ns=st.lists(st.integers(1, 512), min_size=1, max_size=16),
+)
+def test_miller_terms_from_the_top_order_equal_the_loop_over_all_harmonics(log_gamma, ns):
+    # any harmonics, in any order and with repeats: the highest decides
+    gamma = min(max(math.exp(log_gamma), 1.0 + 1e-13), GAMMA_MAX)
+    beta = BeamParams.from_gamma_radius(gamma=gamma, R=1000.0).beta
+    n = np.array(ns, dtype=float)
+    x, a = 2.0 * n * beta, 2.0 * n + 1.0
+    assert semiclassical._miller_terms(x, a) == _miller_terms_loop(x, a)
 
 
 def test_schott_closed_form_raises_when_the_recurrence_is_not_certified(monkeypatch):
