@@ -22,11 +22,11 @@ harmonic grid builder and Bessel pass.  `_profile` forms it one separation
 at a time: the row of factors over all modes is filled in place, scaled by
 the weights and summed by numpy's pairwise summation (Higham 1993), so each
 value is fixed by its separation alone, whatever the other separations of
-the call or their order, and no BLAS kernel enters it.  1 - J0 takes its
-series on the leading run of the row where every argument is below 0.5, j0
-on the trailing run where none is, and a per-element choice only in the
-blocks between; 1 - cos(x) = 2 sin^2(x/2) folds its halving and doubling
-into the call; no per-mode array outlives the call.
+the call or their order, and no BLAS kernel enters it.  The table is
+ordered by transverse wavenumber k sin(theta), so the J0 arguments rise
+along each row and one search splits it: 1 - J0 takes its series where they
+are below 0.5 and j0 from there on; 1 - cos(x) = 2 sin^2(x/2) folds its
+halving and doubling into the call; no per-mode array outlives the call.
 `s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
 an uncached table of Airy-kernel modes, on the mode table's trapezoid rule
 in log n (`numerics.log_trapezoid`) in scaled harmonic number.
@@ -114,35 +114,10 @@ def _j0_series(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return acc
 
 
-def _one_minus_j0(x: np.ndarray) -> None:
-    """x -> 1 - J0(x) in place, without cancellation at small x: where |x| <
-    0.5 the power series -sum_k (-x^2/4)^k / k!^2 to its x^14 term
-    (truncation below 3e-18 relative), summed by Horner's rule in x^2,
-    replaces 1 - j0(x), which loses up to 1e-14 relative just below 0.5 and
-    6e-15 just above."""
-    small = np.abs(x) < 0.5
-    y = x[small]
-    with np.errstate(invalid="ignore"):
-        scipy.special.j0(x, out=x)
-    np.subtract(1.0, x, out=x)
-    y *= y
-    x[small] = _j0_series(y)
-
-
-def _switch_bound(r: float) -> float:
-    """The least float m with fl(|r| m) >= 0.5: r a is below the series
-    switch exactly when |a| < m, as rounding is monotone and even."""
-    r, m = abs(r), 0.5 / abs(r) if r else math.inf
-    while r * m < 0.5:
-        m = math.nextafter(m, math.inf)
-    while r * math.nextafter(m, 0.0) >= 0.5:
-        m = math.nextafter(m, 0.0)
-    return m
-
-
 def _profile(table, r, theta0: float) -> np.ndarray:
     """Per-unit-time exponent s1(r) = sum_modes W (1 - J0(r k sin(theta0) s)
-    cos(r k cos(theta0) u)).
+    cos(r k cos(theta0) u)) on a table ordered by k s, as _mode_table and
+    s_ultrarel build theirs; s1 is even in r.
 
     The factor 1 - J0(a) cos(b) is assembled from the cancellation-free
     pieces m = 1 - J0(a) and h = 1 - cos(b) = 2 sin^2(b/2) as m + h - m h,
@@ -151,16 +126,16 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     place, scaled by W and summed by numpy's pairwise summation, an order
     fixed by the row alone.  Returns s1 at r, flattened.
 
-    Each element takes _one_minus_j0's operations, on runs: in blocks as
-    long as the first harmonic's, |a| is below 0.5 before the running block
-    maximum reaches `_switch_bound(r)` and above it from where the running
-    block minimum from the right does; the series (x^2 in the m h row) and
-    j0 take those runs, the blocks between choose per element.  The
+    m takes the power series -sum_k (-a^2/4)^k / k!^2 to its a^14 term
+    (truncation below 3e-18 relative) where |a| < 0.5, and 1 - j0(a), which
+    loses up to 1e-14 relative just below 0.5, elsewhere.  As rounding is
+    monotone, the table's order makes each row |a| = r |k s sin(theta0)|
+    non-decreasing, so one searchsorted splits it between the two.  The
     longitudinal factor alone is sin^2(r b/2) (2W), b halved and W doubled
     once per call: the bits of (1 - cos(r b)) W."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    r = np.asarray(r, dtype=float).ravel()
+    r = np.abs(np.asarray(r, dtype=float)).ravel()
     out = np.empty(len(r))
     if abs(sin0) <= 1e-12:
         half_b, double_w, f = k * u * (0.5 * cos0), W * 2.0, np.empty(len(k))
@@ -174,22 +149,14 @@ def _profile(table, r, theta0: float) -> np.ndarray:
     a = k * s * sin0
     np.abs(a, out=a)  # 1 - J0 is even, in the series and in j0 alike
     half_b = None if abs(cos0) <= 1e-12 else k * u * (0.5 * cos0)
-    n = len(k)
-    block = int(np.argmax(k != k[0])) or n
-    starts = np.arange(0, n, block)
-    rising = np.maximum.accumulate(np.maximum.reduceat(a, starts))
-    falling = np.minimum.accumulate(np.minimum.reduceat(a, starts)[::-1])[::-1]
-    bounds = [_switch_bound(ri) for ri in r.tolist()]
-    los = np.minimum(block * np.searchsorted(rising, bounds), n).tolist()
-    his = np.minimum(block * np.searchsorted(falling, bounds), n).tolist()
-    f, h, mh = np.empty((3, n))
-    for i, (ri, lo, hi) in enumerate(zip(r, los, his)):
+    f, h, mh = np.empty((3, len(k)))
+    for i, ri in enumerate(r):
         np.multiply(ri, a, out=f)
-        _j0_series(np.square(f[:lo], out=mh[:lo]), out=f[:lo])
-        if lo < hi:
-            _one_minus_j0(f[lo:hi])
-        if hi < n:
-            tail = f[hi:]
+        lo = int(np.searchsorted(f, 0.5))
+        if lo:  # each run's ufunc calls cost microseconds even when empty
+            _j0_series(np.square(f[:lo], out=mh[:lo]), out=f[:lo])
+        if lo < len(f):
+            tail = f[lo:]
             with np.errstate(invalid="ignore"):
                 scipy.special.j0(tail, out=tail)
             np.subtract(1.0, tail, out=tail)
@@ -299,7 +266,9 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
     # factor 2: mirror hemisphere
     W = pref * 2.0 * wz * zeta ** (1.0 / 3.0) * wt * kern
     k = np.broadcast_to(zeta * beam.omega0 / C_AU, u.shape)
-    table = tuple(a.ravel() for a in (k, np.sqrt(s2), u, W))
+    k, s, u, W = (a.ravel() for a in (k, np.sqrt(s2), u, W))
+    order = np.argsort(k * s, kind="stable")  # _profile's order
+    table = tuple(a[order] for a in (k, s, u, W))
     vals = t * _profile(table, grid, theta0).reshape(grid.shape)
     return float(vals[0]) if np.isscalar(r) else vals
 

@@ -322,6 +322,10 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
     n_theta Gauss nodes in cos theta span 8 beaming widths (_beaming_windows),
     and the weights fold in the lower-hemisphere mirror.
 
+    The modes are ordered by transverse wavenumber k sin theta, a stable
+    sort of k * s as decoherence._profile forms it, which needs that order
+    to split each row at one index; a harmonic's modes are not contiguous.
+
     The trapezoid, not the totals' panels: on FIAN_60 the 6-point half-decade
     panels (12 nodes per decade) alias the J0 and cos factors of the
     exponent, and put S 3-6 times further from a 3,200-per-decade reference
@@ -333,10 +337,13 @@ def _mode_table(beam: BeamParams, n_exact: int, per_decade: int, n_theta: int):
     pref = beam.Z**2 * beam.omega0 / C_AU
     k = np.repeat(n * beam.omega0 / C_AU, n_theta)
     W = 2.0 * pref * n[:, None] * wn[:, None] * wt * bracket  # 2: the mirror
-    out = (k, s.ravel(), u.ravel(), W.ravel())
-    for arr in out:
+    order = np.argsort(k * s.ravel(), kind="stable")
+    out = [k, s.ravel(), u.ravel(), W.ravel()]
+    del k, s, u, W, wt, bracket
+    for i, arr in enumerate(out):  # each unsorted array is freed once gathered
+        out[i] = arr = arr[order]
         arr.setflags(write=False)
-    return out
+    return tuple(out)
 
 
 # Relative error allowed in the backward recurrence of _schott_closed_form,

@@ -246,15 +246,17 @@ def test_s_vanishes_at_zero_separation_on_both_axes(log_gamma, log_radius):
             st.floats(math.log(1e-8), math.log(50.0)).map(math.exp),
             st.floats(0.3, 0.7),
             st.floats(1e-8, 50.0),
-        ).flatmap(lambda v: st.sampled_from([v, -v])),
+        ),
         min_size=1,
         max_size=8,
     )
 )
 def test_one_minus_j0_matches_mpmath(x):
-    # 1 - J0 at 40 digits, on both sides of the series switch at |x| = 0.5
-    got = np.array(x)
-    decoherence._one_minus_j0(got)
+    # 1 - J0 at 40 digits, on both sides of the series switch at 0.5, as the
+    # kernel forms it: one unit mode (k = s = W = 1, u = 0) across the plane
+    # makes s1(r) = 1 - J0(r)
+    unit = (np.ones(1), np.ones(1), np.zeros(1), np.ones(1))
+    got = decoherence._profile(unit, x, math.pi / 2)
     with mpmath.workdps(40):
         for xi, gi in zip(x, got):
             want = 1 - mpmath.besselj(0, mpmath.mpf(xi))
@@ -308,30 +310,30 @@ def test_profile_rows_are_independent(theta0, modes, stretch, far):
 @settings(max_examples=20, deadline=None)
 @given(
     theta0=st.sampled_from([0.0, math.pi / 2.0, -math.pi / 2.0, 1.0, -1.0, math.pi, -math.pi]),
-    edges=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    tie=st.integers(0, 10**6),
     modes=st.lists(st.integers(0, 10**6), max_size=3),
     far=st.lists(st.floats(-6.0, 16.0), max_size=4),
 )
-def test_profile_runs_match_the_whole_row_on_fian60(theta0, edges, modes, far):
-    # the width table of FIAN_60 (6,504 modes in harmonic blocks of 24), at
-    # separations that put the series switch at 0.5 exactly on, and a float
-    # either side of, the first, last, largest or smallest mode of a block or
-    # any chosen mode: the runs of _profile give each value the bits of the
-    # row formed whole and of its own single-separation call, for every sign
-    # of theta0
+def test_profile_runs_match_the_whole_row_on_fian60(theta0, tie, modes, far):
+    # the width table of FIAN_60 (6,504 modes ordered by k s) with one mode
+    # doubled, so that k s has an exact tie, at separations that put the
+    # series switch at 0.5 exactly on, and a float either side of, the
+    # first and last modes, both modes of the tie, both modes of the closest
+    # pair in k s and any chosen mode: the split of each row into a series
+    # run and a j0 run gives each value the bits of the row formed whole and
+    # of its own single-separation call, for every sign of theta0
     table = decoherence._mode_table(beam_from_lab(FIAN_60), **decoherence._WIDTH_RES)
+    tie %= len(table[0])
+    table = tuple(np.insert(a, tie, a[tie]) for a in table)
     k, s = table[0], table[1]
-    blocks = np.split(np.arange(len(k)), np.flatnonzero(np.diff(k)) + 1)
-    chosen = [blocks[i % len(blocks)] for i in edges]
-    picks = np.concatenate([
-        [b[0] for b in chosen],
-        [b[-1] for b in chosen],
-        [b[np.argmax(s[b])] for b in chosen],
-        [b[np.argmin(s[b])] for b in chosen],
-        np.array(modes, dtype=int) % len(k),
-    ]).astype(int)
+    ks = k * s
+    assert np.all(np.diff(ks) >= 0)
+    gap = np.diff(ks) / ks[1:]
+    gap[tie] = math.inf  # the tie itself
+    close = int(np.argmin(gap))
+    picks = np.array([0, len(k) - 1, tie, tie + 1, close, close + 1, *modes]) % len(k)
     scale = abs(math.sin(theta0)) if abs(math.sin(theta0)) > 1e-12 else 1.0
-    switch = 0.5 / (k[picks] * s[picks] * scale)
+    switch = 0.5 / (ks[picks] * scale)
     r = np.concatenate([
         [0.0], switch, np.nextafter(switch, 0.0), np.nextafter(switch, math.inf), 10.0 ** np.array(far)
     ])
@@ -349,8 +351,8 @@ def test_profile_runs_match_the_whole_row_on_fian60(theta0, edges, modes, far):
 def test_profile_peak_memory_stays_under_2_5_mb():
     # the kernel holds at most five rows as long as the mode table (0.35 MB
     # each at 43,824 modes), at theta0 = 0.3: the phase rates a and b/2 and
-    # the work rows f, h and m h.  These three calls peak at 1.80 MB (1.45,
-    # 1.06 and 1.80 MB alone), so three more rows fail
+    # the work rows f, h and m h.  These three calls peak at 1.76 MB (1.41,
+    # 1.06 and 1.76 MB alone), so three more rows fail
     beam = beam_from_lab(FIAN_60)
     r = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-3), math.log(1e7), 128))])
     decoherence._mode_table(beam, **decoherence._FIELD_RES)
@@ -424,6 +426,50 @@ def test_fian60_widths_match_uncached_solver(t):
     beam = beam_from_lab(FIAN_60)
     for axis, want in zip(("transverse", "longitudinal"), _FIAN_WIDTHS[t]):
         assert localization_width(beam, t, axis) == pytest.approx(want, rel=1e-4)
+
+
+# FIAN_60 values as the kernel gave them on the mode table in harmonic order:
+# S(r) at t = 1e10 per theta0 at _PINNED_R, and (transverse, longitudinal)
+# widths per t with their certified flags
+_PINNED_R = (1e-3, 1.0, 1e2, 1e4, 1e5, 1e6, 1e7)
+_PINNED_S = {
+    math.pi / 2: (
+        4.5275764254891754e-07, 0.450805265117243, 219.4812601382462, 442.66218783815805,
+        477.98829905593084, 494.0573500104419, 501.1421558272589,
+    ),
+    0.0: (
+        1.2086450694374725e-13, 1.208645068812403e-07, 0.0012086388187695814, 11.496394125126285,
+        238.81835910119688, 424.91087992395234, 488.54460354788625,
+    ),
+    0.7: (
+        1.8790193098979068e-07, 0.18756452562262088, 181.43078129438703, 432.3132064676733,
+        472.5990611112278, 491.4600233929037, 500.4521082995749,
+    ),
+}
+_PINNED_WIDTHS = {
+    1e8: ((18091.42460461279, False), (29805.66940931257, False)),
+    1e9: ((1.6903845673372047, True), (3229.5466372936417, True)),
+    1e10: ((0.5255711535430255, True), (1017.0153925100464, True)),
+    1e12: ((0.05254370015510543, True), (101.69612027923458, True)),
+    1e14: ((0.005254369828898481, True), (10.16961193709223, True)),
+}
+
+
+def test_fian60_s_and_widths_keep_their_values():
+    # a change that only reorders sums moves S by a few ulps and the widths
+    # by about 1e-14; another numpy dispatch level moves them by 1.7e-13 and
+    # 7.6e-13, inside both bounds here
+    beam = beam_from_lab(FIAN_60)
+    for theta0, want in _PINNED_S.items():
+        got = s_averaged(np.array(_PINNED_R), theta0, 1e10, beam)
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UncertifiedWidthWarning)
+        for t, want in _PINNED_WIDTHS.items():
+            for axis, (width, certified) in zip(("transverse", "longitudinal"), want):
+                got = localization_width(beam, t, axis)
+                assert got == pytest.approx(width, rel=2e-12, abs=0.0)
+                assert got.certified == certified
 
 
 def test_width_at_interpolant_range_edge_is_finite():
@@ -717,14 +763,42 @@ def _mode_table_loop(beam, n_exact, per_decade, n_theta):
 )
 def test_mode_table_equals_per_harmonic_loop(resolution):
     # FIAN_60, and beams at R = 1000 bohr from a tail-free field table
-    # (gamma = 2) to tails that mix Olver's expansion in (1e4, 1e8)
+    # (gamma = 2) to tails that mix Olver's expansion in (1e4, 1e8), 3,264 to
+    # 77,520 modes; the loop's arrays are permuted into _profile's order, the
+    # stable sort of k s
     beams = [beam_from_lab(FIAN_60)]
     beams += [BeamParams.from_gamma_radius(gamma, 1000.0) for gamma in (2.0, 1e4, 1e8)]
     for beam in beams:
         got = decoherence._mode_table(beam, *resolution)
         want = _mode_table_loop(beam, *resolution)
+        order = np.argsort(want[0] * want[1], kind="stable")
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, b[order])
+
+
+def test_profile_tables_are_ordered(monkeypatch):
+    # _profile splits each row at one index because both table builders
+    # order their modes by k s: _mode_table at the field and width
+    # resolutions, and the Airy table s_ultrarel hands to _profile
+    beams = [beam_from_lab(FIAN_60)]
+    beams += [BeamParams.from_gamma_radius(gamma, 1000.0) for gamma in (2.0, 1e4, 1e8)]
+    for beam in beams:
+        for resolution in (decoherence._FIELD_RES, decoherence._WIDTH_RES):
+            k, s, _, _ = decoherence._mode_table(beam, **resolution)
+            assert np.all(np.diff(k * s) >= 0)
+    seen = []
+    profile = decoherence._profile
+
+    def spy(table, r, theta0):
+        seen.append(table)
+        return profile(table, r, theta0)
+
+    monkeypatch.setattr(decoherence, "_profile", spy)
+    for gamma in (1e3, 1e8):
+        s_ultrarel(1.0, math.pi / 2, 1e10, BeamParams.from_gamma_radius(gamma, 1000.0))
+    assert len(seen) == 2
+    for k, s, _, _ in seen:
+        assert np.all(np.diff(k * s) >= 0)
 
 
 @pytest.mark.parametrize("gamma", [1e4, 1e6, 1e8, 1e10, 1e12])
