@@ -488,15 +488,10 @@ def _qdot(velocity_law, mode: PhotonMode, Z: float, times: np.ndarray) -> np.nda
     return 1j * (Z / C_AU) * math.sqrt(mode.g_squared) * ev * np.exp(1j * phase)
 
 
-# Most time nodes of the amplitude, and of the kernel, whose exponent matrix
-# grows as their square
+# Most time nodes of the amplitude, and of the kernel, whose exponent
+# triangle grows as half their square
 _MAX_NODES = 1 << 20
 _MAX_KERNEL_NODES = 1 << 12
-
-# Imaginary part of the double integral, relative to its real part, above
-# which corrected_photon_number warns: the kernel is Hermitian, so the
-# imaginary part is rounding only
-_IMAG_TOL = 1e-8
 
 
 def _time_nodes(velocity_law, mode: PhotonMode, t: float, n: int, max_nodes: int):
@@ -526,8 +521,8 @@ def _time_nodes(velocity_law, mode: PhotonMode, t: float, n: int, max_nodes: int
     return x.ravel(), w.ravel()
 
 
-# The last exp(-P) matrix built: (weak reference to its provider,
-# times.tobytes(), the read-only matrix), or None.  The reference's callback
+# The last exp(-P) triangle built: (weak reference to its provider,
+# times.tobytes(), the read-only triangle), or None.  The reference's callback
 # empties it when the provider dies.
 _damping_slot = None
 
@@ -539,28 +534,27 @@ def _forget_damping(ref):
 
 
 def _damping(p_provider, times: np.ndarray) -> np.ndarray:
-    """exp(-P) on the quadrature grid: P from p_provider on the upper
-    triangle, diagonal included, in row order, and the lower triangle by
-    Hermiticity P(t2, t1) = P*(t1, t2).  The read-only result is kept for
-    the next call with the same provider object on the same grid, unless the
-    provider cannot be weakly referenced; a fill that raises is not kept."""
+    """exp(-P) on the grid's upper triangle, diagonal included, as a 1-D
+    array in np.triu_indices' row order, the order p_provider is called in;
+    DomainError at the first pair where P is not finite, or at t1 = t2 not
+    real.  The read-only result is kept for the next call with the same
+    provider object on the same grid, unless the provider cannot be weakly
+    referenced; a fill that raises is not kept."""
     global _damping_slot
     key = times.tobytes()
     slot = _damping_slot
     if slot is not None and slot[0]() is p_provider and slot[1] == key:
         return slot[2]
     ts = times.tolist()
-    upper = np.triu_indices(len(ts))
-    P = np.empty((len(ts), len(ts)), dtype=complex)
-    P[upper] = [p_provider(t1, t2) for i, t1 in enumerate(ts) for t2 in ts[i:]]
-    bad = np.flatnonzero(~np.isfinite(P[upper]))
+    rows, cols = np.triu_indices(len(ts))
+    P = np.array([p_provider(t1, t2) for i, t1 in enumerate(ts) for t2 in ts[i:]], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(P) | ((rows == cols) & (P.imag != 0.0)))
     if bad.size:
-        i, j = upper[0][bad[0]], upper[1][bad[0]]
+        k = bad[0]
         raise DomainError(
-            f"p_provider returned a non-finite exponent {P[i, j]} at (t1, t2) = ({ts[i]!r}, {ts[j]!r})"
+            f"p_provider returned a non-finite exponent, or a non-real one at t1 = t2, {P[k]} "
+            f"at (t1, t2) = ({ts[rows[k]]!r}, {ts[cols[k]]!r})"
         )
-    lower = np.tril_indices(len(ts), -1)
-    P[lower] = np.conj(P.T[lower])
     damping = np.exp(-P)
     damping.setflags(write=False)
     try:
@@ -584,14 +578,17 @@ def corrected_photon_number(
         n = int_0^t int_0^t Qdot*(t1) Qdot(t2) exp(-P(t1, t2)) dt1 dt2
 
     p_provider(t1, t2) supplies the exponent (None means semiclassical,
-    P = 0).  It must be a function of (t1, t2) alone: a later call with the
-    same provider object on the same time grid, such as the other
-    polarization of the mode, reuses the first call's exp(-P) matrix
+    P = 0).  P must be finite and Hermitian, P(t2, t1) = P*(t1, t2), with
+    P(t, t) real: it is called on the upper triangle of the time grid,
+    diagonal included, and the sum runs over that triangle, off-diagonal
+    terms doubled.  It must be a function of (t1, t2) alone: a later call
+    with the same provider object on the same time grid, such as the other
+    polarization of the mode, reuses the first call's exp(-P) triangle
     instead of calling the provider again.  Each breakpoint piece takes
     nodes_per_piece Gauss nodes, or more where the phase of Qdot needs them
     (_time_nodes); ConvergenceError where that is too many.  DomainError
-    unless t is finite and >= 0, Z is finite and nodes_per_piece is an
-    integer >= 1.
+    unless t is finite and >= 0, Z is finite, nodes_per_piece is an integer
+    >= 1 and P is as above.
     """
     if not math.isfinite(Z):
         raise DomainError(f"charge number must be finite, got {Z}")
@@ -599,20 +596,17 @@ def corrected_photon_number(
         raise DomainError(f"nodes_per_piece must be an integer >= 1, got {nodes_per_piece!r}")
     limit = _MAX_NODES if p_provider is None else _MAX_KERNEL_NODES
     times, weights = _time_nodes(velocity_law, mode, t, nodes_per_piece, limit)
-    qdot = _qdot(velocity_law, mode, Z, times)
+    u = weights * _qdot(velocity_law, mode, Z, times)
     if p_provider is None:
-        amp = np.sum(weights * qdot)
-        return float(abs(amp) ** 2)
+        return float(abs(np.sum(u)) ** 2)
 
-    kern = np.conj(qdot)[:, None] * qdot[None, :] * _damping(p_provider, times)
-    # the weighted row sums, then their weighted sum, each by numpy's pairwise
-    # summation: a fixed order, where a BLAS product's order depends on the
-    # CPU kernel OpenBLAS picks
-    val = complex(np.sum(np.sum(kern * weights, axis=1) * weights))
-    if abs(val.imag) > _IMAG_TOL * max(abs(val.real), 1e-300):
-        warnings.warn(
-            f"corrected_photon_number: imaginary residual {val.imag:.3e} "
-            f"relative to {val.real:.3e}",
-            stacklevel=2,
-        )
-    return float(val.real)
+    rows, cols = np.triu_indices(len(u))
+    damping = _damping(p_provider, times)
+    # Re(conj(u_i) u_j exp(-P_ij)), the lower triangle's equal term added by
+    # doubling, from real products each rounded on its own: no fused
+    # multiply-add, which numpy uses or not by CPU features
+    a, b = u[rows], u[cols]
+    re = a.real * b.real + a.imag * b.imag
+    im = a.real * b.imag - a.imag * b.real
+    terms = re * damping.real - im * damping.imag
+    return float(np.sum(np.where(rows == cols, terms, 2.0 * terms)))

@@ -377,7 +377,9 @@ def test_constant_exponent_factorizes():
     law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
     mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
     base = corrected_photon_number(law, mode, 2.0)
-    for p in (0.3, 1.0, 2.5):
+    # p = 0 gives the semiclassical number: the upper triangle's off-diagonal
+    # terms count twice and the diagonal's once
+    for p in (0.0, 0.3, 1.0, 2.5):
         got = corrected_photon_number(law, mode, 2.0, p_provider=lambda a, b: complex(p))
         assert got == pytest.approx(math.exp(-p) * base, rel=1e-10)
     # monotone damping in the exponent
@@ -403,8 +405,9 @@ def test_jump_law_kinematics():
 # A criterion-06-like jump off the axes, with the values the per-call
 # Filon-Legendre rule and the per-entry Hermitian fill give, as literals: the
 # cached geometry, the single Si/Ci pass and the triangle fill must reproduce
-# them bit for bit.  Neither P nor the damped sum uses BLAS, so the literals
-# hold under any OpenBLAS kernel.
+# them bit for bit.  Neither P nor the damped sum uses BLAS, and the sum
+# takes no fused multiply-add, so the literals hold under any OpenBLAS kernel
+# and at every numpy dispatch level.
 JUMP_DIR = np.array([0.48, -0.6, 0.64])
 JUMP_V1, JUMP_V2 = 0.126 * C_AU * JUMP_DIR, 0.148 * C_AU * JUMP_DIR
 JUMP_Q = 6.0 / C_AU * np.array([0.0, 0.6, -0.8])
@@ -459,7 +462,7 @@ def jump_lag_provider(calls):
 def test_corrected_numbers_equal_the_per_entry_fill():
     provider = jump_lag_provider([])
     law = PiecewiseConstantVelocity(JUMP_V1, JUMP_V2, t_jump=0.5)
-    want = {1: (0.4932751500102361, 0.4936536546931256), 2: (0.019731006000409435, 0.019746146187725036)}
+    want = {1: (0.4932751500102361, 0.4936536546931265), 2: (0.019731006000409435, 0.019746146187725022)}
     for alpha, (plain, damped) in want.items():
         mode = PhotonMode(alpha=alpha, q=JUMP_Q)
         assert corrected_photon_number(law, mode, 1.0, nodes_per_piece=48) == plain
@@ -577,9 +580,10 @@ def test_the_kept_exponent_dies_with_its_provider_and_is_read_only():
     provider = counting_provider([])
     corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
     ref, _, damping = corrections._damping_slot
-    assert ref() is provider and damping.shape == (8, 8)
+    # the upper triangle of the 8 x 8 grid, diagonal included
+    assert ref() is provider and damping.shape == (8 * 9 // 2,)
     with pytest.raises(ValueError):
-        damping[0, 0] = 0.0
+        damping[0] = 0.0
     del provider, ref
     gc.collect()
     assert corrections._damping_slot is None
@@ -619,6 +623,29 @@ def test_non_finite_exponent_raises_with_the_first_bad_pair():
     assert f"({t1!r}, {t2!r})" in str(info.value)
     with pytest.raises(DomainError, match="non-finite"):
         corrected_photon_number(law, mode, 1.0, p_provider=lambda a, b: math.inf, nodes_per_piece=4)
+
+
+def test_exponent_not_real_on_the_diagonal_raises_with_the_first_bad_pair():
+    # P(t, t) must be real: Hermiticity, which the upper-triangle sum relies on
+    law = steady(np.array([0.05 * C_AU, 0.0, 0.0]))
+    mode = PhotonMode(alpha=1, q=np.array([0.0, 0.0, 0.02]))
+    for bad_diagonal in (0, 3):
+        calls = []
+
+        def provider(t1, t2):
+            calls.append((t1, t2))
+            if bad_diagonal == 0:  # 1e-3j everywhere
+                return 1e-3j
+            diagonal = sum(a == b for a, b in calls) - 1
+            return complex(0.1, 1e-3 if t1 == t2 and diagonal == bad_diagonal else 0.0)
+
+        with pytest.raises(DomainError, match="non-real") as info:
+            corrected_photon_number(law, mode, 1.0, p_provider=provider, nodes_per_piece=8)
+        t = [a for a, b in calls if a == b][bad_diagonal]
+        assert f"({t!r}, {t!r})" in str(info.value) and "non-finite" in str(info.value)
+    # complex off the diagonal and real on it: accepted
+    got = corrected_photon_number(law, mode, 1.0, p_provider=counting_provider([]), nodes_per_piece=8)
+    assert math.isfinite(got)
 
 
 def test_unresolvable_phase_raises_before_any_work():
