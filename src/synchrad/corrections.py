@@ -236,10 +236,10 @@ class _ConstVelocityGeometry:
 
     def __init__(self, v0: list, w: list, q_c: float):
         self.speed, self.w_speed, self.q_c = math.hypot(*v0), math.hypot(*w), q_c
-        self.cos_a, self.sin_a = 1.0, 0.0  # alpha, the angle from v0 to w; 0 for w = 0
-        if self.w_speed > 0.0:
+        # alpha, the angle from v0 to w: immaterial, so 0, where |v0| |w| is 0 (w2 + w1 = q_c c or F = 0)
+        self.cos_a, self.sin_a, norm = 1.0, 0.0, self.speed * self.w_speed
+        if norm > 0.0:
             cross = (v0[1] * w[2] - v0[2] * w[1], v0[2] * w[0] - v0[0] * w[2], v0[0] * w[1] - v0[1] * w[0])
-            norm = self.speed * self.w_speed
             self.cos_a = math.fsum(a * b for a, b in zip(v0, w)) / norm
             self.sin_a = math.hypot(*cross) / norm
         log_rho = math.acosh(C_AU / max(self.speed, self.w_speed))
@@ -333,12 +333,12 @@ class _ConstVelocityGeometry:
 
     def integral(self, dt: float) -> complex:
         """The angular integral at lag dt > 0, with its estimated error at most
-        _P_TOL of its scale: from the first node count, doubled while it is
-        not, up to _P_MAX_NODES; ConvergenceError past that."""
+        _P_TOL of its scale or subnormal: from the first node count, doubled
+        while it is not, up to _P_MAX_NODES; ConvergenceError past that."""
         n = self.nodes
         while True:
             value, error, scale = self._filon(n, dt)
-            if error <= _P_TOL * scale:
+            if error <= max(_P_TOL * scale, 2.0**-1022):
                 return value
             if n >= _P_MAX_NODES:
                 raise ConvergenceError(
@@ -370,7 +370,7 @@ def _const_velocity_geometry(v0_bytes, q_bytes, q_c, gamma):
     if not math.hypot(*w) < C_AU:
         # w2 + w1 = q_c (c - n'.w) would vanish on the sphere
         raise DomainError(f"v0 - q/gamma must have speed below c, got {w}")
-    if np.allclose(v0, 0.0):
+    if not np.any(v0):
         return None
     return lru_cache(maxsize=_P_MEMO_SIZE)(_ConstVelocityGeometry(v0.tolist(), w, q_c).integral)
 
@@ -533,20 +533,20 @@ def _forget_damping(ref):
         _damping_slot = None
 
 
-def _damping(p_provider, times: np.ndarray) -> np.ndarray:
+def _damping(p_provider, times: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """exp(-P) on the grid's upper triangle, diagonal included, as a 1-D
-    array in np.triu_indices' row order, the order p_provider is called in;
-    DomainError at the first pair where P is not finite, or at t1 = t2 not
-    real.  The read-only result is kept for the next call with the same
-    provider object on the same grid, unless the provider cannot be weakly
-    referenced; a fill that raises is not kept."""
+    array in the order of its indices rows, cols (np.triu_indices' row
+    order), the order p_provider is called in; DomainError at the first pair
+    where P is not finite, or at t1 = t2 not real.  The read-only result is
+    kept for the next call with the same provider object on the same grid,
+    unless the provider cannot be weakly referenced; a fill that raises is
+    not kept."""
     global _damping_slot
     key = times.tobytes()
     slot = _damping_slot
     if slot is not None and slot[0]() is p_provider and slot[1] == key:
         return slot[2]
     ts = times.tolist()
-    rows, cols = np.triu_indices(len(ts))
     P = np.array([p_provider(t1, t2) for i, t1 in enumerate(ts) for t2 in ts[i:]], dtype=complex)
     bad = np.flatnonzero(~np.isfinite(P) | ((rows == cols) & (P.imag != 0.0)))
     if bad.size:
@@ -601,7 +601,7 @@ def corrected_photon_number(
         return float(abs(np.sum(u)) ** 2)
 
     rows, cols = np.triu_indices(len(u))
-    damping = _damping(p_provider, times)
+    damping = _damping(p_provider, times, rows, cols)
     # Re(conj(u_i) u_j exp(-P_ij)), the lower triangle's equal term added by
     # doubling, from real products each rounded on its own: no fused
     # multiply-add, which numpy uses or not by CPU features

@@ -411,27 +411,16 @@ def _step_root(a: float, b: float, da: float, db: float, y: float) -> float:
             f_hi = mid
 
 
-def _log_profile_interpolant(lattice: _Lattice, t: float, r_lo: float, r_hi: float):
-    """Monotone cubic interpolant of t * s1 in log r through the lattice
-    nodes that cover [r_lo, r_hi], with the quadratic small-separation law
-    below them."""
-    j_lo = math.floor(math.log(r_lo) / _LOG_STEP)
-    j_hi = math.ceil(math.log(r_hi) / _LOG_STEP)
-    s = t * lattice.span(j_lo, j_hi)
+def _log_profile_interpolant(lattice: _Lattice, t: float, j_lo: int, u: np.ndarray) -> np.ndarray:
+    """t * s1 at the ascending lattice positions u = log(r) / _LOG_STEP, all
+    at or above node j_lo, by the monotone cubic in log r through the nodes
+    j_lo..ceil(u[-1]); a position on a node gives that node's value."""
+    s = t * lattice.span(j_lo, math.ceil(u[-1]))
     d = _pchip_slopes(s, _LOG_STEP)
-    r0 = math.exp(j_lo * _LOG_STEP)
-
-    def s_of_r(r):
-        out = s[0] * (r / r0) ** 2
-        inside = r >= r0
-        # separations a rounding step outside the covered range take the end
-        # step's cubic, so exp/log round trips never leave the interpolant
-        u = np.log(r[inside]) / _LOG_STEP - j_lo
-        k = np.clip(np.floor(u).astype(int), 0, len(s) - 2)
-        out[inside] = _hermite(s[k], s[k + 1], d[k], d[k + 1], _LOG_STEP, u - k)
-        return out
-
-    return s_of_r
+    u = u - j_lo
+    # a position on the last node takes the end step's cubic
+    k = np.minimum(np.floor(u).astype(int), len(s) - 2)
+    return _hermite(s[k], s[k + 1], d[k], d[k + 1], _LOG_STEP, u - k)
 
 
 def _plateau_free(r: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -571,13 +560,14 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
     filled node by node on first use, so widths at many times share one set
     of profile evaluations.  The scale radii (a bisection over the nodes,
     which reads computed ones directly) and a monotone cubic interpolant in
-    log r are built on those nodes; the interpolant gives G at 400 nodes per
-    decade from 1e-3 of the radius where t s1 = 1 up to the truncation
-    radius, and the width follows from the cosine transform of G on those
-    nodes (`_width_from_kernel`), in one pass with its three checks: one
-    sin^2 table, and one window product per transform.  Separations beyond
-    the analysis window (1e7 bohr, or larger when the decoherence scale
-    demands) are treated as fully decohered.
+    log r are built on those nodes; the interpolant, read at exact lattice
+    positions, gives G at 400 nodes per decade (every fourth a lattice node's
+    own value) from the node at or below 1e-3 of the radius where t s1 = 1 up
+    to the truncation radius, and the width follows from the cosine transform
+    of G on those nodes and G(0) = 1 (`_width_from_kernel`), in one pass with
+    its three checks: one sin^2 table, and one window product per transform.
+    Separations beyond the analysis window (1e7 bohr, or larger when the
+    decoherence scale demands) are treated as fully decohered.
 
     A width that moves by more than 1e-3 when the transform is repeated on
     half the nodes, on half the wavenumbers or on half the truncation radius
@@ -603,21 +593,20 @@ def localization_width(beam: BeamParams, t: float, axis: str) -> Width:
         r_max = min(max(4.0 * r_deep, 40.0 * r_w), max(_WINDOW_BOHR, 200.0 * r_w))
     else:
         r_max = max(_WINDOW_BOHR, 200.0 * r_w)
-    s_of_r = _log_profile_interpolant(lattice, t, 1e-3 * r_w, r_max)
+    # transform node i sits at lattice position i / _SUB, r_max at ln(r_max) / _LOG_STEP
+    h = _LOG_STEP / _SUB
+    j_lo = math.floor(math.log(1e-3 * r_w) / _LOG_STEP)
+    i = np.arange(_SUB * j_lo, math.ceil(math.log(r_max) / h))
+    nodes = np.exp(i * h)
+    inner = nodes < r_max * (1.0 - 1e-9)
+    s = _log_profile_interpolant(lattice, t, j_lo, np.r_[i[inner] / _SUB, math.log(r_max) / _LOG_STEP])
     # marginal decoherence: the kernel must have decayed at the window edge,
     # otherwise the packet is not localized within the analysis span
-    s_edge = float(s_of_r(np.array([r_max]))[0])
-    g_edge = math.exp(-s_edge) - math.exp(-s_inf)
-    g_max = 1.0 - math.exp(-s_inf)
-    if g_edge > 0.02 * g_max:
+    if math.exp(-s[-1]) - math.exp(-s_inf) > 0.02 * (1.0 - math.exp(-s_inf)):
         return Width(math.inf)
 
-    h = _LOG_STEP / _SUB
-    i_lo = _SUB * math.floor(math.log(1e-3 * r_w) / _LOG_STEP)
-    i_hi = math.ceil(math.log(r_max) / h) - 1
-    nodes = np.exp(np.arange(i_lo, i_hi + 1) * h)
-    r = np.concatenate([[0.0], nodes[nodes < r_max * (1.0 - 1e-9)], [r_max]])
-    kernel = CoherenceKernel(r=r, values=np.clip(np.exp(-s_of_r(r)), 1e-300, 1.0))
+    r = np.r_[0.0, nodes[inner], r_max]
+    kernel = CoherenceKernel(r=r, values=np.clip(np.r_[1.0, np.exp(-s)], 1e-300, 1.0))
     width, rel_error = _width_from_kernel(kernel)
     if rel_error > _WIDTH_RTOL:
         warnings.warn(

@@ -119,6 +119,10 @@ DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 0.1 <= math
 )
 # dt**2 underflows to 0 here; the logarithm used to turn P into NaN
 @example((0.0, 0.0, 1.0), 0.5, (0.0, 0.0, 1.0), 0.0, 1.0, 1.0, 2.2758035083812248e-274, 0.0)
+# tiny speeds: |v0| |w| underflows to 0, then F is subnormal, and the rule's
+# error estimate is rounding at the subnormal floor
+@example((0.0, 0.0, 1.0), 2.225073858507e-311, (0.0, 0.0, 1.0), 0.0, 1.0, 1.0, 0.0, 0.0)
+@example((0.0, 0.0, 1.0), 1e-158, (0.0, 0.0, 1.0), 0.0, 1.0, 1.0, 0.0, 1.0)
 def test_p_const_velocity_diagonal_and_hermitian_bit_for_bit(
     v_dir, speed, q_dir, q_mag, q_c, gamma, t1, t2
 ):
@@ -318,6 +322,18 @@ def test_p_vanishing_momentum_limit():
         tiny = p_general(np.array([0.0, 0.0, 1e-10]), amps, 1.005, 1.0, 2.0, mode_sum=ms).value
         ref = p_general(np.array([0.0, 0.0, 0.01]), amps, 1.005, 1.0, 2.0, mode_sum=ms).value
     assert abs(tiny) < 1e-6 * abs(ref)
+
+
+def test_p_const_velocity_scales_as_the_speed_squared_down_to_tiny_speeds():
+    # P is quadratic in |v0|: only v0 = 0 exactly (either sign of zero) gives
+    # P = 0, not every speed within a tolerance of it
+    q = np.array([0.0, 0.0, 0.01])
+    slow = p_const_velocity(np.array([1e-8, 0.0, 0.0]), q, t1=1.0, t2=0.0).value
+    fast = p_const_velocity(np.array([1e-6, 0.0, 0.0]), q, t1=1.0, t2=0.0).value
+    assert slow != 0.0
+    assert slow == pytest.approx(1e-4 * fast, rel=1e-12, abs=0.0)
+    for zero in (0.0, -0.0):
+        assert p_const_velocity(np.array([zero, 0.0, 0.0]), q, t1=1.0, t2=0.0).value == 0j
 
 
 def test_const_velocity_matches_nonrel_asymptote():

@@ -483,6 +483,54 @@ def test_width_at_interpolant_range_edge_is_finite():
     assert w_late < w < w_early
 
 
+def test_width_kernel_passes_through_every_lattice_node(monkeypatch):
+    # every _SUB-th inner transform node is a lattice node, where the kernel
+    # is exp(-t s1) of that node bit for bit
+    kernels = []
+    original = decoherence._width_from_kernel
+
+    def recorded(kernel):
+        kernels.append(kernel)
+        return original(kernel)
+
+    monkeypatch.setattr(decoherence, "_width_from_kernel", recorded)
+    cases = (
+        (beam_from_lab(FIAN_60), np.logspace(8, 14, 50)),
+        (BeamParams.from_gamma_radius(10.0, 1000.0), np.logspace(3, 10, 50)),
+    )
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UncertifiedWidthWarning)
+        for beam, times in cases:
+            for axis, theta0 in (("transverse", math.pi / 2), ("longitudinal", 0.0)):
+                lattice = decoherence._width_lattice(beam, theta0)
+                for t in times:
+                    kernels.clear()
+                    try:
+                        localization_width(beam, t, axis)
+                    except NegativityError:  # raised after the kernel is built
+                        pass
+                    for kernel in kernels:
+                        j_lo = round(math.log(kernel.r[1]) / decoherence._LOG_STEP)
+                        on_nodes = kernel.values[1:-1:decoherence._SUB]
+                        s1 = lattice.span(j_lo, j_lo + len(on_nodes) - 1)
+                        assert np.array_equal(on_nodes, np.clip(np.exp(-t * s1), 1e-300, 1.0))
+                        checked += 1
+    assert checked == 200  # every width here builds its kernel
+
+
+def test_width_interpolant_returns_its_first_node_at_every_reachable_start():
+    # read at positions, the interpolant returns the first node's value; at
+    # 129 of these start indices np.exp of the node's log rounds one ulp below
+    # math.exp at numpy's default x86-64 dispatch level (none at the lowest)
+    beam = beam_from_lab(FIAN_60)
+    lattice = decoherence._width_lattice(beam, math.pi / 2)
+    t = 1e10
+    for j_lo in range(decoherence._ROOT_RANGE[0] - 300, decoherence._ROOT_RANGE[1] + 1):
+        s = decoherence._log_profile_interpolant(lattice, t, j_lo, np.array([j_lo, j_lo + 2.0]))
+        assert s[0] == t * lattice.node(j_lo)
+
+
 def _log_kernel(r_lo, r_max, values_of):
     """A kernel slice on the transform's node layout: r = 0, then 400 nodes
     per decade from r_lo, then r_max."""
