@@ -25,8 +25,9 @@ value is fixed by its separation alone, whatever the other separations of
 the call or their order, and no BLAS kernel enters it.  The table is
 ordered by transverse wavenumber k sin(theta), so the J0 arguments rise
 along each row and one search splits it: 1 - J0 takes its series where they
-are below 0.5 and j0 from there on; 1 - cos(x) = 2 sin^2(x/2) folds its
-halving and doubling into the call; no per-mode array outlives the call.
+are below 0.5 and j0 from there on; 1 - cos(x) is 2 sin^2(x/2); one loop
+serves every theta0 and, on an axis, skips whichever of the two vanishes;
+no per-mode array outlives the call.
 `s_ultrarel`, the paper's ultrarelativistic Airy form, is the same sum over
 an uncached table of Airy-kernel modes, on the mode table's trapezoid rule
 in log n (`numerics.log_trapezoid`) in scaled harmonic number.
@@ -121,53 +122,46 @@ def _profile(table, r, theta0: float) -> np.ndarray:
 
     The factor 1 - J0(a) cos(b) is assembled from the cancellation-free
     pieces m = 1 - J0(a) and h = 1 - cos(b) = 2 sin^2(b/2) as m + h - m h,
-    or as m or h alone where cos(theta0) or sin(theta0) vanishes (they never
-    both do).  One separation at a time: its row of factors is filled in
-    place, scaled by W and summed by numpy's pairwise summation, an order
-    fixed by the row alone.  Returns s1 at r, flattened.
+    or as m or h alone, formed straight in the row, where cos(theta0) or
+    sin(theta0) vanishes (they never both do).  One separation at a time:
+    its row of factors is filled in place, scaled by W and summed by numpy's
+    pairwise summation, an order fixed by the row alone.  Returns s1 at r,
+    flattened.
 
     m takes the power series -sum_k (-a^2/4)^k / k!^2 to its a^14 term
     (truncation below 3e-18 relative) where |a| < 0.5, and 1 - j0(a), which
     loses up to 1e-14 relative just below 0.5, elsewhere.  As rounding is
     monotone, the table's order makes each row |a| = r |k s sin(theta0)|
-    non-decreasing, so one searchsorted splits it between the two.  The
-    longitudinal factor alone is sin^2(r b/2) (2W), b halved and W doubled
-    once per call: the bits of (1 - cos(r b)) W."""
+    non-decreasing, so one searchsorted splits it between the two."""
     k, s, u, W = table
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
     r = np.abs(np.asarray(r, dtype=float)).ravel()
-    out = np.empty(len(r))
-    if abs(sin0) <= 1e-12:
-        half_b, double_w, f = k * u * (0.5 * cos0), W * 2.0, np.empty(len(k))
-        for i, ri in enumerate(r):
-            np.multiply(ri, half_b, out=f)
-            np.sin(f, out=f)
-            np.square(f, out=f)
-            f *= double_w
-            out[i] = f.sum()
-        return out
-    a = k * s * sin0
-    np.abs(a, out=a)  # 1 - J0 is even, in the series and in j0 alike
-    half_b = None if abs(cos0) <= 1e-12 else k * u * (0.5 * cos0)
-    f, h, mh = np.empty((3, len(k)))
+    out, f = np.empty(len(r)), np.empty(len(k))
+    a = np.abs(k * s * sin0) if abs(sin0) > 1e-12 else None  # 1 - J0 is even
+    half_b = k * u * (0.5 * cos0) if abs(cos0) > 1e-12 else None
+    # work rows: h is f itself on the longitudinal axis; mh takes the series' a^2, then m h
+    mh = None if a is None else np.empty(len(k))
+    h = f if a is None else None if half_b is None else np.empty(len(k))
     for i, ri in enumerate(r):
-        np.multiply(ri, a, out=f)
-        lo = int(np.searchsorted(f, 0.5))
-        if lo:  # each run's ufunc calls cost microseconds even when empty
-            _j0_series(np.square(f[:lo], out=mh[:lo]), out=f[:lo])
-        if lo < len(f):
-            tail = f[lo:]
-            with np.errstate(invalid="ignore"):
-                scipy.special.j0(tail, out=tail)
-            np.subtract(1.0, tail, out=tail)
-        if half_b is not None:
+        if a is not None:
+            np.multiply(ri, a, out=f)
+            lo = int(np.searchsorted(f, 0.5))
+            if lo:  # each run's ufunc calls cost microseconds even when empty
+                _j0_series(np.square(f[:lo], out=mh[:lo]), out=f[:lo])
+            if lo < len(f):
+                tail = f[lo:]
+                with np.errstate(invalid="ignore"):
+                    scipy.special.j0(tail, out=tail)
+                np.subtract(1.0, tail, out=tail)
+        if h is not None:
             np.multiply(ri, half_b, out=h)
             np.sin(h, out=h)
             np.square(h, out=h)
             h *= 2.0
-            np.multiply(f, h, out=mh)
-            f += h
-            f -= mh
+            if h is not f:
+                np.multiply(f, h, out=mh)
+                f += h
+                f -= mh
         f *= W
         out[i] = f.sum()
     return out
@@ -180,9 +174,12 @@ _WIDTH_RES = dict(n_exact=128, per_decade=16, n_theta=24)
 _FIELD_CACHE_POINTS = 1 << 16
 
 
-def _separations(r, theta0) -> np.ndarray:
+def _separations(r, theta0, t) -> np.ndarray:
     """r as an array of at least one dimension; DomainError unless every
-    separation is finite and nonnegative and every theta0 is finite."""
+    separation is finite and nonnegative, every theta0 is finite and the
+    elapsed time t is positive and finite."""
+    if not 0 < t < math.inf:
+        raise DomainError(f"elapsed time must be positive and finite, got {t}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all((r >= 0) & (r < math.inf)):
         raise DomainError("separations must be finite and nonnegative")
@@ -211,9 +208,7 @@ def s_averaged(r, theta0: float, t: float, beam: BeamParams):
     cached per beam, theta0 and grid (see the module docstring) and scaled
     by t.
     """
-    if not 0 < t < math.inf:
-        raise DomainError(f"elapsed time must be positive and finite, got {t}")
-    grid = _separations(r, theta0)
+    grid = _separations(r, theta0, t)
     if grid.size <= _FIELD_CACHE_POINTS:
         s1 = _field_profile(beam, float(theta0), grid.tobytes())
     else:
@@ -239,11 +234,9 @@ def s_ultrarel(r, theta0: float, t: float, beam: BeamParams, epsilon: float = 0.
     gamma >~ 100; DomainError unless 0 < epsilon <= pi/2 (sin epsilon is the
     window edge in cos(theta)).
     """
-    if not 0 < t < math.inf:
-        raise DomainError(f"elapsed time must be positive and finite, got {t}")
+    grid = _separations(r, theta0, t)
     if not 0 < epsilon <= math.pi / 2:
         raise DomainError(f"epsilon must lie in (0, pi/2], got {epsilon}")
-    grid = _separations(r, theta0)
     if epsilon <= 3.0 / beam.gamma or epsilon > 0.5:
         warnings.warn(
             f"epsilon = {epsilon} outside the validity window "

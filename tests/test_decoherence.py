@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synchrad import decoherence, numerics, semiclassical
@@ -307,13 +307,44 @@ def test_profile_rows_are_independent(theta0, modes, stretch, far):
     assert np.array_equal(got, _row_profile(table, r, theta0))
 
 
+def _across(trig, lo, hi):
+    """The adjacent floats x, y between lo and hi with |trig(x)| <= 1e-12 <
+    |trig(y)|, where _profile drops or keeps the factor trig(theta0) scales."""
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if abs(trig(mid)) <= 1e-12 else (lo, mid)
+    return [lo, hi]
+
+
+# theta0 a float either side of each switch: |sin| on 1e-12 near 0 and pi,
+# |cos| on 1e-12 either side of pi/2
+_SWITCHES = [
+    *_across(math.sin, 0.0, 1e-11),
+    *_across(math.sin, math.pi, 3.0),
+    *_across(math.cos, math.pi / 2.0, 1.0),
+    *_across(math.cos, math.pi / 2.0, 2.0),
+]
+
+
+_THETA0 = [0.0, math.pi / 2.0, -math.pi / 2.0, 1.0, -1.0, math.pi, -math.pi, *_SWITCHES, *(-x for x in _SWITCHES)]
+
+
+def _every_theta0(test):
+    """test with each theta0 of _THETA0 as an explicit example, beside the
+    drawn ones, so that no derandomized draw can leave one out."""
+    for theta0 in _THETA0:
+        test = example(theta0=theta0, tie=0, modes=[], far=[])(test)
+    return test
+
+
 @settings(max_examples=20, deadline=None)
 @given(
-    theta0=st.sampled_from([0.0, math.pi / 2.0, -math.pi / 2.0, 1.0, -1.0, math.pi, -math.pi]),
+    theta0=st.sampled_from(_THETA0),
     tie=st.integers(0, 10**6),
     modes=st.lists(st.integers(0, 10**6), max_size=3),
     far=st.lists(st.floats(-6.0, 16.0), max_size=4),
 )
+@_every_theta0
 def test_profile_runs_match_the_whole_row_on_fian60(theta0, tie, modes, far):
     # the width table of FIAN_60 (6,504 modes ordered by k s) with one mode
     # doubled, so that k s has an exact tie, at separations that put the
@@ -321,7 +352,8 @@ def test_profile_runs_match_the_whole_row_on_fian60(theta0, tie, modes, far):
     # first and last modes, both modes of the tie, both modes of the closest
     # pair in k s and any chosen mode: the split of each row into a series
     # run and a j0 run gives each value the bits of the row formed whole and
-    # of its own single-separation call, for every sign of theta0
+    # of its own single-separation call, for every sign of theta0 and on
+    # both sides of each switch that drops the J0 or the cos factor
     table = decoherence._mode_table(beam_from_lab(FIAN_60), **decoherence._WIDTH_RES)
     tie %= len(table[0])
     table = tuple(np.insert(a, tie, a[tie]) for a in table)
@@ -351,8 +383,9 @@ def test_profile_runs_match_the_whole_row_on_fian60(theta0, tie, modes, far):
 def test_profile_peak_memory_stays_under_2_5_mb():
     # the kernel holds at most five rows as long as the mode table (0.35 MB
     # each at 43,824 modes), at theta0 = 0.3: the phase rates a and b/2 and
-    # the work rows f, h and m h.  These three calls peak at 1.76 MB (1.41,
-    # 1.06 and 1.76 MB alone), so three more rows fail
+    # the work rows f, h and m h; an axis holds three (pi/2: a, f, m h) or
+    # two (0: b/2 and f).  These three calls peak at 1.76 MB (1.06, 0.71 and
+    # 1.76 MB alone), so three more rows fail
     beam = beam_from_lab(FIAN_60)
     r = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-3), math.log(1e7), 128))])
     decoherence._mode_table(beam, **decoherence._FIELD_RES)
